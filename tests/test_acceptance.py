@@ -201,7 +201,7 @@ def test_criterion_08_factorized_operator_identity():
             op = assemble_operator(wsgd_weights(alpha, m), m)
             fields = rng.standard_normal((m - 1, 20)) + 1j * rng.standard_normal((m - 1, 20))
             qf = h ** (1 - alpha) * np.real(np.sum(np.conj(fields) * (op.C @ fields), axis=0))
-            lam = h ** (1 - alpha) * np.sum(np.abs(op.chol @ fields) ** 2, axis=0)
+            lam = h ** (1 - alpha) * np.sum(np.abs(cholesky(op.C) @ fields) ** 2, axis=0)
             rel = float(np.max(np.abs(qf - lam) / lam))
             if rel > 1e-10:
                 failures.append(f"alpha={alpha} M={m}: identity off by {rel:.2e} relative")

@@ -188,6 +188,12 @@ class TestCliDispatch:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_non_finite_coefficient_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL_SIMULATE.replace("eta = 1.0", "eta = nan"))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "eta must be finite" in capsys.readouterr().err
+
     def test_simulate_with_soliton_initial(self, tmp_path):
         text = MINIMAL_SIMULATE.replace("gamma = 0.0", "gamma = 0.0\ninitial = soliton").replace(
             "m = 400", "m = 200"
@@ -246,15 +252,18 @@ class TestVerifySuite:
         assert "symbol_constant" in names
         assert report.passed
 
-    def test_injected_perturbation_names_property(self):
-        def tamper(w):
+    def test_injected_perturbation_names_property(self, monkeypatch):
+        import fgle.cli as cli_mod
+
+        check = cli_mod.check_weight_properties
+
+        def check_tampered(w):
             bad = WsgdWeights(w.alpha, w.lambda1, w.lambda0, w.lambda_m1, w.g, w.w.copy())
             bad.w[0] = -bad.w[0]
-            return bad
+            return check(bad)
 
-        report = verify_suite(
-            alphas=(1.5,), grid_points=32, n_vectors=4, _perturb_weights=tamper
-        )
+        monkeypatch.setattr(cli_mod, "check_weight_properties", check_tampered)
+        report = verify_suite(alphas=(1.5,), grid_points=32, n_vectors=4)
         assert not report.passed
         bad = [c for c in report.checks if c.name == "coefficient_properties"][0]
         assert not bad.passed

@@ -88,7 +88,7 @@ class TestCholesky:
 
     def test_tridiagonal_reconstruction(self):
         op = assemble_operator(wsgd_weights(2.0, 5), 5)
-        L = cholesky(op)
+        L = cholesky(op.C)
         assert np.max(np.abs(L.T @ L - op.C)) < 1e-14
 
     def test_random_spd(self):
@@ -157,8 +157,9 @@ class TestLuFactorSolve:
 class TestQuadraticFormRoutes:
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8, 2.0))
     def test_three_way_agreement(self, alpha):
-        """(Delta u, u)_h by direct summation, matrix quadratic form and the
-        factored norm ||Lambda u||^2 must coincide."""
+        """(Delta u, u)_h by direct summation, matrix quadratic form, the
+        factored norm ||Lambda u||^2 and OperatorMatrix.quadratic_form must
+        coincide."""
         from fgle.wsgd import apply_fractional_laplacian
 
         rng = np.random.default_rng(7)
@@ -170,8 +171,22 @@ class TestQuadraticFormRoutes:
         direct = inner_product(apply_fractional_laplacian(u, w), u)
         assert direct.imag == pytest.approx(0.0, abs=1e-12 * abs(direct))
         quad = h ** (1 - alpha) * float(np.real(np.conj(u.values) @ (op.C @ u.values)))
-        lam = op.chol @ u.values
+        lam = cholesky(op.C) @ u.values
         factored = h ** (1 - alpha) * float(np.sum(np.abs(lam) ** 2))
+        method = op.quadratic_form(u.values, h)
 
+        assert isinstance(method, float)
         assert direct.real == pytest.approx(quad, rel=1e-10)
         assert quad == pytest.approx(factored, rel=1e-10)
+        assert method == pytest.approx(quad, rel=1e-10)
+
+    def test_batch_matches_dense_complex_formula(self):
+        rng = np.random.default_rng(8)
+        alpha, M, h, k = 1.3, 40, 0.5, 6
+        op = assemble_operator(wsgd_weights(alpha, M), M)
+        fields = rng.standard_normal((M - 1, k)) + 1j * rng.standard_normal((M - 1, k))
+        dense = h ** (1 - alpha) * np.real(np.sum(np.conj(fields) * (op.C @ fields), axis=0))
+        batch = op.quadratic_form(fields, h)
+        assert batch.shape == (k,)
+        assert np.allclose(batch, dense, rtol=1e-10, atol=0.0)
+        assert batch[2] == pytest.approx(op.quadratic_form(fields[:, 2], h), rel=1e-10)

@@ -47,6 +47,37 @@ class TestGridTypes:
         with pytest.raises(ValueError, match="N"):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize(
+        "a, b, m, match",
+        [
+            (-1.0, 1.0, 3.5, "M must be an integer"),
+            (-1.0, 1.0, 8.0, "M must be an integer"),
+            (-1.0, 1.0, True, "M must be an integer"),
+            (-np.inf, 1.0, 8, "finite b > a"),
+            (-1.0, np.nan, 8, "finite b > a"),
+        ],
+    )
+    def test_grid_rejects_invalid_input(self, a, b, m, match):
+        with pytest.raises(ValueError, match=match):
+            GridSpec(a, b, m)
+
+    @pytest.mark.parametrize(
+        "T, N, match",
+        [
+            (1.0, 2.5, "N must be an integer"),
+            (1.0, True, "N must be an integer"),
+            (np.inf, 2, "T must be positive and finite"),
+            (np.nan, 2, "T must be positive and finite"),
+        ],
+    )
+    def test_time_grid_rejects_invalid_input(self, T, N, match):
+        with pytest.raises(ValueError, match=match):
+            TimeGrid(T, N)
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert GridSpec(-1.0, 1.0, np.int64(8)).M == 8
+        assert TimeGrid(1.0, np.int64(4)).tau == 0.25
+
 
 class TestModelParams:
     def test_alpha_domain(self):
@@ -56,6 +87,17 @@ class TestModelParams:
     def test_negative_upsilon_rejected(self):
         with pytest.raises(ValueError, match="upsilon"):
             ModelParams(-1.0, 0.0, 0.0, 0.0, 0.0, alpha=1.5)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("eta", np.nan), ("kappa", np.inf), ("gamma", np.nan), ("upsilon", np.nan),
+         ("zeta", -np.inf)],
+    )
+    def test_non_finite_coefficient_rejected(self, name, value):
+        coeffs = dict(upsilon=1.0, eta=1.0, kappa=1.0, zeta=1.0, gamma=0.0, alpha=1.5)
+        coeffs[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(**coeffs)
 
     def test_zero_upsilon_and_negative_kappa_allowed(self):
         # dispersive reduction and the benchmark's negative cubic coefficient
@@ -234,3 +276,14 @@ class TestRunSimulation:
         grid = GridSpec(-10.0, 10.0, 100)
         with pytest.raises(ValueError, match="initial"):
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), np.zeros(50))
+
+    @pytest.mark.parametrize(
+        "u0",
+        [np.full(99, np.nan), lambda x: np.where(x > 0.0, np.inf, gaussian(x))],
+        ids=["nan-array", "inf-callable"],
+    )
+    def test_non_finite_initial_data_rejected(self, u0):
+        # rejected before the first step, not as a NonConvergence at step 0
+        grid = GridSpec(-10.0, 10.0, 100)
+        with pytest.raises(ValueError, match="initial data must be finite"):
+            run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
