@@ -134,14 +134,18 @@ class _Section:
             return None
         return self.items[key]
 
-    def get_float(self, key: str, required: bool = True, default: float | None = None):
-        raw = self._raw(key, required)
-        if raw is None:
-            return default
+    def _finite(self, key: str, text: str, raw: str) -> float:
         try:
-            return float(raw)
+            value = float(text)
         except ValueError:
             raise ConfigError(f"[{self.name}] {key}: expected a number, got '{raw}'") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"[{self.name}] {key} must be finite, got '{raw}'")
+        return value
+
+    def get_float(self, key: str, required: bool = True, default: float | None = None):
+        raw = self._raw(key, required)
+        return default if raw is None else self._finite(key, raw, raw)
 
     def get_int(self, key: str, required: bool = True, default: int | None = None):
         raw = self._raw(key, required)
@@ -160,11 +164,7 @@ class _Section:
         raw = self._raw(key, required)
         if raw is None:
             return None
-        parts = raw.replace(",", " ").split()
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected numbers, got '{raw}'") from None
+        return tuple(self._finite(key, p, raw) for p in raw.replace(",", " ").split())
 
 
 def parse_config(text: str) -> RunConfig:
@@ -219,15 +219,9 @@ def parse_config(text: str) -> RunConfig:
 
     if needs_model:
         ms = section("model", required=True)
+        coeffs = {k: ms.get_float(k) for k in ("upsilon", "eta", "kappa", "zeta", "gamma", "alpha")}
         try:
-            model = ModelParams(
-                upsilon=ms.get_float("upsilon"),
-                eta=ms.get_float("eta"),
-                kappa=ms.get_float("kappa"),
-                zeta=ms.get_float("zeta"),
-                gamma=ms.get_float("gamma"),
-                alpha=ms.get_float("alpha"),
-            )
+            model = ModelParams(**coeffs)
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from None
         initial = ms.get_str("initial", required=False, default="gaussian")
@@ -254,11 +248,10 @@ def parse_config(text: str) -> RunConfig:
     solver = SolverSettings()
     ss = section("solver")
     if ss is not None:
+        iter_tol = ss.get_float("iter_tol", required=False, default=1e-14)
+        max_iters = ss.get_int("max_iters", required=False, default=100)
         try:
-            solver = SolverSettings(
-                iter_tol=ss.get_float("iter_tol", required=False, default=1e-14),
-                max_iters=ss.get_int("max_iters", required=False, default=100),
-            )
+            solver = SolverSettings(iter_tol=iter_tol, max_iters=max_iters)
         except ValueError as exc:
             raise ConfigError(f"[solver] {exc}") from None
 

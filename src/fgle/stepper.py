@@ -3,9 +3,9 @@ equation via a linearized fixed-point iteration.
 
 Each step solves the midpoint system for z = (u^{n+1} + u^n)/2 by lagging
 the cubic term:  A z_(s+1) = u^n - (tau/2)(kappa + i zeta) |z_(s)|^2 z_(s),
-with the constant matrix A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta)
-h^(-alpha) C factorized once per run. The energy-balance residual of each step
-takes upsilon ||Lambda z||^2_h as the quadratic form upsilon (Delta_h z, z)_h.
+with A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta) h^(-alpha) C, the only
+dense matrix a run builds, formed from C's Toeplitz column for one LU per run.
+The energy balance takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import ComplexField, FactorizedSystem, lu_factor
 from .wsgd import OperatorMatrix, assemble_operator, wsgd_weights
@@ -140,12 +141,12 @@ def build_system_matrix(
     params: ModelParams, grid: GridSpec, tau: float, operator: OperatorMatrix
 ) -> FactorizedSystem:
     """Factorize A = (1 - tau gamma/2) I + (tau/2)(upsilon + i eta) h^(-alpha) C."""
-    if operator.size != grid.M - 1 or operator.alpha != params.alpha:
+    if operator.column.size != grid.M - 1 or operator.alpha != params.alpha:
         raise ValueError("operator matrix does not match the model/grid")
-    n = grid.M - 1
-    A = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.C
-    A[np.diag_indices(n)] += 1.0 - tau * params.gamma / 2.0
-    return lu_factor(A)
+    col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
+    col[0] += 1.0 - tau * params.gamma / 2.0
+    # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row
+    return lu_factor(scipy.linalg.toeplitz(col, col))
 
 
 def _values(u) -> np.ndarray:

@@ -116,6 +116,19 @@ class TestParseConfig:
         assert cfg.grid.M == 40  # (16 - -16) / 0.8
         assert cfg.time.N == 5  # 1.0 / 0.2
 
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            (MINIMAL_SIMULATE + "\n[solver]\nmax_iters = 2.5\n", "[solver]"),
+            (MINIMAL_SIMULATE.replace("eta = 1.0", "eta = abc"), "[model]"),
+        ],
+        ids=("solver", "model"),
+    )
+    def test_section_prefix_named_once(self, text, prefix):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value).count(prefix) == 1
+
     def test_roundtrip_identity(self):
         for text in (MINIMAL_SIMULATE, CONVERGENCE_EXACT):
             cfg = parse_config(text)
@@ -193,6 +206,31 @@ class TestCliDispatch:
         cfg.write_text(MINIMAL_SIMULATE.replace("eta = 1.0", "eta = nan"))
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "eta must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("a = -16", "a = -inf", "[grid] a"),
+            ("a = -16", "a = nan", "[grid] a"),
+            ("t_final = 1.0", "t_final = inf", "[time] t_final"),
+        ],
+    )
+    def test_non_finite_convergence_bound_exit_code(self, tmp_path, capsys, old, new, key):
+        # m and steps are derived from these values, so they must be rejected first
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(CONVERGENCE_EXACT.replace(old, new))
+        assert main(["convergence", "--config", str(cfg)]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode, section", [("decay", "gammas = -2 nan"), ("inviscid", "upsilon_kappa = 0.1 nan")]
+    )
+    def test_non_finite_study_list_exit_code(self, tmp_path, capsys, mode, section):
+        cfg = tmp_path / "study.cfg"
+        text = MINIMAL_SIMULATE.replace("mode = simulate", f"mode = {mode}")
+        cfg.write_text(text + f"\n[{mode}]\n{section}\n")
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert f"[{mode}] {section.split()[0]} must be finite" in capsys.readouterr().err
 
     def test_simulate_with_soliton_initial(self, tmp_path):
         text = MINIMAL_SIMULATE.replace("gamma = 0.0", "gamma = 0.0\ninitial = soliton").replace(

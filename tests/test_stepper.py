@@ -140,6 +140,22 @@ class TestBuildSystemMatrix:
         az = x + (tau / 2) * (0.7 - 0.3j) * lap - (tau * 0.6 / 2) * x
         assert np.max(np.abs(az - z)) < 1e-12 * np.max(np.abs(z))
 
+    def test_complex_symmetric_not_hermitian(self, monkeypatch):
+        import fgle.stepper as stepper_mod
+
+        built = []
+        lu = stepper_mod.lu_factor
+        monkeypatch.setattr(stepper_mod, "lu_factor", lambda a: built.append(a) or lu(a))
+        grid = GridSpec(-2.0, 2.0, 16)
+        p = ModelParams(0.7, -0.3, 0.4, 1.1, 0.6, alpha=1.6)
+        op = make_operator(1.6, 16)
+        build_system_matrix(p, grid, 0.05, op)
+        (A,) = built
+        expected = (1 - 0.05 * 0.6 / 2) * np.eye(15) + 0.025 * (0.7 - 0.3j) * grid.h**-1.6 * op.C
+        assert np.allclose(A, expected, rtol=0, atol=1e-15)
+        assert np.array_equal(A, A.T)
+        assert not np.allclose(A, A.conj().T)
+
     def test_operator_mismatch_rejected(self):
         grid = GridSpec(-1.0, 1.0, 8)
         op = make_operator(1.5, 10)

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgle.linalg import ComplexField
 from fgle.wsgd import (
@@ -187,6 +190,39 @@ class TestAssembleOperator:
     def test_insufficient_weights_rejected(self):
         with pytest.raises(ValueError, match="weights"):
             assemble_operator(wsgd_weights(1.5, 4), 16)
+
+    @pytest.mark.parametrize("alpha", (1.1, 1.6, 2.0))
+    @pytest.mark.parametrize("M", (3, 4, 64, 1280))
+    def test_dense_c_matches_toeplitz_assembly(self, alpha, M):
+        # The dense assembly through W: C = (W + W^T) / (2 cos(alpha pi / 2)), re-symmetrized
+        w = wsgd_weights(alpha, M)
+        row = np.zeros(M - 1)
+        row[:2] = w.w[1], w.w[0]
+        W = scipy.linalg.toeplitz(w.w[1:M], row)
+        C = (W + W.T) / (2.0 * math.cos(alpha * math.pi / 2.0))
+        assert np.array_equal(assemble_operator(w, M).C, (C + C.T) / 2.0)
+
+    @settings(deadline=None)
+    @given(
+        alpha=st.floats(1.0, 2.0, exclude_min=True),
+        M=st.integers(3, 300),
+        batch=st.sampled_from((None, 1, 2, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_match_dense_oracle(self, alpha, M, batch, seed):
+        rng = np.random.default_rng(seed)
+        shape = (M - 1,) if batch is None else (M - 1, batch)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = 32.0 / M
+        op = assemble_operator(wsgd_weights(alpha, M), M)
+        Cu = op.C @ u
+        image = op.apply(u, h)
+        assert image.shape == u.shape
+        assert np.max(np.abs(image - h**-alpha * Cu)) <= 1e-13 * np.max(np.abs(h**-alpha * Cu))
+        dense = h ** (1.0 - alpha) * np.real(np.sum(np.conj(u) * Cu, axis=0))
+        form = op.quadratic_form(u, h)
+        assert np.shape(form) == np.shape(dense)
+        assert np.all(np.abs(form - dense) <= 1e-13 * np.abs(dense))
 
 
 class TestApplyFractionalLaplacian:
