@@ -30,7 +30,6 @@ from .linalg import (
     linf_h,
     lp_h,
     lu_factor,
-    solve,
 )
 from .spectral import (
     SobolevNormSpec,
@@ -57,7 +56,6 @@ from .wsgd import (
     LEADING_PAIR_ALPHA_THRESHOLD,
     OperatorMatrix,
     WsgdWeights,
-    apply_fractional_laplacian,
     assemble_operator,
     c_alpha,
     check_weight_properties,

@@ -275,6 +275,19 @@ def parse_config(text: str) -> RunConfig:
         if not decay_gammas:
             raise ConfigError("[decay] gammas must list at least one value")
 
+    if needs_model:
+        # build_system_matrix needs tau * gamma < 2 for every run the mode makes
+        tau = conv.base_tau if conv is not None else time_grid.tau
+        if decay_gammas is not None:
+            gammas = [(f"[decay] gammas entry {g:g}", g) for g in decay_gammas]
+        else:
+            gammas = [(f"[model] gamma = {model.gamma:g}", model.gamma)]
+        for what, gamma in gammas:
+            if not tau * gamma < 2.0:
+                raise ConfigError(
+                    f"{what} with tau = {tau:g}: tau * gamma = {tau * gamma:g} must be < 2"
+                )
+
     inviscid_pairs = None
     if mode == "inviscid":
         vs = section("inviscid", required=True)

@@ -1,4 +1,5 @@
-"""Grid functions, discrete inner products and dense factorizations.
+"""Grid functions, discrete inner products, dense factorizations and the FFT
+products behind the Toeplitz operator and the Gohberg-Semencul solve.
 
 Grid functions live on the interior nodes of a uniform mesh and are
 implicitly extended by zero outside. All norms carry the mesh weight h.
@@ -87,19 +88,105 @@ def cholesky(matrix) -> np.ndarray:
     return np.ascontiguousarray(m.T[::-1, ::-1])
 
 
+def fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT runs without Bluestein's chirp."""
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def circulant_product(spectrum: np.ndarray, values: np.ndarray, sum_axis: int | None = None):
+    """Leading entries of the circulant product ifft(spectrum * fft(values)) on the last axis.
+
+    ``values`` is zero-padded to the spectrum's length L and broadcast against
+    it; the result keeps values' last-axis length n. For L >= 2n - 1 and
+    the spectrum of a circulant whose first column embeds a Toeplitz
+    matrix, that is the Toeplitz product. ``sum_axis`` adds the products
+    along that axis before the one inverse FFT.
+    """
+    product = spectrum * np.fft.fft(values, spectrum.shape[-1])
+    if sum_axis is not None:
+        product = product.sum(axis=sum_axis)
+    return np.fft.ifft(product)[..., : values.shape[-1]]
+
+
+def _gohberg_semencul_solve(spectra: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L(x) L(x)^T b - L(s) L(s)^T b) / x_0 for b of shape (n,) or (n, k)."""
+    upper, lower = spectra
+    rows = b.T
+    t = circulant_product(upper, rows)
+    return circulant_product(lower, t, sum_axis=0).reshape(rows.shape).T
+
+
+# The Gohberg-Semencul generator must reproduce LU on a fixed probe to this
+# relative accuracy (max-norm) before solves are routed through it.
+_GS_GATE_RTOL = 1e-12
+
+
 @dataclass
 class FactorizedSystem:
-    """Reusable LU factorization (with partial pivoting) of a complex matrix."""
+    """LU factorization (with partial pivoting) of a complex matrix.
+
+    ``spectra``, set by ``with_gohberg_semencul`` for a complex symmetric
+    Toeplitz matrix, holds the FFT spectra of the Gohberg-Semencul
+    generators, shape (2, 2, 1, L): the transposed and the plain triangular
+    factors, each for x and s. ``solve`` then applies A^{-1} with six FFTs
+    and leaves the dense factor alone. The LU is still the generator's
+    source, its gate and the fallback.
+    """
 
     lu: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
     size: int
+    spectra: np.ndarray | None = field(default=None, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve A x = b for b of shape (size,) or (size, k)."""
         b = np.asarray(b, dtype=complex)
         if b.shape[0] != self.size:
             raise ValueError(f"right-hand side length {b.shape[0]} != system size {self.size}")
-        return scipy.linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
+        if self.spectra is None:
+            return scipy.linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
+        return _gohberg_semencul_solve(self.spectra, b)
+
+    def with_gohberg_semencul(self) -> "FactorizedSystem":
+        """This system solving by the Gohberg-Semencul formula, or itself if that fails its gate.
+
+        The factorized A must be complex symmetric Toeplitz. With
+        x = A^{-1} e_1 and s = Z J x = (0, x_{n-1}, ..., x_1),
+        A^{-1} = (L(x) L(x)^T - L(s) L(s)^T) / x_0, where L(v) is lower
+        triangular Toeplitz with first column v (Gohberg & Semencul 1972).
+        Each triangular product is a circulant product of length
+        L >= 2n - 1, and L(v)^T takes the spectrum of v at negated
+        frequencies. One two-column LU solve gives x and the reference
+        answer on a fixed probe; the formula must match it to _GS_GATE_RTOL.
+        """
+        n = self.size
+        rhs = np.zeros((n, 2), dtype=complex)
+        rhs[0, 0] = 1.0
+        probe = np.random.default_rng(0).standard_normal((2, n))
+        rhs[:, 1] = probe[0] + 1j * probe[1]
+        x, reference = scipy.linalg.lu_solve((self.lu, self.piv), rhs, check_finite=False).T
+        if x[0] == 0.0:
+            return self
+        length = fft_length(2 * n - 1)
+        generators = np.zeros((2, length), dtype=complex)
+        generators[0, :n] = x
+        generators[1, 1:n] = x[:0:-1]
+        spectrum = np.fft.fft(generators)
+        lower = spectrum / x[0]
+        lower[1] *= -1.0
+        spectra = np.stack((spectrum[:, -np.arange(length)], lower))[:, :, None, :]
+        error = np.max(np.abs(_gohberg_semencul_solve(spectra, rhs[:, 1]) - reference))
+        if not error <= _GS_GATE_RTOL * np.max(np.abs(reference)):
+            return self
+        return FactorizedSystem(self.lu, self.piv, n, spectra)
 
 
 _PIVOT_FLOOR = 1e-300
@@ -117,14 +204,3 @@ def lu_factor(a: np.ndarray) -> FactorizedSystem:
         raise SingularMatrixError("matrix is numerically singular (pivot below 1e-300)")
     return FactorizedSystem(lu=lu, piv=piv, size=a.shape[0])
 
-
-def solve(system: FactorizedSystem, b):
-    """Solve A x = b against a stored factorization.
-
-    ComplexField in, ComplexField out; plain arrays pass through unchanged.
-    """
-    if isinstance(b, ComplexField):
-        if len(b) != system.size:
-            raise ValueError(f"field length {len(b)} != system size {system.size}")
-        return ComplexField(system.solve(b.values), b.h)
-    return system.solve(np.asarray(b, dtype=complex))

@@ -3,9 +3,12 @@ equation via a linearized fixed-point iteration.
 
 Each step solves the midpoint system for z = (u^{n+1} + u^n)/2 by lagging
 the cubic term:  A z_(s+1) = u^n - (tau/2)(kappa + i zeta) |z_(s)|^2 z_(s),
-with A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta) h^(-alpha) C, the only
-dense matrix a run builds, formed from C's Toeplitz column for one LU per run.
-The energy balance takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h.
+with A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta) h^(-alpha) C complex
+symmetric Toeplitz. A run factorizes A once by dense LU, the only dense matrix
+it builds. On large grids that LU only seeds the Gohberg-Semencul inverse,
+which then applies A^{-1} by FFT at O(M log M) per inner solve; it stays as the
+fallback should the inverse fail its gate. The energy balance takes
+upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h.
 """
 
 from __future__ import annotations
@@ -137,16 +140,34 @@ class Trajectory:
     final: ComplexField | None = None
 
 
+# Smallest system size solved by Gohberg-Semencul: below it the dense LU
+# solve is faster than six FFTs.
+_GS_MIN_SIZE = 350
+
+
 def build_system_matrix(
     params: ModelParams, grid: GridSpec, tau: float, operator: OperatorMatrix
 ) -> FactorizedSystem:
-    """Factorize A = (1 - tau gamma/2) I + (tau/2)(upsilon + i eta) h^(-alpha) C."""
+    """Factorize A = (1 - tau gamma/2) I + (tau/2)(upsilon + i eta) h^(-alpha) C.
+
+    Requires tau gamma < 2, which makes Re A positive definite (C is), so A
+    is invertible and Re x_0 > 0 for x = A^{-1} e_1. The dense LU is always
+    made; from _GS_MIN_SIZE unknowns on, solves go through the
+    Gohberg-Semencul inverse built from it, unless that fails its gate
+    against the LU.
+    """
     if operator.column.size != grid.M - 1 or operator.alpha != params.alpha:
         raise ValueError("operator matrix does not match the model/grid")
+    if not tau * params.gamma < 2.0:
+        raise ValueError(
+            f"tau * gamma must be < 2, got tau = {tau:g}, gamma = {params.gamma:g}, "
+            f"tau * gamma = {tau * params.gamma:g}"
+        )
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
     # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row
-    return lu_factor(scipy.linalg.toeplitz(col, col))
+    system = lu_factor(scipy.linalg.toeplitz(col, col))
+    return system.with_gohberg_semencul() if system.size >= _GS_MIN_SIZE else system
 
 
 def _values(u) -> np.ndarray:

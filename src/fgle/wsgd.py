@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import ComplexField
+from .linalg import circulant_product, fft_length
 
 __all__ = [
     "WsgdWeights",
@@ -27,7 +28,6 @@ __all__ = [
     "wsgd_weights",
     "check_weight_properties",
     "assemble_operator",
-    "apply_fractional_laplacian",
     "h_function",
     "symbol_f",
     "c_alpha",
@@ -210,11 +210,23 @@ class OperatorMatrix:
         """Dense C, O(M^2) memory: for oracles and certification only."""
         return scipy.linalg.toeplitz(self.column)
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Spectrum of the circulant embedding (c_0, ..., c_{n-1}, 0, ..., 0, c_{n-1}, ..., c_1).
+
+        Real, as C is real symmetric; computed once, so a sweep sharing the
+        operator shares it.
+        """
+        n = self.column.size
+        embedding = np.zeros(fft_length(2 * n - 1))
+        embedding[:n] = self.column
+        embedding[embedding.size - n + 1 :] = self.column[:0:-1]
+        return np.fft.fft(embedding).real
+
     def apply(self, values: np.ndarray, h: float) -> np.ndarray:
-        """h^(-alpha) C u per column: u convolved with (c_{n-1}..c_1, c_0, c_1..c_{n-1})."""
-        kernel = np.concatenate((self.column[:0:-1], self.column))
+        """h^(-alpha) C u per column, by one batched FFT product along axis 0."""
         u = np.asarray(values, dtype=complex)
-        return h ** (-self.alpha) * np.apply_along_axis(np.convolve, 0, u, kernel, "valid")
+        return h ** (-self.alpha) * circulant_product(self._spectrum, u.T).T
 
     def quadratic_form(self, values: np.ndarray, h: float) -> np.ndarray | float:
         """(Delta_h u, u)_h = h Re(u^H Delta_h u) per column; a float for 1-D u."""
@@ -240,29 +252,6 @@ def assemble_operator(weights: WsgdWeights, M: int) -> OperatorMatrix:
     column = np.concatenate(([2.0 * w[1], w[0] + w[2]], w[3:M]))
     column /= 2.0 * math.cos(weights.alpha * math.pi / 2.0)
     return OperatorMatrix(alpha=weights.alpha, column=column)
-
-
-def apply_fractional_laplacian(u: ComplexField, weights: WsgdWeights) -> ComplexField:
-    """Apply the discrete fractional Laplacian by direct double summation.
-
-    Independent of ``OperatorMatrix.apply``: each node sums the left- and
-    right-shifted weight convolutions against the zero-extended field.
-    Agrees with h^(-alpha) C u to machine precision.
-    """
-    vals = u.values
-    M = vals.size + 1
-    if weights.w.size < M + 1:
-        raise ValueError(f"need weights w_0..w_{M}, got only {weights.w.size} entries")
-    w = weights.w
-    ext = np.zeros(M + 1, dtype=complex)
-    ext[1:M] = vals
-    scale = u.h ** (-weights.alpha) / (2.0 * math.cos(weights.alpha * math.pi / 2.0))
-    out = np.empty(M - 1, dtype=complex)
-    for j in range(1, M):
-        left = np.dot(w[: j + 2], ext[j + 1 :: -1])
-        right = np.dot(w[: M - j + 2], ext[j - 1 : M + 1])
-        out[j - 1] = scale * (left + right)
-    return ComplexField(out, u.h)
 
 
 def h_function(alpha: float, omega) -> np.ndarray | float:

@@ -232,6 +232,26 @@ class TestCliDispatch:
         assert main([mode, "--config", str(cfg)]) == 2
         assert f"[{mode}] {section.split()[0]} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, text, expected",
+        [
+            ("simulate", MINIMAL_SIMULATE.replace("gamma = 0.0", "gamma = 40"),
+             "[model] gamma = 40 with tau = 0.05: tau * gamma = 2 must be < 2"),
+            ("decay", MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay")
+             + "\n[decay]\ngammas = -2 45\n",
+             "[decay] gammas entry 45 with tau = 0.05: tau * gamma = 2.25 must be < 2"),
+            ("convergence", CONVERGENCE_EXACT.replace("gamma = 0.0", "gamma = 12.5"),
+             "[model] gamma = 12.5 with tau = 0.2: tau * gamma = 2.5 must be < 2"),
+        ],
+        ids=["simulate", "decay", "convergence"],
+    )
+    def test_tau_gamma_at_least_two_exit_code(self, tmp_path, capsys, mode, text, expected):
+        # a config error (exit 2) before any run starts
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert expected in capsys.readouterr().err
+
     def test_simulate_with_soliton_initial(self, tmp_path):
         text = MINIMAL_SIMULATE.replace("gamma = 0.0", "gamma = 0.0\ninitial = soliton").replace(
             "m = 400", "m = 200"

@@ -4,19 +4,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgle.linalg import (
     ComplexField,
     SingularMatrixError,
     cholesky,
+    fft_length,
     inner_product,
     l2_h,
     linf_h,
     lp_h,
     lu_factor,
-    solve,
 )
 from fgle.wsgd import assemble_operator, wsgd_weights
+from oracles import apply_fractional_laplacian
 
 
 class TestComplexField:
@@ -140,18 +144,72 @@ class TestLuFactorSolve:
         with pytest.raises(SingularMatrixError):
             lu_factor(np.zeros((3, 3), dtype=complex))
 
-    def test_solve_wraps_fields(self):
-        F = lu_factor(2.0 * np.eye(4, dtype=complex))
-        u = ComplexField(np.ones(4), h=0.5)
-        out = solve(F, u)
-        assert isinstance(out, ComplexField)
-        assert out.h == 0.5
-        assert np.allclose(out.values, 0.5)
+    def test_solve_batch_matches_columns(self):
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 6 * np.eye(6)
+        F = lu_factor(A)
+        B = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        X = F.solve(B)
+        assert X.shape == (6, 3)
+        for j in range(3):
+            assert np.allclose(X[:, j], F.solve(B[:, j]), rtol=0, atol=1e-14)
 
     def test_size_mismatch(self):
         F = lu_factor(np.eye(4, dtype=complex))
         with pytest.raises(ValueError, match="size"):
-            solve(F, ComplexField(np.ones(5), h=1.0))
+            F.solve(np.ones(5))
+
+
+def symmetric_toeplitz(n, seed):
+    """A well-conditioned complex symmetric Toeplitz matrix."""
+    rng = np.random.default_rng(seed)
+    col = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / (1.0 + np.arange(n)) ** 2
+    col[0] += 4.0
+    return scipy.linalg.toeplitz(col, col)
+
+
+class TestGohbergSemencul:
+    def test_fft_length_is_smallest_5_smooth(self):
+        assert [fft_length(n) for n in (1, 7, 11, 637, 2557, 5117)] == [1, 8, 12, 640, 2560, 5120]
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 17, 400))
+    def test_matches_dense_solve(self, n):
+        A = symmetric_toeplitz(n, seed=n)
+        F = lu_factor(A).with_gohberg_semencul()
+        assert F.spectra is not None
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        B = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        assert np.max(np.abs(F.solve(b) - np.linalg.solve(A, b))) <= 1e-13
+        X = F.solve(B)
+        assert X.shape == (n, 4)
+        assert np.max(np.abs(X - np.linalg.solve(A, B))) <= 1e-13
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        n=st.integers(2, 600),
+        entry=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+        batch=st.sampled_from((None, 3)),
+    )
+    def test_gate_failure_keeps_lu_bit_for_bit(self, n, entry, batch):
+        # a matrix that is not Toeplitz breaks the formula; the gate must catch it
+        A = symmetric_toeplitz(n, seed=n)
+        i, j = entry[0] % n, entry[1] % n
+        A[i, j] += 0.5
+        system = lu_factor(A)
+        gated = system.with_gohberg_semencul()
+        assert gated is system and gated.spectra is None
+        rng = np.random.default_rng(12)
+        shape = (n,) if batch is None else (n, batch)
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = scipy.linalg.lu_solve((system.lu, system.piv), b)
+        assert np.array_equal(gated.solve(b), expected)
+
+    def test_singular_generator_keeps_lu(self):
+        # x_0 = 0: the formula divides by it, so the LU must stay in charge
+        A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        system = lu_factor(A)
+        assert system.with_gohberg_semencul() is system
 
 
 class TestQuadraticFormRoutes:
@@ -160,8 +218,6 @@ class TestQuadraticFormRoutes:
         """(Delta u, u)_h by direct summation, matrix quadratic form, the
         factored norm ||Lambda u||^2 and OperatorMatrix.quadratic_form must
         coincide."""
-        from fgle.wsgd import apply_fractional_laplacian
-
         rng = np.random.default_rng(7)
         M, h = 32, 0.25
         w = wsgd_weights(alpha, M + 1)

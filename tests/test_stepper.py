@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fgle.stepper as stepper_mod
 from fgle.linalg import ComplexField
 from fgle.stepper import (
     GridSpec,
@@ -15,6 +19,7 @@ from fgle.stepper import (
     run_simulation,
 )
 from fgle.wsgd import assemble_operator, wsgd_weights
+from oracles import apply_fractional_laplacian
 
 
 def make_operator(alpha, m):
@@ -124,8 +129,6 @@ class TestBuildSystemMatrix:
 
     def test_matches_operator_application(self):
         # A z == z + (tau/2)(upsilon + i eta) Delta_h z - (tau gamma / 2) z
-        from fgle.wsgd import apply_fractional_laplacian
-
         rng = np.random.default_rng(21)
         grid = GridSpec(-2.0, 2.0, 16)
         p = ModelParams(0.7, -0.3, 0.4, 1.1, 0.6, alpha=1.6)
@@ -141,8 +144,6 @@ class TestBuildSystemMatrix:
         assert np.max(np.abs(az - z)) < 1e-12 * np.max(np.abs(z))
 
     def test_complex_symmetric_not_hermitian(self, monkeypatch):
-        import fgle.stepper as stepper_mod
-
         built = []
         lu = stepper_mod.lu_factor
         monkeypatch.setattr(stepper_mod, "lu_factor", lambda a: built.append(a) or lu(a))
@@ -155,6 +156,53 @@ class TestBuildSystemMatrix:
         assert np.allclose(A, expected, rtol=0, atol=1e-15)
         assert np.array_equal(A, A.T)
         assert not np.allclose(A, A.conj().T)
+
+    @pytest.mark.parametrize("tau, gamma", [(0.5, 4.0), (0.1, 25.0), (2.0, 1.5)])
+    def test_tau_gamma_at_least_two_rejected(self, tau, gamma):
+        grid = GridSpec(-1.0, 1.0, 8)
+        p = ModelParams(1.0, 1.0, 1.0, 1.0, gamma, alpha=1.5)
+        product = f"{tau * gamma:g}"
+        with pytest.raises(ValueError, match=rf"tau = {tau:g}, gamma = {gamma:g}, tau \* gamma = {product}"):
+            build_system_matrix(p, grid, tau, make_operator(1.5, 8))
+
+    def test_solver_switches_at_crossover(self):
+        p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
+        sizes = (stepper_mod._GS_MIN_SIZE, stepper_mod._GS_MIN_SIZE + 1)
+        small, large = (
+            build_system_matrix(p, GridSpec(-16.0, 16.0, m), 0.01, make_operator(1.6, m))
+            for m in sizes
+        )
+        assert small.spectra is None
+        assert large.spectra is not None
+
+    @settings(deadline=None, max_examples=12)
+    @given(
+        alpha=st.floats(1.0, 2.0, exclude_min=True),
+        upsilon=st.floats(0.0, 2.0),
+        eta=st.floats(-2.0, 2.0),
+        tau=st.floats(1e-4, 0.05),
+        tau_gamma=st.floats(-4.0, 1.9),
+        M=st.integers(stepper_mod._GS_MIN_SIZE + 1, 1500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gohberg_semencul_matches_dense_solve(
+        self, alpha, upsilon, eta, tau, tau_gamma, M, seed
+    ):
+        grid = GridSpec(-16.0, 16.0, M)
+        p = ModelParams(upsilon, eta, 1.0, 1.0, tau_gamma / tau, alpha=alpha)
+        op = make_operator(alpha, M)
+        F = build_system_matrix(p, grid, tau, op)
+        assert F.spectra is not None
+        col = (tau / 2) * (upsilon + 1j * eta) * grid.h**-alpha * op.column
+        col[0] += 1 - tau_gamma / 2
+        A = scipy.linalg.toeplitz(col, col)
+        rng = np.random.default_rng(seed)
+        for shape in ((M - 1,), (M - 1, 3)):
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            dense = np.linalg.solve(A, b)
+            x = F.solve(b)
+            assert x.shape == b.shape
+            assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_operator_mismatch_rejected(self):
         grid = GridSpec(-1.0, 1.0, 8)

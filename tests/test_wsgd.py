@@ -14,7 +14,6 @@ from fgle.linalg import ComplexField
 from fgle.wsgd import (
     LEADING_PAIR_ALPHA_THRESHOLD,
     WsgdWeights,
-    apply_fractional_laplacian,
     assemble_operator,
     c_alpha,
     check_weight_properties,
@@ -23,6 +22,7 @@ from fgle.wsgd import (
     symbol_f,
     wsgd_weights,
 )
+from oracles import apply_fractional_laplacian
 
 ALPHAS = (1.1, 1.5, 1.9, 2.0)
 
@@ -223,6 +223,19 @@ class TestAssembleOperator:
         form = op.quadratic_form(u, h)
         assert np.shape(form) == np.shape(dense)
         assert np.all(np.abs(form - dense) <= 1e-13 * np.abs(dense))
+
+    @settings(deadline=None, max_examples=5)
+    @given(alpha=st.floats(1.0, 2.0, exclude_min=True), seed=st.integers(0, 2**32 - 1))
+    def test_products_match_dense_oracle_at_m_2560(self, alpha, seed):
+        M, h = 2560, 32.0 / 2560
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((M - 1, 3)) + 1j * rng.standard_normal((M - 1, 3))
+        op = assemble_operator(wsgd_weights(alpha, M), M)
+        Cu = h**-alpha * (op.C @ u)
+        assert np.max(np.abs(op.apply(u, h) - Cu)) <= 1e-13 * np.max(np.abs(Cu))
+        assert np.max(np.abs(op.apply(u[:, 1], h) - Cu[:, 1])) <= 1e-13 * np.max(np.abs(Cu))
+        dense = h * np.real(np.sum(np.conj(u) * Cu, axis=0))
+        assert np.all(np.abs(op.quadratic_form(u, h) - dense) <= 1e-13 * np.abs(dense))
 
 
 class TestApplyFractionalLaplacian:
