@@ -585,17 +585,13 @@ def verify_suite(
             const = float(np.max(np.abs(hvals + 1.0)))
             checks.append(SuiteCheck("symbol_constant", alpha, const <= 1e-14, 1e-14 - const))
 
-        ca = c_alpha(alpha)
-        bound_margin = math.inf
-        ok = True
-        for th in theta:
-            closed, _ = symbol_f(alpha, float(th), 2)
-            slack = 1e-12 * max(1.0, th**alpha)
-            lo = closed - ca * th**alpha
-            hi = th**alpha - closed
-            bound_margin = min(bound_margin, lo, hi)
-            ok = ok and lo >= -slack and hi >= -slack
-        checks.append(SuiteCheck("symbol_bounds", alpha, ok, bound_margin))
+        closed, _ = symbol_f(alpha, theta, 2)
+        power = theta**alpha
+        slack = 1e-12 * np.maximum(1.0, power)
+        lo = closed - c_alpha(alpha) * power
+        hi = power - closed
+        ok = bool(np.all(lo >= -slack) and np.all(hi >= -slack))
+        checks.append(SuiteCheck("symbol_bounds", alpha, ok, float(min(lo.min(), hi.min()))))
 
         m = grid_points
         h = 20.0 / m

@@ -101,6 +101,20 @@ def fft_length(n: int) -> int:
         m += 1
 
 
+def symmetric_toeplitz_spectrum(column: np.ndarray) -> np.ndarray:
+    """Spectrum of the circulant embedding (c_0, ..., c_{n-1}, 0, ..., 0, c_{n-1}, ..., c_1).
+
+    Real, as the Toeplitz matrix with first column ``column`` is real
+    symmetric; of length ``fft_length(2n - 1)``, so ``circulant_product``
+    with it applies that matrix.
+    """
+    n = column.size
+    embedding = np.zeros(fft_length(2 * n - 1))
+    embedding[:n] = column
+    embedding[embedding.size - n + 1 :] = column[:0:-1]
+    return np.fft.fft(embedding).real
+
+
 def circulant_product(spectrum: np.ndarray, values: np.ndarray, sum_axis: int | None = None):
     """Leading entries of the circulant product ifft(spectrum * fft(values)) on the last axis.
 

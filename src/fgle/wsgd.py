@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .linalg import circulant_product, fft_length
+from .linalg import circulant_product, symmetric_toeplitz_spectrum
 
 __all__ = [
     "WsgdWeights",
@@ -212,16 +212,11 @@ class OperatorMatrix:
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        """Spectrum of the circulant embedding (c_0, ..., c_{n-1}, 0, ..., 0, c_{n-1}, ..., c_1).
+        """Spectrum of C's circulant embedding.
 
-        Real, as C is real symmetric; computed once, so a sweep sharing the
-        operator shares it.
+        Computed once, so a sweep sharing the operator shares it.
         """
-        n = self.column.size
-        embedding = np.zeros(fft_length(2 * n - 1))
-        embedding[:n] = self.column
-        embedding[embedding.size - n + 1 :] = self.column[:0:-1]
-        return np.fft.fft(embedding).real
+        return symmetric_toeplitz_spectrum(self.column)
 
     def apply(self, values: np.ndarray, h: float) -> np.ndarray:
         """h^(-alpha) C u per column, by one batched FFT product along axis 0."""
@@ -270,24 +265,28 @@ def h_function(alpha: float, omega) -> np.ndarray | float:
     return val if val.ndim else float(val)
 
 
-def symbol_f(alpha: float, theta: float, L: int) -> tuple[float, float]:
-    """Operator symbol at scaled frequency theta = h k in [0, pi].
+def symbol_f(alpha: float, theta, L: int) -> tuple[np.ndarray, np.ndarray] | tuple[float, float]:
+    """Operator symbol at scaled frequencies theta = h k in [0, pi].
 
     Returns (closed_form, series): the closed form
     (2 sin(theta/2))^alpha / cos(alpha pi / 2) * h(alpha, theta) and the
     L-term cosine series 1/cos(alpha pi/2) * sum_l w_l cos((l-1) theta).
-    The truncation gap decays like L^(-alpha).
+    The truncation gap decays like L^(-alpha). theta may be a scalar, which
+    gives floats, or an array, which gives arrays of its shape from one
+    weight build.
     """
     alpha = _check_alpha(alpha)
-    theta = float(theta)
-    if not (-1e-12 <= theta <= math.pi + 1e-12):
+    th = np.asarray(theta, dtype=float)
+    if not np.all((th >= -1e-12) & (th <= math.pi + 1e-12)):
         raise ValueError("theta must lie in [0, pi]")
     cos_half = math.cos(alpha * math.pi / 2.0)
-    closed = (2.0 * math.sin(theta / 2.0)) ** alpha / cos_half * h_function(alpha, theta)
+    closed = (2.0 * np.sin(th / 2.0)) ** alpha / cos_half * h_function(alpha, th)
     w = wsgd_weights(alpha, L).w
     l = np.arange(L + 1, dtype=float)
-    series = float(np.dot(w, np.cos((l - 1.0) * theta))) / cos_half
-    return closed, series
+    series = np.cos(np.multiply.outer(th, l - 1.0)) @ w / cos_half
+    if th.ndim:
+        return closed, series
+    return float(closed), float(series)
 
 
 def c_alpha(alpha: float) -> float:

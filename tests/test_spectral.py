@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import trapezoid_seminorm, trapezoid_seminorm_by_fft
 
 from fgle.linalg import ComplexField, inner_product
 from fgle.spectral import (
     SobolevNormSpec,
+    _seminorm_batch,
     default_norm_spec,
+    energy_equivalence_margins,
     gagliardo_nirenberg_ratio,
     semidiscrete_fourier,
     sobolev_norm,
@@ -122,6 +127,51 @@ class TestSobolevSeminorm:
         assert sobolev_norm(u, spec) == pytest.approx(
             nsq + sobolev_seminorm(u, spec), rel=1e-14
         )
+
+
+class TestToeplitzSeminorm:
+    @settings(deadline=None)
+    @given(
+        sigma=st.floats(0.0, 1.0),
+        M=st.integers(3, 300),
+        extra_panels=st.integers(0, 2000),
+        columns=st.sampled_from((1, 4)),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_trapezoid(self, sigma, M, extra_panels, columns, real, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((M - 1, columns)).astype(complex)
+        if not real:
+            u += 1j * rng.standard_normal(u.shape)
+        h, panels = 20.0 / M, 8 * (M - 1) + extra_panels
+        dense = trapezoid_seminorm(u, h, sigma, panels)
+        assert np.all(np.abs(_seminorm_batch(u, h, sigma, panels) - dense) <= 1e-12 * dense)
+        by_fft = trapezoid_seminorm_by_fft(u, h, sigma, panels)
+        assert np.all(np.abs(by_fft - dense) <= 1e-12 * dense)
+
+    @pytest.mark.parametrize("sigma", (0.55, 0.8, 1.0))
+    def test_smooth_packets_at_m_4096(self, sigma):
+        # On smooth data u^H T u is far below ||T|| |u|^2, so the form cancels hardest there
+        M = 4096
+        h = 20.0 / M
+        x = -10.0 + h * np.arange(1, M)
+        packets = (
+            np.exp(-x * x),
+            np.exp(-0.5 * x * x + 3j * x),
+            np.exp(-4.0 * (x - 2.0) ** 2 - 5j * x),
+        )
+        for values in packets:
+            u = ComplexField(values, h)
+            spec = default_norm_spec(sigma, u)
+            ref = trapezoid_seminorm_by_fft(u.values[:, None], h, sigma, spec.quadrature_points)[0]
+            assert sobolev_seminorm(u, spec) == pytest.approx(ref, rel=1e-10)
+
+    def test_margins_reject_too_few_points(self):
+        fields = np.ones((15, 2))
+        energy_equivalence_margins(fields, 1.5, 0.5, quadrature_points=8 * 15)
+        with pytest.raises(ValueError, match="quadrature_points"):
+            energy_equivalence_margins(fields, 1.5, 0.5, quadrature_points=8 * 15 - 1)
 
 
 class TestEnergyEquivalence:

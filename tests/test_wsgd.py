@@ -299,6 +299,20 @@ class TestSymbolFunctions:
         closed, _ = symbol_f(2.0, math.pi, 8)
         assert closed == pytest.approx(4.0, rel=1e-14)
 
+    def test_symbol_array_matches_scalar_calls(self):
+        theta = np.linspace(0.0, math.pi, 33)
+        closed, series = symbol_f(1.7, theta, 64)
+        assert closed.shape == series.shape == theta.shape
+        for th, c, s in zip(theta, closed, series):
+            scalar_closed, scalar_series = symbol_f(1.7, float(th), 64)
+            assert c == pytest.approx(scalar_closed, rel=1e-15, abs=1e-15)
+            assert s == pytest.approx(scalar_series, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("theta", (-0.1, 4.0, math.nan, [0.5, 4.0], [0.5, math.nan]))
+    def test_symbol_theta_domain(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            symbol_f(1.5, theta, 8)
+
     def test_series_converges_to_closed_form(self):
         closed, series = symbol_f(1.5, math.pi / 2, 4096)
         assert abs(closed - series) < 1e-6
