@@ -224,9 +224,17 @@ class OperatorMatrix:
         return h ** (-self.alpha) * circulant_product(self._spectrum, u.T).T
 
     def quadratic_form(self, values: np.ndarray, h: float) -> np.ndarray | float:
-        """(Delta_h u, u)_h = h Re(u^H Delta_h u) per column; a float for 1-D u."""
+        """(Delta_h u, u)_h = h Re(u^H Delta_h u) per column; a float for 1-D u.
+
+        By Parseval, h^(1-alpha) / L * sum_k lambda_k |FFT_L(u)_k|^2 over the
+        circulant embedding's spectrum lambda, one FFT per column: the
+        zero-padded u sees only the embedding's top-left block, C.
+        """
         u = np.asarray(values, dtype=complex)
-        forms = h * np.sum(u.conj() * self.apply(u, h), axis=0).real
+        spectrum = self._spectrum
+        coeffs = np.fft.fft(u.T, spectrum.size)
+        forms = (coeffs.real**2 + coeffs.imag**2) @ spectrum
+        forms *= h ** (1.0 - self.alpha) / spectrum.size
         return forms if u.ndim > 1 else float(forms)
 
 
@@ -257,7 +265,7 @@ def h_function(alpha: float, omega) -> np.ndarray | float:
     """
     alpha = _check_alpha(alpha)
     om = np.asarray(omega, dtype=float)
-    if np.any(om < -1e-12) or np.any(om > math.pi + 1e-12):
+    if not np.all((om >= -1e-12) & (om <= math.pi + 1e-12)):
         raise ValueError("omega must lie in [0, pi]")
     l1, l0, lm1 = _lambdas(alpha)
     base = (alpha / 2.0) * (om - math.pi)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import trapezoid_seminorm, trapezoid_seminorm_by_fft
 
@@ -139,6 +139,8 @@ class TestToeplitzSeminorm:
         real=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a middle node off zero by rounding once put the oracle 1.5e-11 off here
+    @example(sigma=0.25, M=3, extra_panels=1393, columns=1, real=False, seed=0)
     def test_matches_dense_trapezoid(self, sigma, M, extra_panels, columns, real, seed):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal((M - 1, columns)).astype(complex)

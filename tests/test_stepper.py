@@ -19,7 +19,7 @@ from fgle.stepper import (
     run_simulation,
 )
 from fgle.wsgd import assemble_operator, wsgd_weights
-from oracles import apply_fractional_laplacian
+from oracles import apply_fractional_laplacian, linear_predictor_run
 
 
 def make_operator(alpha, m):
@@ -260,6 +260,18 @@ class TestFixedPointStep:
         with pytest.raises(NonConvergence):
             fixed_point_step(u, None, F, p, grid, 5.0, SolverSettings(max_iters=2), op)
 
+    def test_non_finite_iterate_detected_from_increment(self):
+        # the fourth iterate is the first non-finite one; the increment check
+        # must stop at that solve, as a separate isfinite pass would
+        grid = GridSpec(-10.0, 10.0, 50)
+        p = ModelParams(1.0, 1.0, 8.0, 5.0, 0.0, alpha=1.8)
+        op = make_operator(1.8, 50)
+        F = build_system_matrix(p, grid, 5.0, op)
+        u = 5.0 * np.exp(-grid.interior_nodes() ** 2).astype(complex)
+        with pytest.raises(NonConvergence, match="non-finite") as err:
+            fixed_point_step(u, None, F, p, grid, 5.0, SolverSettings(), op)
+        assert err.value.iterations == 4
+
 
 class TestRunSimulation:
     def test_zero_steps_not_allowed_but_initial_recorded(self):
@@ -308,6 +320,17 @@ class TestRunSimulation:
         traj = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 50), gaussian)
         assert max(d.iterations for d in traj.diagnostics) <= 10
 
+    def test_quadratic_start_keeps_the_fixed_point(self):
+        # above _GS_MIN_SIZE: Gohberg-Semencul solves against a dense LU loop
+        # started by linear extrapolation; same answer, fewer inner solves
+        grid = GridSpec(-10.0, 10.0, 400)
+        time = TimeGrid(1.0, 50)
+        assert grid.M - 1 >= stepper_mod._GS_MIN_SIZE
+        traj = run_simulation(EXAMPLE_PARAMS, grid, time, gaussian)
+        expected, oracle_iters = linear_predictor_run(EXAMPLE_PARAMS, grid, time, gaussian)
+        assert np.max(np.abs(traj.final.values - expected)) <= 1e-12
+        assert sum(d.iterations for d in traj.diagnostics) < oracle_iters
+
     def test_snapshots_recorded_at_grid_times(self):
         grid = GridSpec(-10.0, 10.0, 100)
         traj = run_simulation(
@@ -351,3 +374,33 @@ class TestRunSimulation:
         grid = GridSpec(-10.0, 10.0, 100)
         with pytest.raises(ValueError, match="initial data must be finite"):
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
+
+
+class TestEnergyBalance:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        alpha=st.floats(1.0, 2.0, exclude_min=True),
+        upsilon=st.floats(0.0, 2.0),
+        eta=st.floats(-2.0, 2.0),
+        kappa=st.floats(-2.0, 2.0),
+        zeta=st.floats(-2.0, 2.0),
+        gamma=st.floats(-2.0, 2.0),
+        tau=st.floats(1e-4, 0.01),
+        M=st.integers(3, 600),
+        steps=st.integers(1, 10),
+        amplitude=st.floats(0.1, 1.0),
+        wavenumber=st.floats(-2.0, 2.0),
+    )
+    def test_residual_at_most_1e_10(
+        self, alpha, upsilon, eta, kappa, zeta, gamma, tau, M, steps, amplitude, wavenumber
+    ):
+        # tau gamma <= 0.02, and with |u0| <= 1 over t <= 0.1 the cubic term
+        # cannot blow up, so every draw is a valid, convergent run
+        p = ModelParams(upsilon, eta, kappa, zeta, gamma, alpha=alpha)
+        traj = run_simulation(
+            p,
+            GridSpec(-10.0, 10.0, M),
+            TimeGrid(tau * steps, steps),
+            lambda x: amplitude * np.exp(-x * x + 1j * wavenumber * x),
+        )
+        assert max(abs(d.energy_identity_residual) for d in traj.diagnostics) <= 1e-10

@@ -291,6 +291,11 @@ class TestSymbolFunctions:
         with pytest.raises(ValueError, match="omega"):
             h_function(1.5, -0.1)
 
+    @pytest.mark.parametrize("omega", (math.nan, 4.0, [0.5, math.nan], [0.5, math.inf]))
+    def test_h_rejects_nan_and_out_of_range(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            h_function(1.5, omega)
+
     def test_symbol_zero_at_origin(self):
         closed, series = symbol_f(1.5, 0.0, 64)
         assert closed == 0.0
