@@ -32,12 +32,9 @@ from .linalg import (
     lu_factor,
 )
 from .spectral import (
-    SobolevNormSpec,
-    default_norm_spec,
     semidiscrete_fourier,
     sobolev_norm,
     sobolev_seminorm,
-    verify_energy_equivalence,
     verify_interpolation,
 )
 from .stepper import (

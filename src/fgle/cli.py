@@ -39,7 +39,7 @@ from .experiments import (
 )
 from .linalg import cholesky
 from .spectral import energy_equivalence_margins
-from .stepper import GridSpec, ModelParams, SolverSettings, TimeGrid, run_simulation
+from .stepper import GridSpec, ModelParams, NonConvergence, SolverSettings, TimeGrid, run_simulation
 from .wsgd import (
     LEADING_PAIR_ALPHA_THRESHOLD,
     assemble_operator,
@@ -306,13 +306,12 @@ def parse_config(text: str) -> RunConfig:
         for a_ in alphas:
             if not (1.0 < a_ <= 2.0):
                 raise ConfigError(f"[verify] alphas: alpha must lie in (1, 2], got {a_}")
-        verify = VerifySettings(
-            alphas=tuple(alphas),
-            weight_length=vf.get_int("weight_length", required=False, default=defaults.weight_length),
-            grid_points=vf.get_int("grid_points", required=False, default=defaults.grid_points),
-            vectors=vf.get_int("vectors", required=False, default=defaults.vectors),
-            seed=vf.get_int("seed", required=False, default=defaults.seed),
-        )
+        ints = {}
+        for key, least in (("weight_length", 3), ("grid_points", 3), ("vectors", 1), ("seed", 0)):
+            ints[key] = vf.get_int(key, required=False, default=getattr(defaults, key))
+            if ints[key] < least:
+                raise ConfigError(f"[verify] {key} must be >= {least}, got {ints[key]}")
+        verify = VerifySettings(alphas=tuple(alphas), **ints)
 
     return RunConfig(
         mode=mode,
@@ -684,6 +683,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonConvergence as exc:
+        print(f"error: step {exc.step + 1}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ComplexField
+from .linalg import ComplexField, l2_h, linf_h
 from .stepper import GridSpec, ModelParams, SolverSettings, TimeGrid, run_simulation
 from .wsgd import assemble_operator, wsgd_weights
 
@@ -23,7 +23,6 @@ __all__ = [
     "sech_soliton_model_params",
     "error_norms",
     "restrict_to_coarse",
-    "embed_on_fine",
     "convergence_study",
     "norm_decay_study",
     "inviscid_limit_study",
@@ -73,11 +72,8 @@ def error_norms(u: ComplexField, v: ComplexField) -> tuple[float, float]:
     """(l2_h, linf_h) norms of u - v on a shared grid."""
     if len(u) != len(v) or u.h != v.h:
         raise ValueError("error norms need fields on the same grid")
-    e = u.values - v.values
-    return (
-        math.sqrt(u.h * float(np.sum(np.abs(e) ** 2))),
-        float(np.max(np.abs(e))),
-    )
+    e = ComplexField(u.values - v.values, u.h)
+    return l2_h(e), linf_h(e)
 
 
 @dataclass(frozen=True)
@@ -122,15 +118,6 @@ def restrict_to_coarse(fine_values: np.ndarray, ratio: int) -> np.ndarray:
         raise ValueError(f"fine grid with {m_fine} cells is not {ratio}-times a coarse grid")
     m_coarse = m_fine // ratio
     return fine_values[ratio * np.arange(1, m_coarse) - 1]
-
-
-def embed_on_fine(coarse_values: np.ndarray, ratio: int) -> np.ndarray:
-    """Zero-padded injection of coarse interior values onto the nested fine grid."""
-    coarse_values = np.asarray(coarse_values)
-    m_coarse = coarse_values.size + 1
-    fine = np.zeros((m_coarse * ratio - 1,), dtype=coarse_values.dtype)
-    fine[ratio * np.arange(1, m_coarse) - 1] = coarse_values
-    return fine
 
 
 def convergence_study(
@@ -276,23 +263,18 @@ def operator_refinement_orders(
         images.append(op.apply(np.asarray(func(x), dtype=complex), grid.h))
         grids.append(grid)
 
-    diffs = []
-    for lvl in range(2):
-        coarse = images[lvl]
-        fine_on_coarse = restrict_to_coarse(images[lvl + 1], 2)
-        diffs.append(
-            math.sqrt(grids[lvl].h * float(np.sum(np.abs(coarse - fine_on_coarse) ** 2)))
-        )
+    diffs = [
+        l2_h(ComplexField(images[lvl] - restrict_to_coarse(images[lvl + 1], 2), grids[lvl].h))
+        for lvl in range(2)
+    ]
     richardson = math.log2(diffs[0] / diffs[1])
 
     analytic = None
     if exact is not None:
-        errs = []
-        for lvl in range(3):
-            target = np.asarray(exact(grids[lvl].interior_nodes()), dtype=complex)
-            errs.append(
-                math.sqrt(grids[lvl].h * float(np.sum(np.abs(images[lvl] - target) ** 2)))
-            )
+        errs = [
+            l2_h(ComplexField(images[lvl] - exact(grids[lvl].interior_nodes()), grids[lvl].h))
+            for lvl in range(3)
+        ]
         analytic = tuple(math.log2(errs[i] / errs[i + 1]) for i in range(2))
 
     return RefinementOrders(

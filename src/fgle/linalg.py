@@ -38,9 +38,6 @@ class ComplexField:
     def __len__(self) -> int:
         return self.values.size
 
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.values.copy(), self.h)
-
 
 def _check_pair(u: ComplexField, v: ComplexField) -> None:
     if len(u) != len(v):

@@ -5,11 +5,12 @@ zero extension of the truncated problem; all norms below are invariant
 under the constant phase introduced by shifting the physical origin.
 
 The seminorm int |k|^(2 sigma) |u_hat(k)|^2 dk is evaluated by the
-composite trapezoid rule over [-pi/h, pi/h], but never node by node:
-|u_hat|^2 is a Toeplitz form in u, so the rule's sum is u^H T u, where T is
-the real symmetric Toeplitz matrix of the rule's moments of |k|^(2 sigma)
-against the lag phases. One FFT over the nodes gives all moments, and T is
-applied through a circulant embedding.
+composite trapezoid rule over [-pi/h, pi/h], with a panel count set here
+from the number of nodes, but never node by node: |u_hat|^2 is a Toeplitz
+form in u, so the rule's sum is u^H T u, where T is the real symmetric
+Toeplitz matrix of the rule's moments of |k|^(2 sigma) against the lag
+phases. One FFT over the nodes gives all moments, and T is applied through
+a circulant embedding.
 """
 
 from __future__ import annotations
@@ -19,19 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ComplexField, circulant_product, symmetric_toeplitz_spectrum
-from .wsgd import WsgdWeights, assemble_operator, c_alpha, wsgd_weights
+from .linalg import ComplexField, circulant_product, l2_h, lp_h, symmetric_toeplitz_spectrum
+from .wsgd import assemble_operator, c_alpha, wsgd_weights
 
 __all__ = [
-    "SobolevNormSpec",
-    "EnergyEquivalenceReport",
     "InterpolationReport",
-    "default_norm_spec",
     "semidiscrete_fourier",
     "sobolev_seminorm",
     "sobolev_norm",
     "energy_equivalence_margins",
-    "verify_energy_equivalence",
     "verify_interpolation",
     "gagliardo_nirenberg_ratio",
 ]
@@ -42,29 +39,8 @@ __all__ = [
 QUADRATURE_FLOOR = 32768
 
 
-@dataclass(frozen=True)
-class SobolevNormSpec:
-    """Order sigma in [0, 1], trapezoid panel count and grid spacing."""
-
-    sigma: float
-    quadrature_points: int
-    h: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.sigma <= 1.0):
-            raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-        if self.quadrature_points < 8:
-            raise ValueError("quadrature_points too small")
-
-
-def default_norm_spec(sigma: float, u: ComplexField) -> SobolevNormSpec:
-    return SobolevNormSpec(
-        sigma=sigma,
-        quadrature_points=max(16 * len(u), QUADRATURE_FLOOR),
-        h=u.h,
-    )
+def _panels(nodes: int) -> int:
+    return max(16 * nodes, QUADRATURE_FLOOR)
 
 
 def semidiscrete_fourier(u: ComplexField, k):
@@ -74,7 +50,7 @@ def semidiscrete_fourier(u: ComplexField, k):
     """
     karr = np.asarray(k, dtype=float)
     kmax = math.pi / u.h
-    if np.any(np.abs(karr) > kmax * (1.0 + 1e-12)):
+    if not np.all(np.abs(karr) <= kmax * (1.0 + 1e-12)):
         raise ValueError(f"|k| must not exceed pi/h = {kmax}")
     x = u.h * np.arange(1, len(u) + 1)
     phases = np.exp(-1j * np.multiply.outer(karr, x))
@@ -96,7 +72,7 @@ def _seminorm_batch(values: np.ndarray, h: float, sigma: float, panels: int) -> 
     """
     nodes = values.shape[0]
     if panels < 8 * nodes:
-        raise ValueError("quadrature_points must be at least 8 * (number of grid nodes)")
+        raise ValueError("panels must be at least 8 * (number of grid nodes)")
     n = panels + (panels % 2)
     # |k_m| from the integer offset |m - n/2|, so the samples are exactly even
     abs_k = np.abs(np.arange(n) - n // 2) * (2.0 * math.pi / (n * h))
@@ -106,82 +82,37 @@ def _seminorm_batch(values: np.ndarray, h: float, sigma: float, panels: int) -> 
     return np.sum(values.conj() * products, axis=0).real
 
 
-def sobolev_seminorm(u: ComplexField, spec: SobolevNormSpec) -> float:
-    """Squared seminorm |u|^2_{H^sigma_h} = int |k|^(2 sigma) |u_hat(k)|^2 dk."""
-    if spec.h != u.h:
-        raise ValueError(f"norm spec spacing {spec.h} differs from field spacing {u.h}")
-    return float(_seminorm_batch(u.values[:, None], u.h, spec.sigma, spec.quadrature_points)[0])
+def sobolev_seminorm(u: ComplexField, sigma: float) -> float:
+    """Squared seminorm |u|^2_{H^sigma_h} = int |k|^(2 sigma) |u_hat(k)|^2 dk, sigma in [0, 1]."""
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
+    return float(_seminorm_batch(u.values[:, None], u.h, sigma, _panels(len(u)))[0])
 
 
-def sobolev_norm(u: ComplexField, spec: SobolevNormSpec) -> float:
+def sobolev_norm(u: ComplexField, sigma: float) -> float:
     """Squared full norm ||u||^2_{H^sigma_h} = ||u||^2_h + |u|^2_{H^sigma_h}."""
-    nsq = u.h * float(np.sum(np.abs(u.values) ** 2))
-    return nsq + sobolev_seminorm(u, spec)
-
-
-@dataclass
-class EnergyEquivalenceReport:
-    alpha: float
-    quadratic_form: float
-    seminorm_sq: float
-    c_alpha: float
-    lower_margin: float
-    upper_margin: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.lower_margin >= -self.tol and self.upper_margin >= -self.tol
+    return l2_h(u) ** 2 + sobolev_seminorm(u, sigma)
 
 
 def energy_equivalence_margins(
-    fields: np.ndarray,
-    alpha: float,
-    h: float,
-    operator=None,
-    quadrature_points: int | None = None,
+    fields: np.ndarray, alpha: float, h: float, operator=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-sided margins of the operator quadratic form for many vectors.
 
     ``fields`` has one vector per column. Returns (lower, upper, seminorm_sq)
     with lower = (Delta u, u)_h - C_alpha |u|^2 and upper = |u|^2 - (Delta u, u)_h,
-    both nonnegative in exact arithmetic. ``quadrature_points`` below
-    8 * (M - 1) is rejected with a ``ValueError``.
+    both nonnegative in exact arithmetic.
     """
     fields = np.asarray(fields, dtype=complex)
     if fields.ndim == 1:
         fields = fields[:, None]
     M = fields.shape[0] + 1
-    panels = quadrature_points or max(16 * (M - 1), QUADRATURE_FLOOR)
-    sem = _seminorm_batch(fields, h, alpha / 2.0, panels)
+    sem = _seminorm_batch(fields, h, alpha / 2.0, _panels(M - 1))
     if operator is None:
         operator = assemble_operator(wsgd_weights(alpha, M), M)
     qf = operator.quadratic_form(fields, h)
     ca = c_alpha(alpha)
     return qf - ca * sem, sem - qf, sem
-
-
-def verify_energy_equivalence(
-    u: ComplexField, weights: WsgdWeights, quadrature_points: int | None = None
-) -> EnergyEquivalenceReport:
-    """Check C_alpha |u|^2_{H^(a/2)} <= (Delta_h u, u)_h <= |u|^2_{H^(a/2)}."""
-    if not np.any(u.values):
-        raise ValueError("energy equivalence check needs a nonzero field")
-    alpha = weights.alpha
-    op = assemble_operator(weights, len(u) + 1)
-    lower, upper, sem = energy_equivalence_margins(
-        u.values, alpha, u.h, operator=op, quadrature_points=quadrature_points
-    )
-    qf = float(sem[0] - upper[0])
-    return EnergyEquivalenceReport(
-        alpha=alpha,
-        quadratic_form=qf,
-        seminorm_sq=float(sem[0]),
-        c_alpha=c_alpha(alpha),
-        lower_margin=float(lower[0]),
-        upper_margin=float(upper[0]),
-        tol=1e-9 * float(sem[0]),
-    )
 
 
 @dataclass
@@ -197,24 +128,18 @@ class InterpolationReport:
         return self.margin >= -1e-12 * max(self.rhs, 1e-300)
 
 
-def verify_interpolation(
-    u: ComplexField, sigma0: float, sigma: float, quadrature_points: int | None = None
-) -> InterpolationReport:
+def verify_interpolation(u: ComplexField, sigma0: float, sigma: float) -> InterpolationReport:
     """Check ||u||_{H^sigma0} <= sqrt(2) ||u||_{H^sigma}^(s0/s) ||u||_h^(1-s0/s)."""
     if not (0.0 <= sigma0 <= sigma <= 1.0):
         raise ValueError(f"need 0 <= sigma0 <= sigma <= 1, got ({sigma0}, {sigma})")
-    panels = quadrature_points or max(16 * len(u), QUADRATURE_FLOOR)
-    nsq = u.h * float(np.sum(np.abs(u.values) ** 2))
-    lhs = math.sqrt(nsq + sobolev_seminorm(u, SobolevNormSpec(sigma0, panels, u.h)))
-    hs = math.sqrt(nsq + sobolev_seminorm(u, SobolevNormSpec(sigma, panels, u.h)))
+    lhs = math.sqrt(sobolev_norm(u, sigma0))
+    hs = math.sqrt(sobolev_norm(u, sigma))
     r = sigma0 / sigma if sigma > 0 else 1.0
-    rhs = math.sqrt(2.0) * hs**r * math.sqrt(nsq) ** (1.0 - r)
+    rhs = math.sqrt(2.0) * hs**r * l2_h(u) ** (1.0 - r)
     return InterpolationReport(sigma0=sigma0, sigma=sigma, lhs=lhs, rhs=rhs, margin=rhs - lhs)
 
 
-def gagliardo_nirenberg_ratio(
-    u: ComplexField, p: float, sigma0: float, sigma: float, quadrature_points: int | None = None
-) -> float:
+def gagliardo_nirenberg_ratio(u: ComplexField, p: float, sigma0: float, sigma: float) -> float:
     """Empirical ratio ||u||_{l^p_h} / (||u||_{H^sigma}^(s0/s) ||u||_h^(1-s0/s)).
 
     Diagnostic only: the inequality's constant is not quantified, so no
@@ -222,9 +147,5 @@ def gagliardo_nirenberg_ratio(
     """
     if not ((p - 2.0) / (2.0 * p) < sigma0 <= sigma <= 1.0):
         raise ValueError("need (p-2)/(2p) < sigma0 <= sigma <= 1")
-    panels = quadrature_points or max(16 * len(u), QUADRATURE_FLOOR)
-    nsq = u.h * float(np.sum(np.abs(u.values) ** 2))
-    hs = math.sqrt(nsq + sobolev_seminorm(u, SobolevNormSpec(sigma, panels, u.h)))
     r = sigma0 / sigma
-    lp = float((u.h * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
-    return lp / (hs**r * math.sqrt(nsq) ** (1.0 - r))
+    return lp_h(u, p) / (math.sqrt(sobolev_norm(u, sigma)) ** r * l2_h(u) ** (1.0 - r))

@@ -1,7 +1,11 @@
 """Config parsing, CSV artifacts, CLI dispatch and the verification gate."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fgle.cli import (
     ConfigError,
@@ -155,6 +159,42 @@ class TestWriteCsv:
         write_csv(path, ["a", "b"], [(1.0, None)])
         assert path.read_text().splitlines()[1] == "1,"
 
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+                    st.integers(),
+                    st.booleans(),
+                    st.none(),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            max_size=5,
+        )
+    )
+    def test_cells_roundtrip_exactly(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "cells.csv"
+        write_csv(path, ["a", "b", "c"], rows)
+        text = path.read_text()
+        # one line per row after the header, and exactly one newline at the end
+        assert text.endswith("\n")
+        lines = text[:-1].split("\n")
+        assert lines[0] == "a,b,c" and len(lines) == len(rows) + 1
+        for line, row in zip(lines[1:], rows):
+            for cell, v in zip(line.split(","), row):
+                if v is None:
+                    assert cell == ""
+                elif isinstance(v, bool):
+                    assert cell == ("1" if v else "0")
+                elif isinstance(v, int):
+                    assert cell == str(v)
+                else:
+                    back = float(cell)
+                    assert back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
+
 
 class TestCliDispatch:
     def test_simulate_writes_artifacts(self, tmp_path):
@@ -231,6 +271,30 @@ class TestCliDispatch:
         cfg.write_text(text + f"\n[{mode}]\n{section}\n")
         assert main([mode, "--config", str(cfg)]) == 2
         assert f"[{mode}] {section.split()[0]} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, expected",
+        [
+            ("grid_points = 2", "[verify] grid_points must be >= 3, got 2"),
+            ("vectors = 0", "[verify] vectors must be >= 1, got 0"),
+            ("weight_length = 2", "[verify] weight_length must be >= 3, got 2"),
+            ("seed = -1", "[verify] seed must be >= 0, got -1"),
+        ],
+    )
+    def test_verify_integer_below_minimum_exit_code(self, tmp_path, capsys, setting, expected):
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(f"[run]\nmode = verify\n\n[verify]\n{setting}\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert expected in capsys.readouterr().err
+
+    def test_stalled_inner_iteration_exit_code(self, tmp_path, capsys):
+        text = MINIMAL_SIMULATE.replace("m = 400", "m = 64").replace("steps = 20", "steps = 2")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n[solver]\nmax_iters = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1: no convergence within 1 iterations")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "mode, text, expected",

@@ -9,7 +9,6 @@ from fgle.experiments import (
     ExactReference,
     FineGridReference,
     convergence_study,
-    embed_on_fine,
     error_norms,
     inviscid_limit_study,
     norm_decay_study,
@@ -100,13 +99,6 @@ class TestErrorNorms:
 
 
 class TestRestriction:
-    def test_roundtrip_identity_on_coarse_nodes(self):
-        rng = np.random.default_rng(31)
-        coarse = rng.standard_normal(15)  # M_coarse = 16
-        fine = embed_on_fine(coarse, 4)  # M_fine = 64
-        assert fine.size == 63
-        assert np.array_equal(restrict_to_coarse(fine, 4), coarse)
-
     def test_restrict_picks_shared_nodes(self):
         # fine interior values are f(x); restriction must equal f on coarse nodes
         a, b, m_fine, ratio = -2.0, 2.0, 32, 4

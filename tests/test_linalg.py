@@ -32,12 +32,6 @@ class TestComplexField:
         with pytest.raises(ValueError, match="h"):
             ComplexField(np.zeros(4), h=0.0)
 
-    def test_copy_is_independent(self):
-        u = ComplexField(np.ones(4), h=0.5)
-        v = u.copy()
-        v.values[0] = 7.0
-        assert u.values[0] == 1.0
-
 
 class TestInnerProductAndNorms:
     def test_impulse_inner_product(self):
