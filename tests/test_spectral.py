@@ -155,6 +155,17 @@ class TestToeplitzSeminorm:
             ref = trapezoid_seminorm_by_fft(u.values[:, None], h, sigma, _panels(M - 1))[0]
             assert sobolev_seminorm(u, sigma) == pytest.approx(ref, rel=1e-10)
 
+    def test_margins_reject_too_few_points(self):
+        # the margins derive their panel count; it must clear the 8-per-node
+        # floor below which the Toeplitz form refuses to run
+        for nodes in (1, 15, 2047, 2048, 2049, 10_000):
+            assert _panels(nodes) >= 8 * nodes
+        fields = np.ones((15, 2))
+        lower, upper, sem = energy_equivalence_margins(fields, 1.5, 0.5)
+        assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)) and np.all(sem > 0)
+        with pytest.raises(ValueError, match="panels"):
+            _seminorm_batch(fields, 0.5, 0.75, 8 * 15 - 1)
+
 
 def within_bounds(values, alpha, h):
     """C_alpha |u|^2 <= (Delta_h u, u)_h <= |u|^2 for each column, to 1e-9 |u|^2."""
