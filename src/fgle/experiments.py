@@ -1,5 +1,6 @@
-"""Benchmark studies: convergence tables, norm decay, inviscid limit and
-spatial-order checks for the discrete fractional Laplacian."""
+"""Benchmark studies: convergence tables, norm decay, inviscid limit,
+spatial-order checks for the discrete fractional Laplacian, and the
+verification suite of the discrete properties the paper's proofs use."""
 
 from __future__ import annotations
 
@@ -9,9 +10,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ComplexField, l2_h, linf_h
+from .linalg import ComplexField, cholesky, l2_h, linf_h
+from .spectral import energy_equivalence_margins
 from .stepper import GridSpec, ModelParams, SolverSettings, TimeGrid, run_simulation
-from .wsgd import assemble_operator, wsgd_weights
+from .wsgd import (
+    LEADING_PAIR_ALPHA_THRESHOLD,
+    assemble_operator,
+    c_alpha,
+    check_weight_properties,
+    h_function,
+    symbol_f,
+    wsgd_weights,
+)
 
 __all__ = [
     "ConvergenceRow",
@@ -27,6 +37,10 @@ __all__ = [
     "norm_decay_study",
     "inviscid_limit_study",
     "operator_refinement_orders",
+    "VerifySettings",
+    "SuiteCheck",
+    "VerificationReport",
+    "verify_suite",
 ]
 
 
@@ -283,3 +297,123 @@ def operator_refinement_orders(
         richardson_order=richardson,
         analytic_orders=analytic,
     )
+
+
+@dataclass(frozen=True)
+class VerifySettings:
+    """The ``[verify]`` settings; their defaults are also ``verify_suite``'s."""
+
+    alphas: tuple[float, ...] = (1.1, 1.3, 1.5, 1.7, 1.9, 2.0)
+    weight_length: int = 2048
+    grid_points: int = 64
+    vectors: int = 20
+    seed: int = 1234
+
+
+@dataclass
+class SuiteCheck:
+    name: str
+    alpha: float
+    passed: bool
+    margin: float
+    detail: str = ""
+
+    def line(self) -> str:
+        status = "PASS" if self.passed else "FAIL"
+        extra = f" ({self.detail})" if self.detail else ""
+        return f"{status} {self.name}[alpha={self.alpha:g}] margin={self.margin:.3e}{extra}"
+
+
+@dataclass
+class VerificationReport:
+    checks: list[SuiteCheck]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def failures(self) -> list[SuiteCheck]:
+        return [c for c in self.checks if not c.passed]
+
+
+def verify_suite(
+    alphas: Sequence[float] = VerifySettings.alphas,
+    weight_length: int = VerifySettings.weight_length,
+    grid_points: int = VerifySettings.grid_points,
+    n_vectors: int = VerifySettings.vectors,
+    seed: int = VerifySettings.seed,
+) -> VerificationReport:
+    """Run the full operator/spectral invariant suite over a grid of alphas."""
+    rng = np.random.default_rng(seed)
+    checks: list[SuiteCheck] = []
+    omega = np.linspace(0.0, math.pi, 1000)
+    theta = np.linspace(0.0, math.pi, 101)[1:]
+
+    for alpha in alphas:
+        report = check_weight_properties(wsgd_weights(alpha, weight_length))
+        # The leading pair w0 + w1 provably changes sign at sqrt(6) - 1; the
+        # gate compares each property against its true expected status so a
+        # correct weight sequence always passes.
+        leading_should_hold = alpha > LEADING_PAIR_ALPHA_THRESHOLD or alpha == 2.0
+        wrong = []
+        worst = math.inf
+        for c in report.checks:
+            expected = leading_should_hold if c.name == "leading_pair_sum_negative" else True
+            if c.passed != expected:
+                wrong.append(c.name)
+            worst = min(worst, c.margin if expected else -c.margin)
+        detail = ""
+        if wrong:
+            detail = "violated: " + ", ".join(wrong)
+        elif not leading_should_hold:
+            detail = "leading pair sum positive, expected below threshold alpha"
+        checks.append(SuiteCheck("coefficient_properties", alpha, not wrong, worst, detail))
+
+        hvals = h_function(alpha, omega)
+        end_err = max(
+            abs(float(hvals[0]) - math.cos(alpha * math.pi / 2.0)),
+            abs(float(hvals[-1]) - (1.0 - alpha * alpha) / 3.0),
+        )
+        checks.append(SuiteCheck("symbol_endpoints", alpha, end_err <= 1e-14, 1e-14 - end_err))
+        mono = float(np.min(np.diff(hvals)))
+        checks.append(SuiteCheck("symbol_monotone", alpha, mono >= -1e-12, mono + 1e-12))
+        if alpha == 2.0:
+            const = float(np.max(np.abs(hvals + 1.0)))
+            checks.append(SuiteCheck("symbol_constant", alpha, const <= 1e-14, 1e-14 - const))
+
+        closed, _ = symbol_f(alpha, theta, 2)
+        power = theta**alpha
+        slack = 1e-12 * np.maximum(1.0, power)
+        lo = closed - c_alpha(alpha) * power
+        hi = power - closed
+        ok = bool(np.all(lo >= -slack) and np.all(hi >= -slack))
+        checks.append(SuiteCheck("symbol_bounds", alpha, ok, float(min(lo.min(), hi.min()))))
+
+        m = grid_points
+        h = 20.0 / m
+        op = assemble_operator(wsgd_weights(alpha, m), m)
+        fields = rng.standard_normal((m - 1, n_vectors)) + 1j * rng.standard_normal(
+            (m - 1, n_vectors)
+        )
+        lower, upper, sem = energy_equivalence_margins(fields, alpha, h, operator=op)
+        tol = 1e-9 * sem
+        ok = bool(np.all(lower >= -tol) and np.all(upper >= -tol))
+        checks.append(
+            SuiteCheck("energy_equivalence", alpha, ok, float(min(lower.min(), upper.min())))
+        )
+
+        # (Delta_h u, u)_h = ||Lambda u||^2_h is the property checked, so Lambda is formed here
+        qf = op.quadratic_form(fields, h)
+        lam = h ** (1.0 - alpha) * np.sum(np.abs(cholesky(op.C) @ fields) ** 2, axis=0)
+        rel = float(np.max(np.abs(qf - lam) / lam))
+        checks.append(SuiteCheck("factor_identity", alpha, rel <= 1e-10, 1e-10 - rel))
+
+        params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=alpha)
+        grid = GridSpec(-10.0, 10.0, m)
+        traj = run_simulation(
+            params, grid, TimeGrid(0.5, 10), lambda x: np.exp(-2.0 * x * x), operator=op
+        )
+        res = max(abs(d.energy_identity_residual) for d in traj.diagnostics)
+        checks.append(SuiteCheck("step_energy_balance", alpha, res <= 1e-10, 1e-10 - res))
+
+    return VerificationReport(checks)

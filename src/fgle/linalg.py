@@ -58,8 +58,8 @@ def l2_h(u: ComplexField) -> float:
 
 def lp_h(u: ComplexField, p: float) -> float:
     """Discrete l^p norm (h * sum |u_j|^p)^(1/p) for finite p >= 1."""
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     return float((u.h * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
 
 

@@ -107,9 +107,11 @@ def energy_equivalence_margins(
     if fields.ndim == 1:
         fields = fields[:, None]
     M = fields.shape[0] + 1
-    sem = _seminorm_batch(fields, h, alpha / 2.0, _panels(M - 1))
     if operator is None:
         operator = assemble_operator(wsgd_weights(alpha, M), M)
+    elif operator.column.size != M - 1 or operator.alpha != alpha:
+        raise ValueError("operator matrix does not match alpha/fields")
+    sem = _seminorm_batch(fields, h, alpha / 2.0, _panels(M - 1))
     qf = operator.quadratic_form(fields, h)
     ca = c_alpha(alpha)
     return qf - ca * sem, sem - qf, sem
@@ -147,5 +149,5 @@ def gagliardo_nirenberg_ratio(u: ComplexField, p: float, sigma0: float, sigma: f
     """
     if not ((p - 2.0) / (2.0 * p) < sigma0 <= sigma <= 1.0):
         raise ValueError("need (p-2)/(2p) < sigma0 <= sigma <= 1")
-    r = sigma0 / sigma
+    r = sigma0 / sigma if sigma > 0 else 1.0
     return lp_h(u, p) / (math.sqrt(sobolev_norm(u, sigma)) ** r * l2_h(u) ** (1.0 - r))

@@ -120,10 +120,11 @@ class SolverSettings:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not self.iter_tol > 0:
-            raise ValueError("iter_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not 0 < self.iter_tol < math.inf:
+            raise ValueError(f"iter_tol must be positive and finite, got {self.iter_tol}")
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {m!r}")
 
 
 @dataclass

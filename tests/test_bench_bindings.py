@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+import fgle.cli as cli_mod
 import fgle.stepper as stepper_mod
 from fgle.stepper import GridSpec, ModelParams, TimeGrid
 
@@ -43,4 +44,17 @@ def test_traced_run_passes_wiring_check():
     # the wrappers must not outlive the block, or later tests would run traced
     assert stepper_mod.run_simulation is run_simulation
     expected = {"stepper.run": 1, "linalg.lu_factor": 1, "stepper.step": steps}
+    assert tracer.check_wiring(t.spans, expected) == []
+
+
+def test_traced_verify_suite_passes_wiring_check():
+    # the verify workload calls the suite through the front end's binding
+    with tracer.installed(tracer.Tracer("bindings")) as t:
+        cli_mod.verify_suite(alphas=(1.5,), grid_points=16, n_vectors=2)
+    expected = {
+        "cli.verify_suite": 1,
+        "spectral.margins": 1,
+        "stepper.run": 1,
+        "linalg.lu_factor": 1,
+    }
     assert tracer.check_wiring(t.spans, expected) == []

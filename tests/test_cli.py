@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from fgle.cli import (
     ConfigError,
+    VerifySettings,
     main,
     parse_config,
     serialize_config,
-    verify_suite,
     write_csv,
 )
-from fgle.wsgd import WsgdWeights
 
 MINIMAL_SIMULATE = """
 [run]
@@ -110,6 +109,12 @@ class TestParseConfig:
         bad = MINIMAL_SIMULATE + "\n[output]\nsnapshot_times = 2.0\n"
         with pytest.raises(ConfigError, match="snapshot"):
             parse_config(bad)
+
+    def test_empty_verify_alphas_rejected(self):
+        text = "[run]\nmode = verify\n[verify]\n"
+        with pytest.raises(ConfigError, match="alphas must list at least one value"):
+            parse_config(text + "alphas =\n")
+        assert parse_config(text + "seed = 7\n").verify.alphas == VerifySettings.alphas
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -364,33 +369,6 @@ class TestCliDispatch:
 
 
 class TestVerifySuite:
-    def test_default_alpha_grid_passes(self):
-        report = verify_suite(grid_points=32, n_vectors=6)
-        assert report.passed, [c.line() for c in report.failures()]
-
-    def test_alpha2_symbol_constancy_checked(self):
-        report = verify_suite(alphas=(2.0,), grid_points=32, n_vectors=4)
-        names = {c.name for c in report.checks}
-        assert "symbol_constant" in names
-        assert report.passed
-
-    def test_injected_perturbation_names_property(self, monkeypatch):
-        import fgle.cli as cli_mod
-
-        check = cli_mod.check_weight_properties
-
-        def check_tampered(w):
-            bad = WsgdWeights(w.alpha, w.lambda1, w.lambda0, w.lambda_m1, w.g, w.w.copy())
-            bad.w[0] = -bad.w[0]
-            return check(bad)
-
-        monkeypatch.setattr(cli_mod, "check_weight_properties", check_tampered)
-        report = verify_suite(alphas=(1.5,), grid_points=32, n_vectors=4)
-        assert not report.passed
-        bad = [c for c in report.checks if c.name == "coefficient_properties"][0]
-        assert not bad.passed
-        assert "w0_positive" in bad.detail
-
     def test_verify_cli_exit_zero(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text("[run]\nmode = verify\n\n[verify]\ngrid_points = 32\nvectors = 4\n")

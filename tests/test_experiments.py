@@ -1,4 +1,5 @@
-"""Benchmark machinery: exact solution, error norms, studies and restriction."""
+"""Benchmark machinery: exact solution, error norms, studies, restriction and
+the verification suite."""
 
 import math
 
@@ -17,9 +18,11 @@ from fgle.experiments import (
     sech_soliton_coefficients,
     sech_soliton_model_params,
     sech_soliton_solution,
+    verify_suite,
 )
 from fgle.linalg import ComplexField
 from fgle.stepper import GridSpec, ModelParams, TimeGrid
+from fgle.wsgd import WsgdWeights
 
 
 def gaussian(x):
@@ -216,3 +219,32 @@ class TestOperatorRefinementOrders:
         assert 1.8 <= res.richardson_order <= 2.2
         for order in res.analytic_orders:
             assert 1.8 <= order <= 2.2
+
+
+class TestVerifySuite:
+    def test_default_alpha_grid_passes(self):
+        report = verify_suite(grid_points=32, n_vectors=6)
+        assert report.passed, [c.line() for c in report.failures()]
+
+    def test_alpha2_symbol_constancy_checked(self):
+        report = verify_suite(alphas=(2.0,), grid_points=32, n_vectors=4)
+        names = {c.name for c in report.checks}
+        assert "symbol_constant" in names
+        assert report.passed
+
+    def test_injected_perturbation_names_property(self, monkeypatch):
+        import fgle.experiments as experiments_mod
+
+        check = experiments_mod.check_weight_properties
+
+        def check_tampered(w):
+            bad = WsgdWeights(w.alpha, w.lambda1, w.lambda0, w.lambda_m1, w.g, w.w.copy())
+            bad.w[0] = -bad.w[0]
+            return check(bad)
+
+        monkeypatch.setattr(experiments_mod, "check_weight_properties", check_tampered)
+        report = verify_suite(alphas=(1.5,), grid_points=32, n_vectors=4)
+        assert not report.passed
+        bad = [c for c in report.checks if c.name == "coefficient_properties"][0]
+        assert not bad.passed
+        assert "w0_positive" in bad.detail

@@ -59,6 +59,11 @@ class TestInnerProductAndNorms:
         direct = (0.3 * sum(abs(z) ** 3 for z in u.values)) ** (1 / 3)
         assert lp_h(u, 3) == pytest.approx(direct, rel=1e-14)
 
+    def test_lp_rejects_non_finite_p(self):
+        u = ComplexField(np.array([0.5, -0.25]), h=1.0)
+        with pytest.raises(ValueError, match="finite"):
+            lp_h(u, math.inf)
+
     def test_inverse_inequality(self):
         # ||u||_inf^2 <= h^{-1} ||u||_h^2 for any grid function
         rng = np.random.default_rng(3)

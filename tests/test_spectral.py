@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import trapezoid_seminorm, trapezoid_seminorm_by_fft
 
-from fgle.linalg import ComplexField, inner_product
+from fgle.linalg import ComplexField, inner_product, lp_h
 from fgle.spectral import (
     _panels,
     _seminorm_batch,
@@ -19,6 +19,7 @@ from fgle.spectral import (
     sobolev_seminorm,
     verify_interpolation,
 )
+from fgle.wsgd import assemble_operator, wsgd_weights
 
 
 def random_field(rng, m, h, real=False):
@@ -186,6 +187,13 @@ class TestEnergyEquivalence:
         vals[31] = 1.0
         assert within_bounds(vals, 1.5, 0.3)
 
+    @pytest.mark.parametrize("op_alpha, op_nodes", [(1.9, 63), (1.5, 15)])
+    def test_operator_mismatch_rejected(self, op_alpha, op_nodes):
+        fields = random_field(np.random.default_rng(21), 64, 20.0 / 64).values
+        op = assemble_operator(wsgd_weights(op_alpha, op_nodes + 1), op_nodes + 1)
+        with pytest.raises(ValueError, match="operator"):
+            energy_equivalence_margins(fields, 1.5, 20.0 / 64, operator=op)
+
     def test_quadratic_form_real_positive(self):
         rng = np.random.default_rng(16)
         _, upper, sem = energy_equivalence_margins(random_field(rng, 32, 0.4).values, 1.7, 0.4)
@@ -226,6 +234,11 @@ class TestGagliardoNirenbergDiagnostic:
         u = random_field(rng, 32, 0.2)
         r = gagliardo_nirenberg_ratio(u, p=4, sigma0=0.3, sigma=0.9)
         assert 0.0 < r < math.inf
+
+    def test_sigma_zero_takes_unit_exponent(self):
+        u = random_field(np.random.default_rng(22), 32, 0.2)
+        r = gagliardo_nirenberg_ratio(u, p=1.5, sigma0=0.0, sigma=0.0)
+        assert r == pytest.approx(lp_h(u, 1.5) / math.sqrt(sobolev_norm(u, 0.0)), rel=1e-14)
 
     def test_exponent_domain(self):
         u = ComplexField(np.ones(8), h=0.5)

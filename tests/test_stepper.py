@@ -1,5 +1,7 @@
 """Implicit midpoint stepping: system matrix, inner iteration, invariants."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -82,6 +84,20 @@ class TestGridTypes:
     def test_numpy_integer_sizes_accepted(self):
         assert GridSpec(-1.0, 1.0, np.int64(8)).M == 8
         assert TimeGrid(1.0, np.int64(4)).tau == 0.25
+
+
+class TestSolverSettings:
+    @pytest.mark.parametrize(
+        "iter_tol, max_iters, match",
+        [
+            (math.inf, 100, "iter_tol must be positive and finite"),
+            (1e-14, 2.5, "max_iters must be an integer"),
+            (1e-14, True, "max_iters must be an integer"),
+        ],
+    )
+    def test_rejects_what_it_cannot_run(self, iter_tol, max_iters, match):
+        with pytest.raises(ValueError, match=match):
+            SolverSettings(iter_tol=iter_tol, max_iters=max_iters)
 
 
 class TestModelParams:
