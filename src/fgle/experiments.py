@@ -344,6 +344,8 @@ def verify_suite(
     seed: int = VerifySettings.seed,
 ) -> VerificationReport:
     """Run the full operator/spectral invariant suite over a grid of alphas."""
+    if not alphas:
+        raise ValueError("alphas must name at least one alpha; an empty suite checks nothing")
     rng = np.random.default_rng(seed)
     checks: list[SuiteCheck] = []
     omega = np.linspace(0.0, math.pi, 1000)

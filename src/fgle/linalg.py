@@ -144,6 +144,9 @@ _GS_GATE_RTOL = 1e-12
 class FactorizedSystem:
     """LU factorization (with partial pivoting) of a complex matrix.
 
+    ``lu`` is the dense factor; for the midpoint matrix it is the buffer A
+    was built in, overwritten by the factorization.
+
     ``spectra``, set by ``with_gohberg_semencul`` for a complex symmetric
     Toeplitz matrix, holds the FFT spectra of the Gohberg-Semencul
     generators, shape (2, 2, 1, L): the transposed and the plain triangular
@@ -203,14 +206,20 @@ class FactorizedSystem:
 _PIVOT_FLOOR = 1e-300
 
 
-def lu_factor(a: np.ndarray) -> FactorizedSystem:
+def lu_factor(a: np.ndarray, *, overwrite_a: bool = False) -> FactorizedSystem:
+    """LU-factorize a square matrix, leaving ``a`` intact unless ``overwrite_a``.
+
+    With ``overwrite_a``, an F-contiguous complex128 ``a`` becomes the factor
+    itself, so no second dense buffer is made; any other layout is still
+    copied, as by ``scipy.linalg.lu_factor``. Either way ``a`` must not be read after.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("lu_factor expects a square matrix")
     with warnings.catch_warnings():
         # singularity is detected on the pivots below and raised as an error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite_a, check_finite=True)
     if a.shape[0] and float(np.min(np.abs(np.diag(lu)))) < _PIVOT_FLOOR:
         raise SingularMatrixError("matrix is numerically singular (pivot below 1e-300)")
     return FactorizedSystem(lu=lu, piv=piv, size=a.shape[0])

@@ -101,8 +101,10 @@ def energy_equivalence_margins(
 
     ``fields`` has one vector per column. Returns (lower, upper, seminorm_sq)
     with lower = (Delta u, u)_h - C_alpha |u|^2 and upper = |u|^2 - (Delta u, u)_h,
-    both nonnegative in exact arithmetic.
+    both nonnegative in exact arithmetic. ``h`` must be positive and finite.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"grid spacing h must be positive and finite, got {h}")
     fields = np.asarray(fields, dtype=complex)
     if fields.ndim == 1:
         fields = fields[:, None]

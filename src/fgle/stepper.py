@@ -4,8 +4,9 @@ equation via a linearized fixed-point iteration.
 Each step solves the midpoint system for z = (u^{n+1} + u^n)/2 by lagging
 the cubic term:  A z_(s+1) = u^n - (tau/2)(kappa + i zeta) |z_(s)|^2 z_(s),
 with A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta) h^(-alpha) C complex
-symmetric Toeplitz. A run factorizes A once by dense LU, the only dense matrix
-it builds. On large grids that LU only seeds the Gohberg-Semencul inverse,
+symmetric Toeplitz. A run factorizes A once by dense LU, in place: the one
+(M-1)^2 buffer that holds A becomes its factor, the only dense matrix the run
+builds. On large grids that LU only seeds the Gohberg-Semencul inverse,
 which then applies A^{-1} by FFT at O(M log M) per inner solve; it stays as the
 fallback should the inverse fail its gate. From the third level on, the
 iteration starts from the midpoint of u^n and the quadratic extrapolation
@@ -155,12 +156,16 @@ def build_system_matrix(
 ) -> FactorizedSystem:
     """Factorize A = (1 - tau gamma/2) I + (tau/2)(upsilon + i eta) h^(-alpha) C.
 
-    Requires tau gamma < 2, which makes Re A positive definite (C is), so A
-    is invertible and Re x_0 > 0 for x = A^{-1} e_1. The dense LU is always
-    made; from _GS_MIN_SIZE unknowns on, solves go through the
+    Requires a positive finite tau and tau gamma < 2, which makes Re A
+    positive definite (C is), so A is invertible and Re x_0 > 0 for
+    x = A^{-1} e_1. A is built once and LU-factorized in that same buffer, so
+    the run holds one dense (M-1)^2 complex matrix, not two. The dense LU is
+    always made; from _GS_MIN_SIZE unknowns on, solves go through the
     Gohberg-Semencul inverse built from it, unless that fails its gate
     against the LU.
     """
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if operator.column.size != grid.M - 1 or operator.alpha != params.alpha:
         raise ValueError("operator matrix does not match the model/grid")
     if not tau * params.gamma < 2.0:
@@ -170,8 +175,9 @@ def build_system_matrix(
         )
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
-    # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row
-    system = lu_factor(scipy.linalg.toeplitz(col, col))
+    # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row.
+    # Its transpose is A again, as an F-contiguous view that getrf factors in place.
+    system = lu_factor(scipy.linalg.toeplitz(col, col).T, overwrite_a=True)
     return system.with_gohberg_semencul() if system.size >= _GS_MIN_SIZE else system
 
 

@@ -226,6 +226,11 @@ class TestVerifySuite:
         report = verify_suite(grid_points=32, n_vectors=6)
         assert report.passed, [c.line() for c in report.failures()]
 
+    def test_empty_alphas_rejected(self):
+        # an empty suite would pass with no checks at all
+        with pytest.raises(ValueError, match="alphas"):
+            verify_suite(alphas=(), grid_points=32, n_vectors=4)
+
     def test_alpha2_symbol_constancy_checked(self):
         report = verify_suite(alphas=(2.0,), grid_points=32, n_vectors=4)
         names = {c.name for c in report.checks}

@@ -158,6 +158,30 @@ class TestLuFactorSolve:
         with pytest.raises(ValueError, match="size"):
             F.solve(np.ones(5))
 
+    @pytest.mark.parametrize("order", ("C", "F"))
+    def test_input_left_intact_by_default(self, order):
+        rng = np.random.default_rng(7)
+        A = np.asarray(
+            rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) + 8 * np.eye(8),
+            order=order,
+        )
+        before = A.copy()
+        lu_factor(A)
+        assert np.array_equal(A, before)
+
+    @pytest.mark.parametrize("n", (5, 400))
+    def test_in_place_matches_copying_path(self, n):
+        # the transpose of a symmetric A is A as an F-contiguous view, which
+        # getrf factors in place; the result must equal the copying path's
+        A = symmetric_toeplitz(n, seed=n)
+        copied = lu_factor(A)
+        in_place = lu_factor(A.T, overwrite_a=True)
+        assert np.shares_memory(in_place.lu, A)
+        assert np.array_equal(in_place.lu, copied.lu)
+        assert np.array_equal(in_place.piv, copied.piv)
+        b = np.random.default_rng(8).standard_normal((n, 2)) + 0j
+        assert np.array_equal(in_place.solve(b), copied.solve(b))
+
 
 def symmetric_toeplitz(n, seed):
     """A well-conditioned complex symmetric Toeplitz matrix."""

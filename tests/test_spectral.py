@@ -194,6 +194,11 @@ class TestEnergyEquivalence:
         with pytest.raises(ValueError, match="operator"):
             energy_equivalence_margins(fields, 1.5, 20.0 / 64, operator=op)
 
+    @pytest.mark.parametrize("h", (math.nan, math.inf, 0.0, -0.5))
+    def test_bad_spacing_rejected(self, h):
+        with pytest.raises(ValueError, match="grid spacing h must be positive and finite"):
+            energy_equivalence_margins(np.ones((15, 2)), 1.5, h)
+
     def test_quadratic_form_real_positive(self):
         rng = np.random.default_rng(16)
         _, upper, sem = energy_equivalence_margins(random_field(rng, 32, 0.4).values, 1.7, 0.4)

@@ -1,6 +1,7 @@
 """Implicit midpoint stepping: system matrix, inner iteration, invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,7 +132,9 @@ class TestBuildSystemMatrix:
         grid = GridSpec(-1.0, 1.0, 8)
         op = make_operator(1.5, 8)
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, alpha=1.5)
-        F = build_system_matrix(p, grid, 0.0, op)
+        # tau = 0 itself is rejected (test_bad_tau_rejected_before_factorizing);
+        # the limit tau -> 0 still gives the identity
+        F = build_system_matrix(p, grid, 1e-300, op)
         b = np.arange(7, dtype=complex)
         assert np.allclose(F.solve(b), b, atol=1e-15)
 
@@ -162,7 +165,10 @@ class TestBuildSystemMatrix:
     def test_complex_symmetric_not_hermitian(self, monkeypatch):
         built = []
         lu = stepper_mod.lu_factor
-        monkeypatch.setattr(stepper_mod, "lu_factor", lambda a: built.append(a) or lu(a))
+        # the factorization overwrites A in place, so keep a copy of what it was given
+        monkeypatch.setattr(
+            stepper_mod, "lu_factor", lambda a, **kw: built.append(a.copy()) or lu(a, **kw)
+        )
         grid = GridSpec(-2.0, 2.0, 16)
         p = ModelParams(0.7, -0.3, 0.4, 1.1, 0.6, alpha=1.6)
         op = make_operator(1.6, 16)
@@ -180,6 +186,34 @@ class TestBuildSystemMatrix:
         product = f"{tau * gamma:g}"
         with pytest.raises(ValueError, match=rf"tau = {tau:g}, gamma = {gamma:g}, tau \* gamma = {product}"):
             build_system_matrix(p, grid, tau, make_operator(1.5, 8))
+
+    @pytest.mark.parametrize(
+        "tau, gamma",
+        [(-0.05, 0.0), (0.0, 0.0), (math.inf, 0.0), (math.inf, -1.0), (math.nan, 0.0)],
+    )
+    def test_bad_tau_rejected_before_factorizing(self, monkeypatch, tau, gamma):
+        def never(a, **kw):
+            raise AssertionError("a rejected tau must not reach the factorization")
+
+        monkeypatch.setattr(stepper_mod, "lu_factor", never)
+        p = ModelParams(1.0, 1.0, 1.0, 1.0, gamma, alpha=1.5)
+        with pytest.raises(ValueError, match=r"^tau must be positive and finite"):
+            build_system_matrix(p, GridSpec(-1.0, 1.0, 8), tau, make_operator(1.5, 8))
+
+    def test_one_dense_buffer(self):
+        # A is factored in the buffer it was built in: the peak is one
+        # (M-1)^2 complex matrix, where building A and then copying it for
+        # the LU would take two
+        m = 1024
+        p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
+        grid, op = GridSpec(-16.0, 16.0, m), make_operator(1.6, m)
+        tracemalloc.start()
+        try:
+            build_system_matrix(p, grid, 0.01, op)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * (m - 1) ** 2
 
     def test_solver_switches_at_crossover(self):
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
