@@ -344,7 +344,7 @@ def verify_suite(
     seed: int = VerifySettings.seed,
 ) -> VerificationReport:
     """Run the full operator/spectral invariant suite over a grid of alphas."""
-    if not alphas:
+    if len(alphas) == 0:
         raise ValueError("alphas must name at least one alpha; an empty suite checks nothing")
     rng = np.random.default_rng(seed)
     checks: list[SuiteCheck] = []

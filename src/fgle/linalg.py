@@ -206,12 +206,12 @@ class FactorizedSystem:
 _PIVOT_FLOOR = 1e-300
 
 
-def lu_factor(a: np.ndarray, *, overwrite_a: bool = False) -> FactorizedSystem:
-    """LU-factorize a square matrix, leaving ``a`` intact unless ``overwrite_a``.
+def lu_factor(a: np.ndarray) -> FactorizedSystem:
+    """LU-factorize a square matrix.
 
-    With ``overwrite_a``, an F-contiguous complex128 ``a`` becomes the factor
-    itself, so no second dense buffer is made; any other layout is still
-    copied, as by ``scipy.linalg.lu_factor``. Either way ``a`` must not be read after.
+    An F-contiguous complex128 ``a`` becomes the factor itself, so no second
+    dense buffer is made, and must not be read after; any other input is
+    copied first and left intact.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -219,7 +219,7 @@ def lu_factor(a: np.ndarray, *, overwrite_a: bool = False) -> FactorizedSystem:
     with warnings.catch_warnings():
         # singularity is detected on the pivots below and raised as an error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite_a, check_finite=True)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=True)
     if a.shape[0] and float(np.min(np.abs(np.diag(lu)))) < _PIVOT_FLOOR:
         raise SingularMatrixError("matrix is numerically singular (pivot below 1e-300)")
     return FactorizedSystem(lu=lu, piv=piv, size=a.shape[0])

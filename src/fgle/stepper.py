@@ -177,7 +177,7 @@ def build_system_matrix(
     col[0] += 1.0 - tau * params.gamma / 2.0
     # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row.
     # Its transpose is A again, as an F-contiguous view that getrf factors in place.
-    system = lu_factor(scipy.linalg.toeplitz(col, col).T, overwrite_a=True)
+    system = lu_factor(scipy.linalg.toeplitz(col, col).T)
     return system.with_gohberg_semencul() if system.size >= _GS_MIN_SIZE else system
 
 

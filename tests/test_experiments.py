@@ -230,6 +230,13 @@ class TestVerifySuite:
         # an empty suite would pass with no checks at all
         with pytest.raises(ValueError, match="alphas"):
             verify_suite(alphas=(), grid_points=32, n_vectors=4)
+        with pytest.raises(ValueError, match="alphas"):
+            verify_suite(alphas=np.array([]), grid_points=32, n_vectors=4)
+
+    def test_alpha_array_accepted(self):
+        report = verify_suite(alphas=np.array([1.5, 1.7]), grid_points=32, n_vectors=4)
+        assert {c.alpha for c in report.checks} == {1.5, 1.7}
+        assert report.passed
 
     def test_alpha2_symbol_constancy_checked(self):
         report = verify_suite(alphas=(2.0,), grid_points=32, n_vectors=4)

@@ -166,9 +166,7 @@ class TestBuildSystemMatrix:
         built = []
         lu = stepper_mod.lu_factor
         # the factorization overwrites A in place, so keep a copy of what it was given
-        monkeypatch.setattr(
-            stepper_mod, "lu_factor", lambda a, **kw: built.append(a.copy()) or lu(a, **kw)
-        )
+        monkeypatch.setattr(stepper_mod, "lu_factor", lambda a: built.append(a.copy()) or lu(a))
         grid = GridSpec(-2.0, 2.0, 16)
         p = ModelParams(0.7, -0.3, 0.4, 1.1, 0.6, alpha=1.6)
         op = make_operator(1.6, 16)
@@ -192,7 +190,7 @@ class TestBuildSystemMatrix:
         [(-0.05, 0.0), (0.0, 0.0), (math.inf, 0.0), (math.inf, -1.0), (math.nan, 0.0)],
     )
     def test_bad_tau_rejected_before_factorizing(self, monkeypatch, tau, gamma):
-        def never(a, **kw):
+        def never(a):
             raise AssertionError("a rejected tau must not reach the factorization")
 
         monkeypatch.setattr(stepper_mod, "lu_factor", never)
