@@ -7,6 +7,7 @@ implicitly extended by zero outside. All norms carry the mesh weight h.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -153,12 +154,16 @@ class FactorizedSystem:
     factors, each for x and s. ``solve`` then applies A^{-1} with six FFTs
     and leaves the dense factor alone. The LU is still the generator's
     source, its gate and the fallback.
+
+    ``tau`` is the time step a midpoint matrix was built for
+    (``stepper.build_system_matrix`` sets it), None for any other matrix.
     """
 
     lu: np.ndarray = field(repr=False)
     piv: np.ndarray = field(repr=False)
     size: int
     spectra: np.ndarray | None = field(default=None, repr=False)
+    tau: float | None = None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b for b of shape (size,) or (size, k)."""
@@ -200,7 +205,7 @@ class FactorizedSystem:
         error = np.max(np.abs(_gohberg_semencul_solve(spectra, rhs[:, 1]) - reference))
         if not error <= _GS_GATE_RTOL * np.max(np.abs(reference)):
             return self
-        return FactorizedSystem(self.lu, self.piv, n, spectra)
+        return dataclasses.replace(self, spectra=spectra)
 
 
 _PIVOT_FLOOR = 1e-300

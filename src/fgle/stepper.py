@@ -8,16 +8,18 @@ symmetric Toeplitz. A run factorizes A once by dense LU, in place: the one
 (M-1)^2 buffer that holds A becomes its factor, the only dense matrix the run
 builds. On large grids that LU only seeds the Gohberg-Semencul inverse,
 which then applies A^{-1} by FFT at O(M log M) per inner solve; it stays as the
-fallback should the inverse fail its gate. From the third level on, the
-iteration starts from the midpoint of u^n and the quadratic extrapolation
-3 u^n - 3 u^{n-1} + u^{n-2} of u^{n+1}, which is off the fixed point by
-O(tau^3) and so saves inner solves without moving it. The energy balance
-takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h, one FFT by
-Parseval (``OperatorMatrix.quadratic_form``).
+fallback should the inverse fail its gate. From the second level on, the
+iteration starts from the midpoint of u^n and the degree-k polynomial
+extrapolation of u^{n+1} through the k+1 newest levels, k = min(earlier
+levels, 4). That start is off the fixed point by O(tau^(k+1)), so it saves
+inner solves without moving the fixed point. The energy balance takes
+upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h, one FFT by Parseval
+(``OperatorMatrix.quadratic_form``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -43,12 +45,22 @@ __all__ = [
 
 
 class NonConvergence(RuntimeError):
-    """Fixed-point iteration failed (iteration cap hit or non-finite iterate)."""
+    """Fixed-point iteration failed (iteration cap hit or non-finite iterate).
 
-    def __init__(self, message: str, step: int | None = None, iterations: int | None = None):
+    ``increments`` holds the sup-norm increment of every iteration made.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        step: int | None = None,
+        iterations: int | None = None,
+        increments: tuple[float, ...] = (),
+    ):
         super().__init__(message)
         self.step = step
         self.iterations = iterations
+        self.increments = increments
 
 
 @dataclass(frozen=True)
@@ -150,6 +162,21 @@ class Trajectory:
 # solve is faster than six FFTs.
 _GS_MIN_SIZE = 350
 
+# Highest degree of the extrapolation that starts the inner iteration.
+_START_ORDER = 4
+
+
+def _start_weights(k: int) -> np.ndarray:
+    """Weights of u^n, u^{n-1}, ..., u^{n-k} in (u^n + p(n+1)) / 2, with p the
+    degree-k polynomial through those levels: p(n+1) = sum_j (-1)^j C(k+1, j+1) u^{n-j}."""
+    w = np.array([(-1) ** j * math.comb(k + 1, j + 1) for j in range(k + 1)]) / 2.0
+    w[0] += 0.5
+    return w
+
+
+# indexed by the number of earlier levels used, 1 to _START_ORDER
+_START_WEIGHTS = {k: _start_weights(k) for k in range(1, _START_ORDER + 1)}
+
 
 def build_system_matrix(
     params: ModelParams, grid: GridSpec, tau: float, operator: OperatorMatrix
@@ -177,7 +204,7 @@ def build_system_matrix(
     col[0] += 1.0 - tau * params.gamma / 2.0
     # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row.
     # Its transpose is A again, as an F-contiguous view that getrf factors in place.
-    system = lu_factor(scipy.linalg.toeplitz(col, col).T)
+    system = dataclasses.replace(lu_factor(scipy.linalg.toeplitz(col, col).T), tau=tau)
     return system.with_gohberg_semencul() if system.size >= _GS_MIN_SIZE else system
 
 
@@ -185,58 +212,86 @@ def _values(u) -> np.ndarray:
     return np.asarray(getattr(u, "values", u), dtype=complex)
 
 
+def _extrapolated_start(u: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Midpoint of u^n and the extrapolation of u^{n+1} from u^n and ``levels``
+    (u^{n-1}, u^{n-2}, ..., newest first), of which the first _START_ORDER count."""
+    k = min(len(levels), _START_ORDER)
+    w = _START_WEIGHTS[k]
+    # einsum, not @: `@` is a BLAS gemv that wakes the idle BLAS threads every
+    # step, which cost about 3 ms a step at M = 2560 on a 2-core host
+    return w[0] * u + np.einsum("j,jm->m", w[1:], levels[:k])
+
+
 def fixed_point_step(
     u_n,
-    u_prev,
+    history,
     system: FactorizedSystem,
     params: ModelParams,
     grid: GridSpec,
     tau: float,
     settings: SolverSettings,
     operator: OperatorMatrix,
-    u_prev2=None,
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """Advance one level: returns (u^{n+1} values, diagnostics).
 
-    The start iterate is the explicit half-step predictor on the first level
-    (u_prev is None), the two-level extrapolation 1.5 u^n - 0.5 u^{n-1} on
-    the second (u_prev2 is None), and 2 u^n - 1.5 u^{n-1} + 0.5 u^{n-2}, the
-    midpoint of u^n and the quadratic extrapolation of u^{n+1}, afterwards.
-    Iterates until the sup-norm increment falls below
-    iter_tol * max(1, |z|_inf). |z|^2 is formed once per iterate and serves
-    the cubic term, that scale and the energy residual; a non-finite iterate
-    shows as a non-finite increment, as the previous iterate is finite.
+    ``history`` holds the earlier levels u^{n-1}, u^{n-2}, ..., newest first,
+    as the rows of a 2-D array or a list of arrays. With none (None or
+    empty) the start iterate is the explicit half-step predictor; otherwise
+    it is the midpoint of u^n and the degree-k polynomial extrapolation of
+    u^{n+1} through u^n and the k newest earlier levels,
+    k = min(len(history), 4): 1.5 u^n - 0.5 u^{n-1} for k = 1,
+    2 u^n - 1.5 u^{n-1} + 0.5 u^{n-2} for k = 2, and so on. ``tau`` must be
+    the positive, finite step ``system`` was built for. Iterates until the
+    sup-norm increment falls below iter_tol * max(1, |z|_inf). |z|^2 is
+    formed once per iterate and serves the cubic term, that scale and the
+    energy residual. An iterate whose increment or |z|^2 is not finite
+    raises NonConvergence, without numpy overflow warnings.
     """
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if tau != system.tau:
+        raise ValueError(f"tau = {tau:g} differs from the system's tau = {system.tau}")
     u = _values(u_n)
     h = grid.h
     diffusion = params.upsilon + 1j * params.eta
     cubic = params.kappa + 1j * params.zeta
-    if u_prev is None:
+    if history is None or len(history) == 0:
         z = u - (tau / 2.0) * (
             diffusion * operator.apply(u, h) + cubic * np.abs(u) ** 2 * u - params.gamma * u
         )
-    elif u_prev2 is None:
-        z = 1.5 * u - 0.5 * _values(u_prev)
     else:
-        z = 2.0 * u - 1.5 * _values(u_prev) + 0.5 * _values(u_prev2)
+        levels = np.asarray(history, dtype=complex)
+        if levels.ndim != 2 or levels.shape[1] != u.size:
+            raise ValueError(f"history levels must have {u.size} values, got {levels.shape}")
+        z = _extrapolated_start(u, levels)
 
-    increment = math.inf
-    zsq = z.real**2 + z.imag**2
-    for it in range(1, settings.max_iters + 1):
-        z_new = system.solve(u - (tau / 2.0) * cubic * (zsq * z))
-        increment = float(np.max(np.abs(z_new - z)))
-        if not math.isfinite(increment):
-            raise NonConvergence("iterate became non-finite (NaN/Inf)", iterations=it)
-        z = z_new
+    increments: list[float] = []
+    # a diverging iterate overflows; that shows below as a non-finite
+    # increment or |z|^2, which the relative stopping test would otherwise pass
+    with np.errstate(over="ignore", invalid="ignore"):
         zsq = z.real**2 + z.imag**2
-        if increment <= settings.iter_tol * max(1.0, math.sqrt(float(np.max(zsq)))):
-            break
-    else:
-        raise NonConvergence(
-            f"no convergence within {settings.max_iters} iterations "
-            f"(last increment {increment:.3e})",
-            iterations=settings.max_iters,
-        )
+        for it in range(1, settings.max_iters + 1):
+            z_new = system.solve(u - (tau / 2.0) * cubic * (zsq * z))
+            increment = float(np.max(np.abs(z_new - z)))
+            increments.append(increment)
+            z = z_new
+            zsq = z.real**2 + z.imag**2
+            zsq_max = float(np.max(zsq))
+            if not (math.isfinite(increment) and math.isfinite(zsq_max)):
+                raise NonConvergence(
+                    "iterate became non-finite (NaN/Inf, or |z|^2 overflowed)",
+                    iterations=it,
+                    increments=tuple(increments),
+                )
+            if increment <= settings.iter_tol * max(1.0, math.sqrt(zsq_max)):
+                break
+        else:
+            raise NonConvergence(
+                f"no convergence within {settings.max_iters} iterations "
+                f"(last increment {increment:.3e})",
+                iterations=settings.max_iters,
+                increments=tuple(increments),
+            )
 
     u_next = 2.0 * z - u
     nsq_next = h * float(np.sum(np.abs(u_next) ** 2))
@@ -306,16 +361,19 @@ def run_simulation(
     if 0 in snap_steps:
         snapshots[snap_steps[0]] = ComplexField(u.copy(), h)
 
-    u_prev = u_prev2 = None
+    # earlier levels u^{n-1}, ..., u^{n-4}, newest first; the first n rows are filled
+    levels = np.zeros((_START_ORDER, u.size), dtype=complex)
     for n in range(time_grid.N):
         try:
             u_next, diag = fixed_point_step(
-                u, u_prev, system, params, grid, tau, settings, operator, u_prev2
+                u, levels[:n], system, params, grid, tau, settings, operator
             )
         except NonConvergence as exc:
             exc.step = n
             raise
-        u_prev2, u_prev, u = u_prev, u, u_next
+        levels[1:] = levels[:-1]
+        levels[0] = u
+        u = u_next
         diagnostics.append(diag)
         norms[n + 1] = diag.norm_sq
         if n + 1 in snap_steps:

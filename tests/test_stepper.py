@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fgle.stepper as stepper_mod
+from fgle.experiments import sech_soliton_model_params, sech_soliton_solution
 from fgle.linalg import ComplexField
 from fgle.stepper import (
     GridSpec,
@@ -305,8 +307,9 @@ class TestFixedPointStep:
         op = make_operator(1.8, 50)
         F = build_system_matrix(p, grid, 5.0, op)
         u = 5.0 * gaussian(grid.interior_nodes()).astype(complex)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence) as err:
             fixed_point_step(u, None, F, p, grid, 5.0, SolverSettings(max_iters=2), op)
+        assert len(err.value.increments) == 2
 
     def test_non_finite_iterate_detected_from_increment(self):
         # the fourth iterate is the first non-finite one; the increment check
@@ -319,6 +322,83 @@ class TestFixedPointStep:
         with pytest.raises(NonConvergence, match="non-finite") as err:
             fixed_point_step(u, None, F, p, grid, 5.0, SolverSettings(), op)
         assert err.value.iterations == 4
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        # the case above: overflow in the diverging iterate must not surface as
+        # a RuntimeWarning before the NonConvergence, which carries the increments
+        grid = GridSpec(-10.0, 10.0, 50)
+        p = ModelParams(1.0, 1.0, 8.0, 5.0, 0.0, alpha=1.8)
+        op = make_operator(1.8, 50)
+        F = build_system_matrix(p, grid, 5.0, op)
+        u = 5.0 * np.exp(-grid.interior_nodes() ** 2).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="non-finite") as err:
+                fixed_point_step(u, None, F, p, grid, 5.0, SolverSettings(), op)
+        assert err.value.iterations == 4
+        increments = err.value.increments
+        assert len(increments) == 4
+        assert all(math.isfinite(d) for d in increments[:3])
+        assert not math.isfinite(increments[3])
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, 0.05, math.inf, math.nan])
+    def test_tau_other_than_the_systems_rejected_before_solving(self, tau):
+        grid = GridSpec(-8.0, 8.0, 16)
+        p = ModelParams(1.0, 1.0, 1.0, 1.0, 0.0, alpha=1.6)
+        op = make_operator(1.6, 16)
+        F = build_system_matrix(p, grid, 0.1, op)
+
+        def no_solve(b):
+            raise AssertionError("solved before tau was checked")
+
+        F.solve = no_solve
+        u = gaussian(grid.interior_nodes()).astype(complex)
+        assert u.size == 15
+        with pytest.raises(ValueError, match="tau"):
+            fixed_point_step(u, None, F, p, grid, tau, SolverSettings(), op)
+
+    def test_history_of_the_wrong_length_rejected(self):
+        grid = GridSpec(-5.0, 5.0, 40)
+        op = make_operator(1.6, 40)
+        p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.6)
+        F = build_system_matrix(p, grid, 0.01, op)
+        u = gaussian(grid.interior_nodes()).astype(complex)
+        with pytest.raises(ValueError, match="history"):
+            fixed_point_step(u, [u[:-1]], F, p, grid, 0.01, SolverSettings(), op)
+
+
+class TestExtrapolatedStart:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_exact_up_to_the_history_length(self, length):
+        # levels on a polynomial p of degree <= length in the level index:
+        # the start is (p(n) + p(n+1)) / 2 to rounding, one degree more is off
+        # by half the extrapolation error, -c (length + 1)! / 2 for leading coefficient c
+        rng = np.random.default_rng(length)
+        n = length
+        coeffs = rng.standard_normal((length + 2, 7)) + 1j * rng.standard_normal((length + 2, 7))
+
+        def p(t, degree):
+            return sum(coeffs[d] * float(t) ** d for d in range(degree + 1))
+
+        for degree in range(length + 1):
+            levels = np.array([p(n - j, degree) for j in range(1, length + 1)])
+            start = stepper_mod._extrapolated_start(p(n, degree), levels)
+            expected = (p(n, degree) + p(n + 1, degree)) / 2
+            assert np.max(np.abs(start - expected)) <= 1e-12 * np.max(np.abs(expected))
+        degree = length + 1
+        levels = np.array([p(n - j, degree) for j in range(1, length + 1)])
+        start = stepper_mod._extrapolated_start(p(n, degree), levels)
+        expected = (p(n, degree) + p(n + 1, degree)) / 2
+        off = -coeffs[degree] * math.factorial(length + 1) / 2
+        assert np.max(np.abs(off)) > 0.1
+        assert np.max(np.abs(start - expected - off)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_at_most_four_earlier_levels_count(self):
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(6) + 0j
+        levels = rng.standard_normal((6, 6)) + 0j
+        start = stepper_mod._extrapolated_start(u, levels)
+        assert np.array_equal(start, stepper_mod._extrapolated_start(u, levels[:4]))
 
 
 class TestRunSimulation:
@@ -379,6 +459,24 @@ class TestRunSimulation:
         assert np.max(np.abs(traj.final.values - expected)) <= 1e-12
         assert sum(d.iterations for d in traj.diagnostics) < oracle_iters
 
+    def test_extrapolated_start_keeps_the_fixed_point_on_the_lu_path(self):
+        # the test above below _GS_MIN_SIZE, where the run's own solves are LU solves
+        grid = GridSpec(-10.0, 10.0, 200)
+        time = TimeGrid(1.0, 50)
+        assert grid.M - 1 < stepper_mod._GS_MIN_SIZE
+        traj = run_simulation(EXAMPLE_PARAMS, grid, time, gaussian)
+        expected, oracle_iters = linear_predictor_run(EXAMPLE_PARAMS, grid, time, gaussian)
+        assert np.max(np.abs(traj.final.values - expected)) <= 1e-12
+        assert sum(d.iterations for d in traj.diagnostics) < oracle_iters
+
+    def test_soliton_inner_iterations_bounded(self):
+        # 200 small steps of the sech soliton: from the fifth level on the
+        # quartic start leaves about one inner solve per step
+        p = sech_soliton_model_params(alpha=1.6)
+        grid = GridSpec(-16.0, 16.0, 320)
+        traj = run_simulation(p, grid, TimeGrid(0.2, 200), lambda x: sech_soliton_solution(x, 0.0))
+        assert sum(d.iterations for d in traj.diagnostics) <= 400
+
     def test_snapshots_recorded_at_grid_times(self):
         grid = GridSpec(-10.0, 10.0, 100)
         traj = run_simulation(
@@ -406,6 +504,20 @@ class TestRunSimulation:
                 SolverSettings(max_iters=3),
             )
         assert err.value.step == 0
+
+    def test_divergence_reported_at_its_step_without_warnings(self):
+        # README coefficients at tau 0.5: the first step's iterate overflows
+        # |z|^2 while its increment is still finite; that must not pass the
+        # relative stopping test, nor raise numpy warnings on the way
+        grid = GridSpec(-10.0, 10.0, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match="non-finite") as err:
+                run_simulation(
+                    EXAMPLE_PARAMS, grid, TimeGrid(1.0, 2), lambda x: 2.0 * gaussian(x)
+                )
+        assert err.value.step == 0
+        assert len(err.value.increments) == err.value.iterations
 
     def test_initial_length_validated(self):
         grid = GridSpec(-10.0, 10.0, 100)
