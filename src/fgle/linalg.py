@@ -1,6 +1,11 @@
 """Grid functions, discrete inner products, dense factorizations and the FFT
 products behind the Toeplitz operator and the Gohberg-Semencul solve.
 
+A symmetric Toeplitz matrix is also centrosymmetric (J A J = A, J the
+exchange matrix), so an even/odd change of basis splits it into two blocks
+of half its order (Cantoni & Butler 1976); ``toeplitz_half_blocks`` builds
+them and ``lu_factor`` factors them in place.
+
 Grid functions live on the interior nodes of a uniform mesh and are
 implicitly extended by zero outside. All norms carry the mesh weight h.
 """
@@ -128,6 +133,35 @@ def circulant_product(spectrum: np.ndarray, values: np.ndarray, sum_axis: int | 
     return np.fft.ifft(product)[..., : values.shape[-1]]
 
 
+def toeplitz_half_blocks(column: np.ndarray) -> np.ndarray:
+    """The two half-order blocks of the symmetric Toeplitz matrix with first column ``column``.
+
+    For order n and k = ceil(n/2), returns a (2, k, k) stack of S = T + H
+    and D = T - H, with T_ij = c_|i-j| and H_ij = c_(n-1-i-j) for i, j < k.
+    For odd n the middle column of S is halved, and D, whose last row and
+    column are then zero, gets a unit diagonal entry there. A y = b is then
+    S v = ((b + Jb)/2)[:k] and D w = ((b - Jb)/2)[:k], with
+    y[:k] = v + w and y[k:] = (v - w)[:n-k] reversed. Both blocks are
+    filled from strided views of the column, with no other k x k array,
+    into one buffer whose blocks are F-contiguous, so ``lu_factor`` factors
+    them in place.
+    """
+    c = np.asarray(column, dtype=complex)
+    n = c.size
+    k = (n + 1) // 2
+    window = np.lib.stride_tricks.sliding_window_view
+    toeplitz = window(np.concatenate((c[k - 1 : 0 : -1], c[:k])), k)[::-1]
+    hankel = window(c[::-1][: 2 * k - 1], k)
+    # T and H are symmetric, so each C-ordered buffer block holds S^T or D^T
+    blocks = np.empty((2, k, k), dtype=complex)
+    np.add(toeplitz, hankel, out=blocks[0])
+    np.subtract(toeplitz, hankel, out=blocks[1])
+    if n % 2:
+        blocks[0, k - 1] *= 0.5
+        blocks[1, k - 1, k - 1] = 1.0
+    return blocks.transpose(0, 2, 1)
+
+
 def _gohberg_semencul_solve(spectra: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(L(x) L(x)^T b - L(s) L(s)^T b) / x_0 for b of shape (n,) or (n, k)."""
     upper, lower = spectra
@@ -140,19 +174,33 @@ def _gohberg_semencul_solve(spectra: np.ndarray, b: np.ndarray) -> np.ndarray:
 # relative accuracy (max-norm) before solves are routed through it.
 _GS_GATE_RTOL = 1e-12
 
+# LAPACK's solve with an LU factor, called directly: scipy.linalg.lu_solve
+# wraps the same call in checks that cost more than the solve on small grids
+_GETRS = scipy.linalg.get_lapack_funcs("getrs", dtype=complex)
+
+
+def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
+    x, info = _GETRS(lu, piv, b)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
+
 
 @dataclass
 class FactorizedSystem:
-    """LU factorization (with partial pivoting) of a complex matrix.
+    """LU factorization (with partial pivoting) of a complex matrix of order ``size``.
 
-    ``lu`` is the dense factor; for the midpoint matrix it is the buffer A
-    was built in, overwritten by the factorization.
+    ``lu`` is the dense factor; for the midpoint matrix on small grids it is
+    the buffer A was built in, overwritten by the factorization. A (2, k, k)
+    ``lu`` with (2, k) ``piv`` is instead the factor of the two half blocks
+    of a symmetric Toeplitz matrix of order ``size`` (``toeplitz_half_blocks``):
+    the LU solve then solves with each block and recombines the halves.
 
     ``spectra``, set by ``with_gohberg_semencul`` for a complex symmetric
     Toeplitz matrix, holds the FFT spectra of the Gohberg-Semencul
     generators, shape (2, 2, 1, L): the transposed and the plain triangular
     factors, each for x and s. ``solve`` then applies A^{-1} with six FFTs
-    and leaves the dense factor alone. The LU is still the generator's
+    and leaves the LU factor alone. The LU is still the generator's
     source, its gate and the fallback.
 
     ``tau`` is the time step a midpoint matrix was built for
@@ -171,8 +219,17 @@ class FactorizedSystem:
         if b.shape[0] != self.size:
             raise ValueError(f"right-hand side length {b.shape[0]} != system size {self.size}")
         if self.spectra is None:
-            return scipy.linalg.lu_solve((self.lu, self.piv), b, check_finite=False)
+            return self._lu_solve(b)
         return _gohberg_semencul_solve(self.spectra, b)
+
+    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
+        if self.lu.ndim == 2:
+            return _getrs(self.lu, self.piv, b)
+        k = self.lu.shape[1]
+        head, tail = b[:k], b[::-1][:k]
+        v = _getrs(self.lu[0], self.piv[0], 0.5 * (head + tail))
+        w = _getrs(self.lu[1], self.piv[1], 0.5 * (head - tail))
+        return np.concatenate((v + w, (v - w)[: self.size - k][::-1]))
 
     def with_gohberg_semencul(self) -> "FactorizedSystem":
         """This system solving by the Gohberg-Semencul formula, or itself if that fails its gate.
@@ -191,7 +248,7 @@ class FactorizedSystem:
         rhs[0, 0] = 1.0
         probe = np.random.default_rng(0).standard_normal((2, n))
         rhs[:, 1] = probe[0] + 1j * probe[1]
-        x, reference = scipy.linalg.lu_solve((self.lu, self.piv), rhs, check_finite=False).T
+        x, reference = self._lu_solve(rhs).T
         if x[0] == 0.0:
             return self
         length = fft_length(2 * n - 1)
@@ -211,21 +268,37 @@ class FactorizedSystem:
 _PIVOT_FLOOR = 1e-300
 
 
-def lu_factor(a: np.ndarray) -> FactorizedSystem:
-    """LU-factorize a square matrix.
-
-    An F-contiguous complex128 ``a`` becomes the factor itself, so no second
-    dense buffer is made, and must not be read after; any other input is
-    copied first and left intact.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("lu_factor expects a square matrix")
+def _factor_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factor and pivots of a square ``a``; an F-contiguous complex128 ``a``
+    becomes the factor."""
     with warnings.catch_warnings():
         # singularity is detected on the pivots below and raised as an error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=True)
     if a.shape[0] and float(np.min(np.abs(np.diag(lu)))) < _PIVOT_FLOOR:
         raise SingularMatrixError("matrix is numerically singular (pivot below 1e-300)")
-    return FactorizedSystem(lu=lu, piv=piv, size=a.shape[0])
+    return lu, piv
 
+
+def lu_factor(a: np.ndarray, size: int | None = None) -> FactorizedSystem:
+    """LU-factorize a square matrix, or the half blocks of a symmetric Toeplitz matrix.
+
+    An F-contiguous complex128 ``a`` becomes the factor itself, so no second
+    dense buffer is made, and must not be read after; any other input is
+    copied first and left intact. A (2, k, k) ``a`` is the stack
+    ``toeplitz_half_blocks`` makes for a matrix of order ``size``, 2k - 1 or
+    2k: both blocks are factored, in place if each is F-contiguous, and the
+    system solves with that matrix.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim == 3:
+        k = a.shape[1]
+        if a.shape != (2, k, k) or size not in (2 * k - 1, 2 * k):
+            raise ValueError(f"half blocks of shape {a.shape} do not split an order {size}")
+        a = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+        piv = np.stack([_factor_in_place(block)[1] for block in a])
+        return FactorizedSystem(lu=a, piv=piv, size=size)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or size not in (None, a.shape[0]):
+        raise ValueError("lu_factor expects a square matrix")
+    lu, piv = _factor_in_place(a)
+    return FactorizedSystem(lu=lu, piv=piv, size=a.shape[0])

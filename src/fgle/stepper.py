@@ -4,17 +4,19 @@ equation via a linearized fixed-point iteration.
 Each step solves the midpoint system for z = (u^{n+1} + u^n)/2 by lagging
 the cubic term:  A z_(s+1) = u^n - (tau/2)(kappa + i zeta) |z_(s)|^2 z_(s),
 with A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta) h^(-alpha) C complex
-symmetric Toeplitz. A run factorizes A once by dense LU, in place: the one
-(M-1)^2 buffer that holds A becomes its factor, the only dense matrix the run
-builds. On large grids that LU only seeds the Gohberg-Semencul inverse,
-which then applies A^{-1} by FFT at O(M log M) per inner solve; it stays as the
-fallback should the inverse fail its gate. From the second level on, the
-iteration starts from the midpoint of u^n and the degree-k polynomial
-extrapolation of u^{n+1} through the k+1 newest levels, k = min(earlier
-levels, 4). That start is off the fixed point by O(tau^(k+1)), so it saves
-inner solves without moving the fixed point. The energy balance takes
-upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h, one FFT by Parseval
-(``OperatorMatrix.quadratic_form``).
+symmetric Toeplitz. A run factorizes A once by LU, in place. On small grids
+that is the dense LU of A, whose (M-1)^2 buffer becomes its factor. From
+_GS_MIN_SIZE unknowns on, A is never formed: the LU is that of its two
+half-order blocks (``linalg.toeplitz_half_blocks``), in one buffer of half
+A's size at a quarter of the flops, and it only seeds the Gohberg-Semencul
+inverse, which then applies A^{-1} by FFT at O(M log M) per inner solve; it
+stays as the fallback should the inverse fail its gate. From the second
+level on, the iteration starts from the midpoint of u^n and the degree-k
+polynomial extrapolation of u^{n+1} through the k+1 newest levels,
+k = min(earlier levels, 4). That start is off the fixed point by
+O(tau^(k+1)), so it saves inner solves without moving the fixed point. The
+energy balance takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h,
+one FFT by Parseval (``OperatorMatrix.quadratic_form``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import ComplexField, FactorizedSystem, lu_factor
+from .linalg import ComplexField, FactorizedSystem, lu_factor, toeplitz_half_blocks
 from .wsgd import OperatorMatrix, assemble_operator, wsgd_weights
 
 __all__ = [
@@ -158,8 +160,8 @@ class Trajectory:
     final: ComplexField | None = None
 
 
-# Smallest system size solved by Gohberg-Semencul: below it the dense LU
-# solve is faster than six FFTs.
+# Smallest system size solved by Gohberg-Semencul, seeded by the half-block
+# LU: below it the dense LU solve is faster than six FFTs.
 _GS_MIN_SIZE = 350
 
 # Highest degree of the extrapolation that starts the inner iteration.
@@ -185,10 +187,12 @@ def build_system_matrix(
 
     Requires a positive finite tau and tau gamma < 2, which makes Re A
     positive definite (C is), so A is invertible and Re x_0 > 0 for
-    x = A^{-1} e_1. A is built once and LU-factorized in that same buffer, so
-    the run holds one dense (M-1)^2 complex matrix, not two. The dense LU is
-    always made; from _GS_MIN_SIZE unknowns on, solves go through the
-    Gohberg-Semencul inverse built from it, unless that fails its gate
+    x = A^{-1} e_1. Below _GS_MIN_SIZE unknowns A is built once and
+    LU-factorized in that same buffer, so the run holds one dense (M-1)^2
+    complex matrix, not two. From _GS_MIN_SIZE on, no (M-1)^2 array is made:
+    the two half blocks of A's even/odd split are built in one buffer of
+    about half that size and factored there, and solves go through the
+    Gohberg-Semencul inverse built from them, unless that fails its gate
     against the LU.
     """
     if not 0.0 < tau < math.inf:
@@ -202,10 +206,12 @@ def build_system_matrix(
         )
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
+    if col.size >= _GS_MIN_SIZE:
+        system = lu_factor(toeplitz_half_blocks(col), size=col.size)
+        return dataclasses.replace(system, tau=tau).with_gohberg_semencul()
     # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row.
     # Its transpose is A again, as an F-contiguous view that getrf factors in place.
-    system = dataclasses.replace(lu_factor(scipy.linalg.toeplitz(col, col).T), tau=tau)
-    return system.with_gohberg_semencul() if system.size >= _GS_MIN_SIZE else system
+    return dataclasses.replace(lu_factor(scipy.linalg.toeplitz(col, col).T), tau=tau)
 
 
 def _values(u) -> np.ndarray:

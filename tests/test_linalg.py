@@ -8,6 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgle.linalg as linalg_mod
+
 from fgle.linalg import (
     ComplexField,
     SingularMatrixError,
@@ -18,6 +20,7 @@ from fgle.linalg import (
     linf_h,
     lp_h,
     lu_factor,
+    toeplitz_half_blocks,
 )
 from fgle.wsgd import assemble_operator, wsgd_weights
 from oracles import apply_fractional_laplacian
@@ -229,6 +232,67 @@ class TestGohbergSemencul:
         A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         system = lu_factor(A)
         assert system.with_gohberg_semencul() is system
+
+
+def symmetric_toeplitz_column(n, seed):
+    return symmetric_toeplitz(n, seed)[:, 0].copy()
+
+
+class TestHalfBlockLu:
+    @pytest.mark.parametrize("n", (350, 351, 1023, 1024))
+    def test_matches_dense_solve(self, n):
+        col = symmetric_toeplitz_column(n, seed=n)
+        blocks = toeplitz_half_blocks(col)
+        system = lu_factor(blocks, size=n)
+        assert system.lu.shape == (2, (n + 1) // 2, (n + 1) // 2)
+        assert np.shares_memory(system.lu, blocks)
+        A = scipy.linalg.toeplitz(col, col)
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (n, 3)):
+            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x = system.solve(b)
+            dense = np.linalg.solve(A, b)
+            assert x.shape == b.shape
+            assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("n", (350, 351))
+    def test_generator_matches_dense_lu(self, n):
+        col = symmetric_toeplitz_column(n, seed=n)
+        halves = lu_factor(toeplitz_half_blocks(col), size=n).with_gohberg_semencul()
+        dense = lu_factor(scipy.linalg.toeplitz(col, col)).with_gohberg_semencul()
+        assert halves.spectra is not None and dense.spectra is not None
+        scale = np.max(np.abs(dense.spectra))
+        assert np.max(np.abs(halves.spectra - dense.spectra)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", (350, 351))
+    def test_gate_failure_falls_back_to_the_halves(self, monkeypatch, n):
+        monkeypatch.setattr(linalg_mod, "_GS_GATE_RTOL", 0.0)
+        col = symmetric_toeplitz_column(n, seed=n)
+        system = lu_factor(toeplitz_half_blocks(col), size=n)
+        gated = system.with_gohberg_semencul()
+        assert gated is system and gated.spectra is None
+        b = np.random.default_rng(13).standard_normal((n, 2)) + 0j
+        dense = np.linalg.solve(scipy.linalg.toeplitz(col, col), b)
+        assert np.max(np.abs(gated.solve(b) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_singular_half_block_rejected(self):
+        # c_0 = c_(n-1) = 1: rows 0 and n-1 of A are equal, and so D's first row is zero
+        col = np.zeros(400, dtype=complex)
+        col[0] = col[-1] = 1.0
+        with pytest.raises(SingularMatrixError):
+            lu_factor(toeplitz_half_blocks(col), size=400)
+
+    def test_c_ordered_stack_left_intact(self):
+        blocks = np.ascontiguousarray(toeplitz_half_blocks(symmetric_toeplitz_column(9, seed=9)))
+        before = blocks.copy()
+        system = lu_factor(blocks, size=9)
+        assert np.array_equal(blocks, before)
+        assert not np.shares_memory(system.lu, blocks)
+
+    @pytest.mark.parametrize("shape, size", [((2, 5, 5), 8), ((2, 5, 5), None), ((3, 5, 5), 10)])
+    def test_size_must_match_the_blocks(self, shape, size):
+        with pytest.raises(ValueError, match="half blocks"):
+            lu_factor(np.ones(shape, dtype=complex), size=size)
 
 
 class TestQuadraticFormRoutes:

@@ -200,10 +200,10 @@ class TestBuildSystemMatrix:
         with pytest.raises(ValueError, match=r"^tau must be positive and finite"):
             build_system_matrix(p, GridSpec(-1.0, 1.0, 8), tau, make_operator(1.5, 8))
 
-    def test_one_dense_buffer(self):
-        # A is factored in the buffer it was built in: the peak is one
-        # (M-1)^2 complex matrix, where building A and then copying it for
-        # the LU would take two
+    def test_half_block_buffer(self):
+        # above the crossover A is never formed: its two half blocks are
+        # factored in the one buffer they were built in, about half an
+        # (M-1)^2 complex matrix, where the dense LU of A took one
         m = 1024
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
         grid, op = GridSpec(-16.0, 16.0, m), make_operator(1.6, m)
@@ -213,7 +213,8 @@ class TestBuildSystemMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 16 * (m - 1) ** 2
+        assert m - 1 >= stepper_mod._GS_MIN_SIZE
+        assert peak <= 0.6 * 16 * (m - 1) ** 2
 
     def test_solver_switches_at_crossover(self):
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
@@ -222,8 +223,8 @@ class TestBuildSystemMatrix:
             build_system_matrix(p, GridSpec(-16.0, 16.0, m), 0.01, make_operator(1.6, m))
             for m in sizes
         )
-        assert small.spectra is None
-        assert large.spectra is not None
+        assert small.spectra is None and small.lu.ndim == 2
+        assert large.spectra is not None and large.lu.ndim == 3
 
     @settings(deadline=None, max_examples=12)
     @given(
