@@ -1,19 +1,8 @@
 """Command-line front end: strict key-value run configs, study dispatch and
 deterministic CSV artifacts.
 
-Config schema (INI-style sections, '#' comments; lists are space-separated;
-see README for the full reference):
-
-    [run]          mode = simulate | convergence | decay | inviscid | verify
-    [model]        alpha upsilon eta kappa zeta gamma [initial]
-    [grid]         a b m            (m optional for convergence runs)
-    [time]         t_final steps    (steps optional for convergence runs)
-    [solver]       iter_tol max_iters                          (optional)
-    [output]       dir snapshot_times                          (optional)
-    [convergence]  base_tau base_h levels reference [h_ref tau_ref]
-    [decay]        gammas
-    [inviscid]     upsilon_kappa
-    [verify]       alphas weight_length grid_points vectors seed
+A config has INI-style sections, '#' comments and space-separated lists. The
+admitted sections and keys are those of ``_KEYS``; README has the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +11,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -36,10 +25,19 @@ from .experiments import (
     convergence_study,
     inviscid_limit_study,
     norm_decay_study,
+    sech_soliton_model_params,
     sech_soliton_solution,
     verify_suite,
 )
-from .stepper import GridSpec, ModelParams, NonConvergence, SolverSettings, TimeGrid, run_simulation
+from .stepper import (
+    GridSpec,
+    ModelParams,
+    NonConvergence,
+    SolverSettings,
+    TimeGrid,
+    run_simulation,
+    snapshot_steps,
+)
 
 __all__ = [
     "ConfigError",
@@ -68,6 +66,14 @@ class ConvergenceSettings:
     h_ref: float | None = None
     tau_ref: float | None = None
 
+    def __post_init__(self):
+        if self.reference not in ("exact", "fine"):
+            raise ValueError(f"reference must be 'exact' or 'fine', got '{self.reference}'")
+        if self.levels < 1:
+            raise ValueError("levels must be >= 1")
+        if self.base_tau <= 0 or self.base_h <= 0:
+            raise ValueError("base_tau and base_h must be positive")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -87,63 +93,94 @@ class RunConfig:
 
 _MODES = ("simulate", "convergence", "decay", "inviscid", "verify")
 
-_SCHEMA: dict[str, set[str]] = {
-    "run": {"mode"},
-    "model": {"alpha", "upsilon", "eta", "kappa", "zeta", "gamma", "initial"},
-    "grid": {"a", "b", "m"},
-    "time": {"t_final", "steps"},
-    "solver": {"iter_tol", "max_iters"},
-    "output": {"dir", "snapshot_times"},
-    "convergence": {"base_tau", "base_h", "levels", "reference", "h_ref", "tau_ref"},
-    "decay": {"gammas"},
-    "inviscid": {"upsilon_kappa"},
-    "verify": {"alphas", "weight_length", "grid_points", "vectors", "seed"},
+# Every admitted key, by section, with its kind: float, int, str, or tuple
+# (a list of finite floats). Where a section builds a settings dataclass,
+# keys named like its fields are passed to it as they are.
+_KEYS: dict[str, dict[str, type]] = {
+    "run": {"mode": str},
+    "model": {
+        "alpha": float,
+        "upsilon": float,
+        "eta": float,
+        "kappa": float,
+        "zeta": float,
+        "gamma": float,
+        "initial": str,
+    },
+    "grid": {"a": float, "b": float, "m": int},
+    "time": {"t_final": float, "steps": int},
+    "solver": {"iter_tol": float, "max_iters": int},
+    "output": {"dir": str, "snapshot_times": tuple},
+    "convergence": {
+        "base_tau": float,
+        "base_h": float,
+        "levels": int,
+        "reference": str,
+        "h_ref": float,
+        "tau_ref": float,
+    },
+    "decay": {"gammas": tuple},
+    "inviscid": {"upsilon_kappa": tuple},
+    "verify": {
+        "alphas": tuple,
+        "weight_length": int,
+        "grid_points": int,
+        "vectors": int,
+        "seed": int,
+    },
 }
 
 
-class _Section:
-    def __init__(self, name: str, items: dict[str, str]):
-        self.name = name
-        self.items = items
-
-    def _raw(self, key: str, required: bool) -> str | None:
-        if key not in self.items:
-            if required:
-                raise ConfigError(f"section [{self.name}] is missing required key '{key}'")
-            return None
-        return self.items[key]
-
-    def _finite(self, key: str, text: str, raw: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected a number, got '{raw}'") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"[{self.name}] {key} must be finite, got '{raw}'")
-        return value
-
-    def get_float(self, key: str, required: bool = True, default: float | None = None):
-        raw = self._raw(key, required)
-        return default if raw is None else self._finite(key, raw, raw)
-
-    def get_int(self, key: str, required: bool = True, default: int | None = None):
-        raw = self._raw(key, required)
-        if raw is None:
-            return default
+def _convert(section: str, key: str, raw: str, kind: type):
+    """The value of ``key = raw`` as its kind; numbers must be finite."""
+    if kind is str:
+        return raw.strip()
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected an integer, got '{raw}'") from None
+            raise ConfigError(f"[{section}] {key}: expected an integer, got '{raw}'") from None
+    values = []
+    for part in raw.replace(",", " ").split() if kind is tuple else [raw]:
+        try:
+            value = float(part)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: expected a number, got '{raw}'") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got '{raw}'")
+        values.append(value)
+    return tuple(values) if kind is tuple else values[0]
 
-    def get_str(self, key: str, required: bool = True, default: str | None = None):
-        raw = self._raw(key, required)
-        return default if raw is None else raw.strip()
 
-    def get_floats(self, key: str, required: bool = True, default=None) -> tuple[float, ...] | None:
-        raw = self._raw(key, required)
-        if raw is None:
-            return default
-        return tuple(self._finite(key, p, raw) for p in raw.replace(",", " ").split())
+def _build(section: str, cls, **values):
+    """``cls(**values)``; a missing required field or a ValueError is reported
+    against ``[section]``."""
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"section [{section}] is missing required key '{f.name}'")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _check_exact_reference(model: ModelParams, initial: str) -> None:
+    """The exact reference is the sech soliton: it solves only the model with
+    the soliton's coefficients, from the soliton's initial data."""
+    if model.alpha != 2.0:
+        raise ConfigError("[convergence] reference = exact requires alpha = 2")
+    if not model.upsilon > 0:
+        raise ConfigError("[convergence] reference = exact requires upsilon > 0")
+    soliton = sech_soliton_model_params(model.upsilon, alpha=2.0)
+    for f in fields(ModelParams):
+        want, got = getattr(soliton, f.name), getattr(model, f.name)
+        if not math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):
+            raise ConfigError(
+                f"[convergence] reference = exact requires the sech soliton's [model] "
+                f"{f.name} = {want!r} at upsilon = {model.upsilon!r}, got {got!r}"
+            )
+    if initial != "soliton":
+        raise ConfigError("[convergence] reference = exact requires [model] initial = soliton")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -154,107 +191,69 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
-    for section in cp.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+    sections: dict[str, dict] = {}
+    for name in cp.sections():
+        if name not in _KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in cp[name]:
+            if key not in _KEYS[name]:
+                raise ConfigError(f"unknown key '{key}' in section [{name}]")
+        sections[name] = {k: _convert(name, k, v, _KEYS[name][k]) for k, v in cp[name].items()}
 
-    def section(name: str, required: bool = False) -> _Section | None:
-        if name not in cp:
-            if required:
-                raise ConfigError(f"missing required section [{name}]")
-            return None
-        return _Section(name, dict(cp[name]))
+    def section(name: str, *required: str, needed: bool = False) -> dict:
+        if needed and name not in sections:
+            raise ConfigError(f"missing required section [{name}]")
+        values = sections.get(name, {})
+        for key in required:
+            if key not in values:
+                raise ConfigError(f"section [{name}] is missing required key '{key}'")
+        return values
 
-    run = section("run", required=True)
-    mode = run.get_str("mode")
+    mode = section("run", "mode", needed=True)["mode"]
     if mode not in _MODES:
         raise ConfigError(f"[run] mode must be one of {', '.join(_MODES)}, got '{mode}'")
 
-    needs_model = mode != "verify"
-    model = grid = time_grid = None
+    model = grid = time_grid = conv = None
     initial = "gaussian"
-    conv = None
-
     if mode == "convergence":
-        cs = section("convergence", required=True)
-        reference = cs.get_str("reference")
-        if reference not in ("exact", "fine"):
-            raise ConfigError(f"[convergence] reference must be 'exact' or 'fine', got '{reference}'")
-        conv = ConvergenceSettings(
-            base_tau=cs.get_float("base_tau"),
-            base_h=cs.get_float("base_h"),
-            levels=cs.get_int("levels"),
-            reference=reference,
-            h_ref=cs.get_float("h_ref", required=(reference == "fine")),
-            tau_ref=cs.get_float("tau_ref", required=(reference == "fine")),
-        )
-        if conv.levels < 1:
-            raise ConfigError("[convergence] levels must be >= 1")
-        if conv.base_tau <= 0 or conv.base_h <= 0:
-            raise ConfigError("[convergence] base_tau and base_h must be positive")
+        conv = _build("convergence", ConvergenceSettings, **section("convergence", needed=True))
+        if conv.reference == "fine":
+            section("convergence", "h_ref", "tau_ref")
 
-    if needs_model:
-        ms = section("model", required=True)
-        coeffs = {k: ms.get_float(k) for k in ("upsilon", "eta", "kappa", "zeta", "gamma", "alpha")}
-        try:
-            model = ModelParams(**coeffs)
-        except ValueError as exc:
-            raise ConfigError(f"[model] {exc}") from None
-        initial = ms.get_str("initial", required=False, default="gaussian")
+    if mode != "verify":
+        coeffs = dict(section("model", needed=True))
+        initial = coeffs.pop("initial", initial)
+        model = _build("model", ModelParams, **coeffs)
         if initial not in ("gaussian", "soliton"):
             raise ConfigError(f"[model] initial must be 'gaussian' or 'soliton', got '{initial}'")
 
-        gs = section("grid", required=True)
-        a = gs.get_float("a")
-        b = gs.get_float("b")
-        m = gs.get_int("m", required=(mode != "convergence"))
-        if m is None:
-            m = round((b - a) / conv.base_h)
-        ts = section("time", required=True)
-        t_final = ts.get_float("t_final")
-        steps = ts.get_int("steps", required=(mode != "convergence"))
-        if steps is None:
-            steps = max(1, round(t_final / conv.base_tau))
-        try:
-            grid = GridSpec(a=a, b=b, M=m)
-            time_grid = TimeGrid(T=t_final, N=steps)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        gs = section("grid", "a", "b", needed=True)
+        ts = section("time", "t_final", needed=True)
+        if conv is None:  # a convergence run may derive m and steps from its first level
+            section("grid", "m")
+            section("time", "steps")
+        m = gs["m"] if "m" in gs else round((gs["b"] - gs["a"]) / conv.base_h)
+        steps = ts["steps"] if "steps" in ts else max(1, round(ts["t_final"] / conv.base_tau))
+        grid = _build("grid", GridSpec, a=gs["a"], b=gs["b"], M=m)
+        time_grid = _build("time", TimeGrid, T=ts["t_final"], N=steps)
 
-    solver = SolverSettings()
-    ss = section("solver")
-    if ss is not None:
-        iter_tol = ss.get_float("iter_tol", required=False, default=1e-14)
-        max_iters = ss.get_int("max_iters", required=False, default=100)
-        try:
-            solver = SolverSettings(iter_tol=iter_tol, max_iters=max_iters)
-        except ValueError as exc:
-            raise ConfigError(f"[solver] {exc}") from None
+    solver = _build("solver", SolverSettings, **section("solver"))
 
-    output_dir = None
-    snapshot_times: tuple[float, ...] = ()
-    os_ = section("output")
-    if os_ is not None:
-        output_dir = os_.get_str("dir", required=False)
-        snapshot_times = os_.get_floats("snapshot_times", required=False) or ()
-        if time_grid is not None:
-            for t in snapshot_times:
-                if not (0.0 <= t <= time_grid.T * (1 + 1e-12)):
-                    raise ConfigError(
-                        f"[output] snapshot time {t:g} outside [0, {time_grid.T:g}]"
-                    )
+    output = section("output")
+    snapshot_times = output.get("snapshot_times", ())
+    if time_grid is not None:
+        try:
+            snapshot_steps(time_grid, snapshot_times)
+        except ValueError as exc:
+            raise ConfigError(f"[output] {exc}") from None
 
     decay_gammas = None
     if mode == "decay":
-        ds = section("decay", required=True)
-        decay_gammas = ds.get_floats("gammas")
+        decay_gammas = section("decay", "gammas", needed=True)["gammas"]
         if not decay_gammas:
             raise ConfigError("[decay] gammas must list at least one value")
 
-    if needs_model:
+    if model is not None:
         # build_system_matrix needs tau * gamma < 2 for every run the mode makes
         tau = conv.base_tau if conv is not None else time_grid.tau
         if decay_gammas is not None:
@@ -266,33 +265,17 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"{what} with tau = {tau:g}: tau * gamma = {tau * gamma:g} must be < 2"
                 )
+        if conv is not None and conv.reference == "exact":
+            _check_exact_reference(model, initial)
 
     inviscid_pairs = None
     if mode == "inviscid":
-        vs = section("inviscid", required=True)
-        seq = vs.get_floats("upsilon_kappa")
+        seq = section("inviscid", "upsilon_kappa", needed=True)["upsilon_kappa"]
         if not seq:
             raise ConfigError("[inviscid] upsilon_kappa must list at least one value")
         if any(v < 0 for v in seq):
             raise ConfigError("[inviscid] upsilon_kappa values must be >= 0")
         inviscid_pairs = tuple((v, v) for v in seq)
-
-    verify = VerifySettings()
-    vf = section("verify")
-    if vf is not None:
-        defaults = VerifySettings()
-        alphas = vf.get_floats("alphas", required=False, default=defaults.alphas)
-        if not alphas:
-            raise ConfigError("[verify] alphas must list at least one value")
-        for a_ in alphas:
-            if not (1.0 < a_ <= 2.0):
-                raise ConfigError(f"[verify] alphas: alpha must lie in (1, 2], got {a_}")
-        ints = {}
-        for key, least in (("weight_length", 3), ("grid_points", 3), ("vectors", 1), ("seed", 0)):
-            ints[key] = vf.get_int(key, required=False, default=getattr(defaults, key))
-            if ints[key] < least:
-                raise ConfigError(f"[verify] {key} must be >= {least}, got {ints[key]}")
-        verify = VerifySettings(alphas=tuple(alphas), **ints)
 
     return RunConfig(
         mode=mode,
@@ -301,12 +284,12 @@ def parse_config(text: str) -> RunConfig:
         time=time_grid,
         solver=solver,
         initial=initial,
-        output_dir=output_dir,
+        output_dir=output.get("dir"),
         snapshot_times=snapshot_times,
         convergence=conv,
         decay_gammas=decay_gammas,
         inviscid_pairs=inviscid_pairs,
-        verify=verify,
+        verify=_build("verify", VerifySettings, **section("verify")),
     )
 
 
@@ -316,74 +299,34 @@ def _f17(v: float) -> str:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(text))) == parse(text)."""
-    lines = ["[run]", f"mode = {cfg.mode}", ""]
+    sections: dict[str, dict] = {"run": {"mode": cfg.mode}}
     if cfg.model is not None:
-        m = cfg.model
-        lines += [
-            "[model]",
-            f"alpha = {_f17(m.alpha)}",
-            f"upsilon = {_f17(m.upsilon)}",
-            f"eta = {_f17(m.eta)}",
-            f"kappa = {_f17(m.kappa)}",
-            f"zeta = {_f17(m.zeta)}",
-            f"gamma = {_f17(m.gamma)}",
-            f"initial = {cfg.initial}",
-            "",
-            "[grid]",
-            f"a = {_f17(cfg.grid.a)}",
-            f"b = {_f17(cfg.grid.b)}",
-            f"m = {cfg.grid.M}",
-            "",
-            "[time]",
-            f"t_final = {_f17(cfg.time.T)}",
-            f"steps = {cfg.time.N}",
-            "",
-        ]
-    lines += [
-        "[solver]",
-        f"iter_tol = {_f17(cfg.solver.iter_tol)}",
-        f"max_iters = {cfg.solver.max_iters}",
-        "",
-    ]
-    if cfg.output_dir is not None or cfg.snapshot_times:
-        lines.append("[output]")
-        if cfg.output_dir is not None:
-            lines.append(f"dir = {cfg.output_dir}")
-        if cfg.snapshot_times:
-            lines.append("snapshot_times = " + " ".join(_f17(t) for t in cfg.snapshot_times))
-        lines.append("")
+        sections["model"] = {**asdict(cfg.model), "initial": cfg.initial}
+        sections["grid"] = {"a": cfg.grid.a, "b": cfg.grid.b, "m": cfg.grid.M}
+        sections["time"] = {"t_final": cfg.time.T, "steps": cfg.time.N}
+    sections["solver"] = asdict(cfg.solver)
+    sections["output"] = {"dir": cfg.output_dir, "snapshot_times": cfg.snapshot_times}
     if cfg.convergence is not None:
-        c = cfg.convergence
-        lines += [
-            "[convergence]",
-            f"base_tau = {_f17(c.base_tau)}",
-            f"base_h = {_f17(c.base_h)}",
-            f"levels = {c.levels}",
-            f"reference = {c.reference}",
-        ]
-        if c.h_ref is not None:
-            lines.append(f"h_ref = {_f17(c.h_ref)}")
-        if c.tau_ref is not None:
-            lines.append(f"tau_ref = {_f17(c.tau_ref)}")
-        lines.append("")
+        sections["convergence"] = asdict(cfg.convergence)
     if cfg.decay_gammas is not None:
-        lines += ["[decay]", "gammas = " + " ".join(_f17(g) for g in cfg.decay_gammas), ""]
+        sections["decay"] = {"gammas": cfg.decay_gammas}
     if cfg.inviscid_pairs is not None:
-        lines += [
-            "[inviscid]",
-            "upsilon_kappa = " + " ".join(_f17(v) for v, _ in cfg.inviscid_pairs),
-            "",
-        ]
-    v = cfg.verify
-    lines += [
-        "[verify]",
-        "alphas = " + " ".join(_f17(a) for a in v.alphas),
-        f"weight_length = {v.weight_length}",
-        f"grid_points = {v.grid_points}",
-        f"vectors = {v.vectors}",
-        f"seed = {v.seed}",
-        "",
-    ]
+        sections["inviscid"] = {"upsilon_kappa": tuple(v for v, _ in cfg.inviscid_pairs)}
+    sections["verify"] = asdict(cfg.verify)
+
+    lines = []
+    for name, values in sections.items():
+        entries = []
+        for key, kind in _KEYS[name].items():
+            value = values[key]
+            if kind is tuple:
+                value = " ".join(_f17(v) for v in value) or None
+            elif kind is float and value is not None:
+                value = _f17(value)
+            if value is not None:
+                entries.append(f"{key} = {value}")
+        if entries:
+            lines += [f"[{name}]", *entries, ""]
     return "\n".join(lines)
 
 
@@ -449,10 +392,8 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
 
 def run_convergence(cfg: RunConfig, outdir: Path, full_reference: bool = False) -> int:
     c = cfg.convergence
-    upsilon = cfg.model.upsilon
     if c.reference == "exact":
-        if cfg.model.alpha != 2.0:
-            raise ConfigError("[convergence] reference = exact requires alpha = 2")
+        upsilon = cfg.model.upsilon
         reference = ExactReference(lambda x, t: sech_soliton_solution(x, t, upsilon))
     elif full_reference:
         reference = FULL_SCALE_REFERENCE
@@ -466,7 +407,7 @@ def run_convergence(cfg: RunConfig, outdir: Path, full_reference: bool = False) 
         c.base_h,
         c.levels,
         reference,
-        u0=lambda x: sech_soliton_solution(x, 0.0, upsilon),
+        u0=_initial_sampler(cfg),
         settings=cfg.solver,
     )
     write_csv(

@@ -309,6 +309,16 @@ class VerifySettings:
     vectors: int = 20
     seed: int = 1234
 
+    def __post_init__(self):
+        if len(self.alphas) == 0:
+            raise ValueError("alphas must list at least one value")
+        for alpha in self.alphas:
+            if not (1.0 < alpha <= 2.0):
+                raise ValueError(f"alphas: alpha must lie in (1, 2], got {alpha}")
+        for name, least in (("weight_length", 3), ("grid_points", 3), ("vectors", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+
 
 @dataclass
 class SuiteCheck:
@@ -343,9 +353,11 @@ def verify_suite(
     n_vectors: int = VerifySettings.vectors,
     seed: int = VerifySettings.seed,
 ) -> VerificationReport:
-    """Run the full operator/spectral invariant suite over a grid of alphas."""
-    if len(alphas) == 0:
-        raise ValueError("alphas must name at least one alpha; an empty suite checks nothing")
+    """Run the full operator/spectral invariant suite over a grid of alphas.
+
+    The arguments are checked as ``VerifySettings``: an empty ``alphas``, whose
+    suite would pass with no checks at all, is a ValueError."""
+    VerifySettings(alphas, weight_length, grid_points, n_vectors, seed)
     rng = np.random.default_rng(seed)
     checks: list[SuiteCheck] = []
     omega = np.linspace(0.0, math.pi, 1000)

@@ -42,6 +42,7 @@ __all__ = [
     "NonConvergence",
     "build_system_matrix",
     "fixed_point_step",
+    "snapshot_steps",
     "run_simulation",
 ]
 
@@ -319,6 +320,21 @@ def fixed_point_step(
     )
 
 
+def snapshot_steps(time_grid: TimeGrid, snapshot_times) -> dict[int, float]:
+    """The time level of each snapshot time, keyed by step index. A time
+    outside [0, T] or off the time grid is a ValueError."""
+    tau = time_grid.tau
+    steps: dict[int, float] = {}
+    for t in snapshot_times:
+        if not (0.0 <= t <= time_grid.T * (1 + 1e-12)):
+            raise ValueError(f"snapshot time {t} outside [0, {time_grid.T}]")
+        idx = round(t / tau)
+        if abs(t - idx * tau) > 1e-9 * max(1.0, time_grid.T):
+            raise ValueError(f"snapshot time {t} does not lie on the time grid (tau={tau})")
+        steps[idx] = t
+    return steps
+
+
 def run_simulation(
     params: ModelParams,
     grid: GridSpec,
@@ -346,14 +362,7 @@ def run_simulation(
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
 
-    snap_steps: dict[int, float] = {}
-    for t in snapshot_times:
-        if not (0.0 <= t <= time_grid.T * (1 + 1e-12)):
-            raise ValueError(f"snapshot time {t} outside [0, {time_grid.T}]")
-        idx = round(t / tau)
-        if abs(t - idx * tau) > 1e-9 * max(1.0, time_grid.T):
-            raise ValueError(f"snapshot time {t} does not lie on the time grid (tau={tau})")
-        snap_steps[idx] = t
+    snap_steps = snapshot_steps(time_grid, snapshot_times)
 
     if operator is None:
         operator = assemble_operator(wsgd_weights(params.alpha, grid.M), grid.M)

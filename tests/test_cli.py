@@ -1,12 +1,16 @@
 """Config parsing, CSV artifacts, CLI dispatch and the verification gate."""
 
+import configparser
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fgle import cli
 from fgle.cli import (
     ConfigError,
     VerifySettings,
@@ -64,6 +68,10 @@ base_h = 0.8
 levels = 5
 reference = exact
 """
+
+CONVERGENCE_FINE = CONVERGENCE_EXACT.replace("reference = exact", "reference = fine").replace(
+    "levels = 5", "levels = 2\nh_ref = 0.1\ntau_ref = 0.05"
+)
 
 
 class TestParseConfig:
@@ -139,10 +147,47 @@ class TestParseConfig:
         assert str(info.value).count(prefix) == 1
 
     def test_roundtrip_identity(self):
-        for text in (MINIMAL_SIMULATE, CONVERGENCE_EXACT):
+        texts = (
+            MINIMAL_SIMULATE,
+            MINIMAL_SIMULATE + "\n[output]\ndir = results/run 1\nsnapshot_times = 0 0.35 1\n",
+            CONVERGENCE_EXACT,
+            CONVERGENCE_FINE.replace("initial = soliton", ""),
+            MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay")
+            + "\n[decay]\ngammas = -2, -4 0.5\n",
+            MINIMAL_SIMULATE.replace("mode = simulate", "mode = inviscid")
+            + "\n[inviscid]\nupsilon_kappa = 0.1 0 1e-3\n",
+            "[run]\nmode = verify\n[verify]\nalphas = 1.25 2\nweight_length = 300\n"
+            "grid_points = 17\nvectors = 3\nseed = 0\n",
+        )
+        for text in texts:
             cfg = parse_config(text)
             again = parse_config(serialize_config(cfg))
             assert again == cfg
+
+    def test_readme_reference_names_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"### Configuration reference.*?```ini\n(.*?)```", readme, re.S)
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+        cp.read_string(block.group(1))
+        assert cp.sections() == list(cli._KEYS)
+        for section, keys in cli._KEYS.items():
+            assert list(cp[section]) == list(keys), section
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("reference = exact", "reference = nearby",
+             "[convergence] reference must be 'exact' or 'fine', got 'nearby'"),
+            ("levels = 5", "levels = 0", "[convergence] levels must be >= 1"),
+            ("base_h = 0.8", "base_h = -0.8", "[convergence] base_tau and base_h must be positive"),
+            ("reference = exact", "reference = fine",
+             "section [convergence] is missing required key 'h_ref'"),
+        ],
+    )
+    def test_convergence_settings_rejected(self, old, new, expected):
+        with pytest.raises(ConfigError) as info:
+            parse_config(CONVERGENCE_EXACT.replace(old, new))
+        assert str(info.value) == expected
 
 
 class TestWriteCsv:
@@ -284,6 +329,7 @@ class TestCliDispatch:
             ("vectors = 0", "[verify] vectors must be >= 1, got 0"),
             ("weight_length = 2", "[verify] weight_length must be >= 3, got 2"),
             ("seed = -1", "[verify] seed must be >= 0, got -1"),
+            ("alphas = 1.5 0.5", "[verify] alphas: alpha must lie in (1, 2], got 0.5"),
         ],
     )
     def test_verify_integer_below_minimum_exit_code(self, tmp_path, capsys, setting, expected):
@@ -300,6 +346,47 @@ class TestCliDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error: step 1: no convergence within 1 iterations")
         assert "Traceback" not in err
+
+    def test_off_grid_snapshot_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL_SIMULATE + "\n[output]\nsnapshot_times = 0.33\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "[output] snapshot time 0.33 does not lie on the time grid" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("eta = 0.5", "eta = 1.0", "[model] eta = 0.5 at upsilon = 0.3, got 1.0"),
+            ("kappa = -0.13337568346479610", "kappa = -0.13338",
+             "[model] kappa = -0.13337568346479609 at upsilon = 0.3, got -0.13338"),
+            ("zeta = -1.0", "zeta = 2.0", "[model] zeta = -1.0 at upsilon = 0.3, got 2.0"),
+            ("alpha = 2.0", "alpha = 1.6", "[convergence] reference = exact requires alpha = 2"),
+            ("initial = soliton", "initial = gaussian",
+             "[convergence] reference = exact requires [model] initial = soliton"),
+            ("initial = soliton", "",
+             "[convergence] reference = exact requires [model] initial = soliton"),
+        ],
+        ids=["eta", "kappa", "zeta", "alpha", "gaussian", "initial-omitted"],
+    )
+    def test_exact_reference_needs_the_soliton_model(self, tmp_path, capsys, old, new, expected):
+        cfg = tmp_path / "conv.cfg"
+        cfg.write_text(CONVERGENCE_EXACT.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convergence_starts_from_the_initial_key(self, tmp_path):
+        csv = {}
+        for initial in ("gaussian", "soliton"):
+            cfg = tmp_path / f"{initial}.cfg"
+            cfg.write_text(CONVERGENCE_FINE.replace("initial = soliton", f"initial = {initial}"))
+            out = tmp_path / initial
+            assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+            csv[initial] = (out / "convergence.csv").read_text()
+        assert csv["gaussian"] != csv["soliton"]
 
     @pytest.mark.parametrize(
         "mode, text, expected",
@@ -390,11 +477,8 @@ class TestFullReferenceFlag:
             return []
 
         monkeypatch.setattr(cli_mod, "convergence_study", fake_study)
-        text = CONVERGENCE_EXACT.replace("reference = exact", "reference = fine").replace(
-            "levels = 5", "levels = 2\nh_ref = 0.1\ntau_ref = 0.05"
-        )
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(text)
+        cfg.write_text(CONVERGENCE_FINE)
         out = tmp_path / "out"
 
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0

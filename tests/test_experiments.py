@@ -233,6 +233,18 @@ class TestVerifySuite:
         with pytest.raises(ValueError, match="alphas"):
             verify_suite(alphas=np.array([]), grid_points=32, n_vectors=4)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"alphas": (1.5, 0.9)}, r"alphas: alpha must lie in \(1, 2\], got 0.9"),
+            ({"n_vectors": 0}, "vectors must be >= 1, got 0"),
+            ({"grid_points": 2}, "grid_points must be >= 3, got 2"),
+        ],
+    )
+    def test_arguments_checked_as_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            verify_suite(**{"grid_points": 32, "n_vectors": 4, **kwargs})
+
     def test_alpha_array_accepted(self):
         report = verify_suite(alphas=np.array([1.5, 1.7]), grid_points=32, n_vectors=4)
         assert {c.alpha for c in report.checks} == {1.5, 1.7}
