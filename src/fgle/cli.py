@@ -50,17 +50,12 @@ __all__ = [
     "main",
 ]
 
-FULL_SCALE_REFERENCE = FineGridReference(h_ref=0.0125, tau_ref=0.0001)
-
-
 class ConfigError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class ConvergenceSettings:
-    base_tau: float
-    base_h: float
     levels: int
     reference: str  # "exact" | "fine"
     h_ref: float | None = None
@@ -71,8 +66,8 @@ class ConvergenceSettings:
             raise ValueError(f"reference must be 'exact' or 'fine', got '{self.reference}'")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
-        if self.base_tau <= 0 or self.base_h <= 0:
-            raise ValueError("base_tau and base_h must be positive")
+        if self.reference == "exact" and (self.h_ref, self.tau_ref) != (None, None):
+            raise ValueError("h_ref and tau_ref apply to reference = fine only")
 
 
 @dataclass(frozen=True)
@@ -91,7 +86,16 @@ class RunConfig:
     verify: VerifySettings = field(default_factory=VerifySettings)
 
 
-_MODES = ("simulate", "convergence", "decay", "inviscid", "verify")
+# The sections each mode reads besides [run]; all but _OPTIONAL are required.
+_STUDY = ("model", "grid", "time", "solver", "output")
+_MODES: dict[str, tuple[str, ...]] = {
+    "simulate": _STUDY,
+    "convergence": (*_STUDY, "convergence"),
+    "decay": (*_STUDY, "decay"),
+    "inviscid": (*_STUDY, "inviscid"),
+    "verify": ("output", "verify"),
+}
+_OPTIONAL = ("solver", "output", "verify")
 
 # Every admitted key, by section, with its kind: float, int, str, or tuple
 # (a list of finite floats). Where a section builds a settings dataclass,
@@ -112,8 +116,6 @@ _KEYS: dict[str, dict[str, type]] = {
     "solver": {"iter_tol": float, "max_iters": int},
     "output": {"dir": str, "snapshot_times": tuple},
     "convergence": {
-        "base_tau": float,
-        "base_h": float,
         "levels": int,
         "reference": str,
         "h_ref": float,
@@ -200,8 +202,8 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"unknown key '{key}' in section [{name}]")
         sections[name] = {k: _convert(name, k, v, _KEYS[name][k]) for k, v in cp[name].items()}
 
-    def section(name: str, *required: str, needed: bool = False) -> dict:
-        if needed and name not in sections:
+    def section(name: str, *required: str) -> dict:
+        if name not in sections and name not in _OPTIONAL:
             raise ConfigError(f"missing required section [{name}]")
         values = sections.get(name, {})
         for key in required:
@@ -209,53 +211,47 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"section [{name}] is missing required key '{key}'")
         return values
 
-    mode = section("run", "mode", needed=True)["mode"]
+    mode = section("run", "mode")["mode"]
     if mode not in _MODES:
         raise ConfigError(f"[run] mode must be one of {', '.join(_MODES)}, got '{mode}'")
+    for name in sections:
+        if name != "run" and name not in _MODES[mode]:
+            raise ConfigError(f"section [{name}] is not read by mode = {mode}")
 
     model = grid = time_grid = conv = None
     initial = "gaussian"
-    if mode == "convergence":
-        conv = _build("convergence", ConvergenceSettings, **section("convergence", needed=True))
-        if conv.reference == "fine":
-            section("convergence", "h_ref", "tau_ref")
-
-    if mode != "verify":
-        coeffs = dict(section("model", needed=True))
+    if "model" in _MODES[mode]:
+        coeffs = dict(section("model"))
         initial = coeffs.pop("initial", initial)
         model = _build("model", ModelParams, **coeffs)
         if initial not in ("gaussian", "soliton"):
             raise ConfigError(f"[model] initial must be 'gaussian' or 'soliton', got '{initial}'")
-
-        gs = section("grid", "a", "b", needed=True)
-        ts = section("time", "t_final", needed=True)
-        if conv is None:  # a convergence run may derive m and steps from its first level
-            section("grid", "m")
-            section("time", "steps")
-        m = gs["m"] if "m" in gs else round((gs["b"] - gs["a"]) / conv.base_h)
-        steps = ts["steps"] if "steps" in ts else max(1, round(ts["t_final"] / conv.base_tau))
-        grid = _build("grid", GridSpec, a=gs["a"], b=gs["b"], M=m)
-        time_grid = _build("time", TimeGrid, T=ts["t_final"], N=steps)
+        gs = section("grid", "a", "b", "m")
+        ts = section("time", "t_final", "steps")
+        grid = _build("grid", GridSpec, a=gs["a"], b=gs["b"], M=gs["m"])
+        time_grid = _build("time", TimeGrid, T=ts["t_final"], N=ts["steps"])
 
     solver = _build("solver", SolverSettings, **section("solver"))
 
     output = section("output")
     snapshot_times = output.get("snapshot_times", ())
-    if time_grid is not None:
+    if mode == "simulate":
         try:
             snapshot_steps(time_grid, snapshot_times)
         except ValueError as exc:
             raise ConfigError(f"[output] {exc}") from None
+    elif "snapshot_times" in output:
+        raise ConfigError(f"[output] snapshot_times is not read by mode = {mode}")
 
     decay_gammas = None
     if mode == "decay":
-        decay_gammas = section("decay", "gammas", needed=True)["gammas"]
+        decay_gammas = section("decay", "gammas")["gammas"]
         if not decay_gammas:
             raise ConfigError("[decay] gammas must list at least one value")
 
     if model is not None:
-        # build_system_matrix needs tau * gamma < 2 for every run the mode makes
-        tau = conv.base_tau if conv is not None else time_grid.tau
+        # every run needs tau * gamma < 2; later convergence levels have smaller tau
+        tau = time_grid.tau
         if decay_gammas is not None:
             gammas = [(f"[decay] gammas entry {g:g}", g) for g in decay_gammas]
         else:
@@ -265,12 +261,24 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(
                     f"{what} with tau = {tau:g}: tau * gamma = {tau * gamma:g} must be < 2"
                 )
-        if conv is not None and conv.reference == "exact":
+
+    if mode == "convergence":
+        conv = _build("convergence", ConvergenceSettings, **section("convergence"))
+        if conv.reference == "exact":
             _check_exact_reference(model, initial)
+        else:
+            section("convergence", "h_ref", "tau_ref")
+            finest = 2.0 ** (1 - conv.levels)
+            try:
+                FineGridReference(conv.h_ref, conv.tau_ref).grids(
+                    (grid.a, grid.b), time_grid.T, grid.h * finest, time_grid.tau * finest
+                )
+            except ValueError as exc:
+                raise ConfigError(f"[convergence] {exc}") from None
 
     inviscid_pairs = None
     if mode == "inviscid":
-        seq = section("inviscid", "upsilon_kappa", needed=True)["upsilon_kappa"]
+        seq = section("inviscid", "upsilon_kappa")["upsilon_kappa"]
         if not seq:
             raise ConfigError("[inviscid] upsilon_kappa must list at least one value")
         if any(v < 0 for v in seq):
@@ -298,7 +306,8 @@ def _f17(v: float) -> str:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(parse(text))) == parse(text)."""
+    """Canonical text form of the sections ``cfg.mode`` reads;
+    parse(serialize(parse(text))) == parse(text)."""
     sections: dict[str, dict] = {"run": {"mode": cfg.mode}}
     if cfg.model is not None:
         sections["model"] = {**asdict(cfg.model), "initial": cfg.initial}
@@ -315,10 +324,10 @@ def serialize_config(cfg: RunConfig) -> str:
     sections["verify"] = asdict(cfg.verify)
 
     lines = []
-    for name, values in sections.items():
+    for name in ("run", *_MODES[cfg.mode]):
         entries = []
         for key, kind in _KEYS[name].items():
-            value = values[key]
+            value = sections[name][key]
             if kind is tuple:
                 value = " ".join(_f17(v) for v in value) or None
             elif kind is float and value is not None:
@@ -390,21 +399,19 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     return 0
 
 
-def run_convergence(cfg: RunConfig, outdir: Path, full_reference: bool = False) -> int:
+def run_convergence(cfg: RunConfig, outdir: Path) -> int:
     c = cfg.convergence
     if c.reference == "exact":
         upsilon = cfg.model.upsilon
         reference = ExactReference(lambda x, t: sech_soliton_solution(x, t, upsilon))
-    elif full_reference:
-        reference = FULL_SCALE_REFERENCE
     else:
         reference = FineGridReference(h_ref=c.h_ref, tau_ref=c.tau_ref)
     rows = convergence_study(
         cfg.model,
         (cfg.grid.a, cfg.grid.b),
         cfg.time.T,
-        c.base_tau,
-        c.base_h,
+        cfg.time.tau,
+        cfg.grid.h,
         c.levels,
         reference,
         u0=_initial_sampler(cfg),
@@ -465,12 +472,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         sp = sub.add_parser(name, help=f"run a '{name}' configuration")
         sp.add_argument("--config", required=True, help="path to the run configuration")
         sp.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
-        if name == "convergence":
-            sp.add_argument(
-                "--full-reference",
-                action="store_true",
-                help="use the full-scale fine reference (h=0.0125, tau=0.0001)",
-            )
     args = parser.parse_args(argv)
 
     try:
@@ -481,19 +482,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         outdir = Path(args.out or cfg.output_dir or "out")
         outdir.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return run_simulate(cfg, outdir)
-        if args.command == "convergence":
-            return run_convergence(cfg, outdir, full_reference=args.full_reference)
-        if args.command == "decay":
-            return run_decay(cfg, outdir)
-        if args.command == "inviscid":
-            return run_inviscid(cfg, outdir)
-        return run_verify(cfg, outdir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        runs = {"simulate": run_simulate, "convergence": run_convergence, "decay": run_decay,
+                "inviscid": run_inviscid, "verify": run_verify}
+        return runs[args.command](cfg, outdir)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonConvergence as exc:

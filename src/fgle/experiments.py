@@ -105,6 +105,22 @@ class FineGridReference:
     h_ref: float
     tau_ref: float
 
+    def __post_init__(self):
+        for name in ("h_ref", "tau_ref"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+
+    def grids(self, interval, t_final, finest_h, finest_tau) -> tuple[GridSpec, TimeGrid]:
+        """The reference's grids; a ValueError unless the finest level nests in
+        them, and then every coarser level, a multiple of it, nests too."""
+        a, b = interval
+        m = _exact_division(b - a, self.h_ref, "reference grid")
+        n = _exact_division(t_final, self.tau_ref, "reference time grid")
+        _exact_division(finest_h, self.h_ref, "finest level grid")
+        _exact_division(finest_tau, self.tau_ref, "finest level time grid")
+        return GridSpec(a, b, m), TimeGrid(t_final, n)
+
 
 @dataclass
 class ConvergenceRow:
@@ -149,7 +165,8 @@ def convergence_study(
 
     Level l runs with (tau, h) = (base_tau, base_h) / 2^l and measures the
     error against the reference at t_final. Orders are the log2 ratios of
-    consecutive errors and are left unset on the first row.
+    consecutive errors and are left unset on the first row. Every grid, the
+    reference's included, is checked before the first run.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -159,25 +176,19 @@ def convergence_study(
             raise ValueError("u0 is required when the reference is a fine-grid run")
         u0 = lambda x: reference.solution(x, 0.0)
 
-    ref_final = None
-    if isinstance(reference, FineGridReference):
-        m_ref = _exact_division(b - a, reference.h_ref, "reference grid")
-        n_ref = _exact_division(t_final, reference.tau_ref, "reference time grid")
-        for lvl in range(levels):
-            _exact_division(base_h / 2**lvl, reference.h_ref, f"level {lvl} grid")
-            _exact_division(base_tau / 2**lvl, reference.tau_ref, f"level {lvl} time grid")
-        ref_final = run_simulation(
-            params, GridSpec(a, b, m_ref), TimeGrid(t_final, n_ref), u0, settings
-        ).final
-
-    rows: list[ConvergenceRow] = []
+    runs = []
     for lvl in range(levels):
-        h = base_h / 2**lvl
-        tau = base_tau / 2**lvl
+        tau, h = base_tau / 2**lvl, base_h / 2**lvl
         m = _exact_division(b - a, h, f"level {lvl} grid")
         n = _exact_division(t_final, tau, f"level {lvl} time grid")
-        grid = GridSpec(a, b, m)
-        traj = run_simulation(params, grid, TimeGrid(t_final, n), u0, settings)
+        runs.append((tau, h, GridSpec(a, b, m), TimeGrid(t_final, n)))
+    if isinstance(reference, FineGridReference):
+        ref_grid, ref_time = reference.grids(interval, t_final, h, tau)  # the finest h, tau
+        ref_final = run_simulation(params, ref_grid, ref_time, u0, settings).final
+
+    rows: list[ConvergenceRow] = []
+    for tau, h, grid, time_grid in runs:
+        traj = run_simulation(params, grid, time_grid, u0, settings)
         if isinstance(reference, ExactReference):
             target = ComplexField(reference.solution(grid.interior_nodes(), t_final), grid.h)
         else:

@@ -235,7 +235,6 @@ def fixed_point_step(
     system: FactorizedSystem,
     params: ModelParams,
     grid: GridSpec,
-    tau: float,
     settings: SolverSettings,
     operator: OperatorMatrix,
 ) -> tuple[np.ndarray, StepDiagnostics]:
@@ -247,17 +246,14 @@ def fixed_point_step(
     it is the midpoint of u^n and the degree-k polynomial extrapolation of
     u^{n+1} through u^n and the k newest earlier levels,
     k = min(len(history), 4): 1.5 u^n - 0.5 u^{n-1} for k = 1,
-    2 u^n - 1.5 u^{n-1} + 0.5 u^{n-2} for k = 2, and so on. ``tau`` must be
-    the positive, finite step ``system`` was built for. Iterates until the
-    sup-norm increment falls below iter_tol * max(1, |z|_inf). |z|^2 is
-    formed once per iterate and serves the cubic term, that scale and the
-    energy residual. An iterate whose increment or |z|^2 is not finite
-    raises NonConvergence, without numpy overflow warnings.
+    2 u^n - 1.5 u^{n-1} + 0.5 u^{n-2} for k = 2, and so on. The step is
+    ``system.tau``. Iterates until the sup-norm increment falls below
+    iter_tol * max(1, |z|_inf). |z|^2 is formed once per iterate and serves
+    the cubic term, that scale and the energy residual. An iterate whose
+    increment or |z|^2 is not finite raises NonConvergence, without numpy
+    overflow warnings.
     """
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
-    if tau != system.tau:
-        raise ValueError(f"tau = {tau:g} differs from the system's tau = {system.tau}")
+    tau = system.tau
     u = _values(u_n)
     h = grid.h
     diffusion = params.upsilon + 1j * params.eta
@@ -381,7 +377,7 @@ def run_simulation(
     for n in range(time_grid.N):
         try:
             u_next, diag = fixed_point_step(
-                u, levels[:n], system, params, grid, tau, settings, operator
+                u, levels[:n], system, params, grid, settings, operator
             )
         except NonConvergence as exc:
             exc.step = n

@@ -58,13 +58,13 @@ initial = soliton
 [grid]
 a = -16
 b = 16
+m = 40
 
 [time]
 t_final = 1.0
+steps = 5
 
 [convergence]
-base_tau = 0.2
-base_h = 0.8
 levels = 5
 reference = exact
 """
@@ -72,6 +72,26 @@ reference = exact
 CONVERGENCE_FINE = CONVERGENCE_EXACT.replace("reference = exact", "reference = fine").replace(
     "levels = 5", "levels = 2\nh_ref = 0.1\ntau_ref = 0.05"
 )
+
+DECAY = MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay") + "\n[decay]\ngammas = -2\n"
+INVISCID = (
+    MINIMAL_SIMULATE.replace("mode = simulate", "mode = inviscid")
+    + "\n[inviscid]\nupsilon_kappa = 0.1\n"
+)
+VERIFY = "[run]\nmode = verify\n"
+
+
+def assert_config_error(tmp_path, capsys, mode, text, expected):
+    """``fgle <mode>`` on ``text`` exits 2 with ``expected`` on stderr, no
+    traceback, and makes no output directory."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert expected in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestParseConfig:
@@ -128,11 +148,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mode"):
             parse_config("[run]\nmode = explode\n")
 
-    def test_convergence_defaults_grid_from_base_h(self):
-        cfg = parse_config(CONVERGENCE_EXACT)
-        assert cfg.grid.M == 40  # (16 - -16) / 0.8
-        assert cfg.time.N == 5  # 1.0 / 0.2
-
     @pytest.mark.parametrize(
         "text, prefix",
         [
@@ -151,6 +166,7 @@ class TestParseConfig:
             MINIMAL_SIMULATE,
             MINIMAL_SIMULATE + "\n[output]\ndir = results/run 1\nsnapshot_times = 0 0.35 1\n",
             CONVERGENCE_EXACT,
+            CONVERGENCE_FINE,
             CONVERGENCE_FINE.replace("initial = soliton", ""),
             MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay")
             + "\n[decay]\ngammas = -2, -4 0.5\n",
@@ -163,6 +179,20 @@ class TestParseConfig:
             cfg = parse_config(text)
             again = parse_config(serialize_config(cfg))
             assert again == cfg
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("m = 40\n", ""), ("steps = 5\n", "")],
+        ids=["m", "steps"],
+    )
+    def test_convergence_level_zero_needs_m_and_steps(self, old, new):
+        with pytest.raises(ConfigError, match="is missing required key"):
+            parse_config(CONVERGENCE_EXACT.replace(old, new))
+
+    def test_convergence_level_zero_is_the_grid_and_time(self):
+        cfg = parse_config(CONVERGENCE_FINE)
+        assert (cfg.grid.M, cfg.time.N) == (40, 5)
+        assert cfg.convergence == cli.ConvergenceSettings(2, "fine", 0.1, 0.05)
 
     def test_readme_reference_names_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -179,7 +209,6 @@ class TestParseConfig:
             ("reference = exact", "reference = nearby",
              "[convergence] reference must be 'exact' or 'fine', got 'nearby'"),
             ("levels = 5", "levels = 0", "[convergence] levels must be >= 1"),
-            ("base_h = 0.8", "base_h = -0.8", "[convergence] base_tau and base_h must be positive"),
             ("reference = exact", "reference = fine",
              "section [convergence] is missing required key 'h_ref'"),
         ],
@@ -306,7 +335,6 @@ class TestCliDispatch:
         ],
     )
     def test_non_finite_convergence_bound_exit_code(self, tmp_path, capsys, old, new, key):
-        # m and steps are derived from these values, so they must be rejected first
         cfg = tmp_path / "conv.cfg"
         cfg.write_text(CONVERGENCE_EXACT.replace(old, new))
         assert main(["convergence", "--config", str(cfg)]) == 2
@@ -408,6 +436,81 @@ class TestCliDispatch:
         assert main([mode, "--config", str(cfg)]) == 2
         assert expected in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            ("h_ref = 0.1", "h_ref = 0", "[convergence] h_ref must be positive and finite, got 0.0"),
+            ("h_ref = 0.1", "h_ref = -0.1",
+             "[convergence] h_ref must be positive and finite, got -0.1"),
+            ("h_ref = 0.1", "h_ref = nan", "[convergence] h_ref must be finite, got 'nan'"),
+            ("h_ref = 0.1", "h_ref = 0.03",
+             "[convergence] reference grid: 32.0 is not an integer multiple of 0.03"),
+            ("h_ref = 0.1", "h_ref = 0.32",
+             "[convergence] finest level grid: 0.4 is not an integer multiple of 0.32"),
+            ("tau_ref = 0.05", "tau_ref = 0.04",
+             "[convergence] finest level time grid: 0.1 is not an integer multiple of 0.04"),
+        ],
+        ids=["h_ref-zero", "h_ref-negative", "h_ref-nan", "h_ref-off-interval",
+             "h_ref-off-finest", "tau_ref-off-finest"],
+    )
+    def test_bad_fine_reference_exit_code(self, tmp_path, capsys, old, new, expected):
+        assert_config_error(
+            tmp_path, capsys, "convergence", CONVERGENCE_FINE.replace(old, new), expected
+        )
+
+    @pytest.mark.parametrize("key, value", [("base_tau", "0.2"), ("base_h", "0.8")])
+    def test_old_base_step_keys_rejected(self, tmp_path, capsys, key, value):
+        text = CONVERGENCE_EXACT.replace("levels = 5", f"{key} = {value}\nlevels = 5")
+        expected = f"unknown key '{key}' in section [convergence]"
+        assert_config_error(tmp_path, capsys, "convergence", text, expected)
+
+    @pytest.mark.parametrize(
+        "mode, text, expected",
+        [
+            ("simulate", MINIMAL_SIMULATE + "\n[decay]\ngammas = -2\n",
+             "section [decay] is not read by mode = simulate"),
+            ("simulate", MINIMAL_SIMULATE + "\n[verify]\nseed = 7\n",
+             "section [verify] is not read by mode = simulate"),
+            ("convergence", CONVERGENCE_EXACT + "\n[inviscid]\nupsilon_kappa = 0.1\n",
+             "section [inviscid] is not read by mode = convergence"),
+            ("convergence", CONVERGENCE_EXACT + "\n[output]\nsnapshot_times = 0.4\n",
+             "[output] snapshot_times is not read by mode = convergence"),
+            ("convergence", CONVERGENCE_EXACT.replace("levels = 5", "levels = 5\nh_ref = 0.1"),
+             "[convergence] h_ref and tau_ref apply to reference = fine only"),
+            ("decay", DECAY + "\n[output]\nsnapshot_times = 0.1\n",
+             "[output] snapshot_times is not read by mode = decay"),
+            ("decay", DECAY + "\n[convergence]\nlevels = 2\nreference = exact\n",
+             "section [convergence] is not read by mode = decay"),
+            ("inviscid", INVISCID + "\n[decay]\ngammas = -2\n",
+             "section [decay] is not read by mode = inviscid"),
+            ("verify", VERIFY + "[solver]\nmax_iters = 5\n",
+             "section [solver] is not read by mode = verify"),
+            ("verify", VERIFY + "[time]\nt_final = 1\nsteps = 2\n",
+             "section [time] is not read by mode = verify"),
+        ],
+        ids=["simulate-decay", "simulate-verify", "convergence-inviscid",
+             "convergence-snapshot", "exact-h_ref", "decay-snapshot", "decay-convergence",
+             "inviscid-decay", "verify-solver", "verify-time"],
+    )
+    def test_unread_section_or_key_exit_code(self, tmp_path, capsys, mode, text, expected):
+        assert_config_error(tmp_path, capsys, mode, text, expected)
+
+    def test_readme_command_line_matches_the_parser(self, capsys):
+        def helped(argv):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            return capsys.readouterr().out
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"## Command line\n+```sh\n(.*?)```", readme, re.S).group(1)
+        commands = [line.split() for line in block.splitlines() if line.strip()]
+        subcommands = re.search(r"\{([a-z,]+)\}", helped(["--help"])).group(1).split(",")
+        assert [words[:2] for words in commands] == [["fgle", c] for c in subcommands]
+        for words in commands:
+            flags = set(re.findall(r"--[a-z][a-z-]*", helped([words[1], "--help"])))
+            assert set(re.findall(r"--[a-z][a-z-]*", " ".join(words))) == flags - {"--help"}
+
     def test_simulate_with_soliton_initial(self, tmp_path):
         text = MINIMAL_SIMULATE.replace("gamma = 0.0", "gamma = 0.0\ninitial = soliton").replace(
             "m = 400", "m = 200"
@@ -464,29 +567,3 @@ class TestVerifySuite:
         lines = (out / "verify.csv").read_text().splitlines()
         assert lines[0] == "check,alpha,passed,margin,detail"
         assert all(line.split(",")[2] == "1" for line in lines[1:])
-
-
-class TestFullReferenceFlag:
-    def test_flag_switches_to_full_scale_reference(self, tmp_path, monkeypatch):
-        import fgle.cli as cli_mod
-
-        captured = {}
-
-        def fake_study(params, interval, t_final, base_tau, base_h, levels, reference, **kw):
-            captured["reference"] = reference
-            return []
-
-        monkeypatch.setattr(cli_mod, "convergence_study", fake_study)
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(CONVERGENCE_FINE)
-        out = tmp_path / "out"
-
-        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
-        assert captured["reference"] == cli_mod.FineGridReference(0.1, 0.05)
-
-        assert main(
-            ["convergence", "--config", str(cfg), "--out", str(out), "--full-reference"]
-        ) == 0
-        assert captured["reference"] == cli_mod.FULL_SCALE_REFERENCE
-        assert captured["reference"].h_ref == 0.0125
-        assert captured["reference"].tau_ref == 0.0001

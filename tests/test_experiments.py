@@ -2,6 +2,7 @@
 the verification suite."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,41 @@ class TestConvergenceStudy:
                 FineGridReference(h_ref=0.15, tau_ref=0.05),
                 u0=lambda x: sech_soliton_solution(x, 0.0, 0.3),
             )
+
+    @pytest.mark.parametrize(
+        "h_ref, tau_ref", [(0.0, 0.1), (-0.1, 0.1), (0.1, math.nan), (0.1, math.inf)]
+    )
+    def test_fine_reference_steps_positive_and_finite(self, h_ref, tau_ref):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            FineGridReference(h_ref, tau_ref)
+
+    @pytest.mark.parametrize(
+        "base_h, h_ref, message",
+        [
+            (0.4, 0.32, "finest level grid: 0.2 is not an integer multiple of 0.32"),
+            (0.6, 0.1, "level 0 grid: 32.0 is not an integer multiple of 0.6"),
+        ],
+        ids=["finest-level-off-reference", "level-off-interval"],
+    )
+    def test_no_run_before_every_grid_is_checked(self, monkeypatch, base_h, h_ref, message):
+        # the reference grid itself nests in [-16, 16] both times: the old
+        # check ran the reference before it found the bad level grid
+        import fgle.experiments as experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "run_simulation", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convergence_study(
+                sech_soliton_model_params(alpha=1.6),
+                (-16.0, 16.0),
+                0.5,
+                0.1,
+                base_h,
+                2,
+                FineGridReference(h_ref=h_ref, tau_ref=0.025),
+                u0=lambda x: sech_soliton_solution(x, 0.0, 0.3),
+            )
+        assert calls == []
 
     def test_fine_reference_requires_initial_data(self):
         p = sech_soliton_model_params()

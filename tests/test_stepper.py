@@ -271,7 +271,7 @@ class TestFixedPointStep:
         F = build_system_matrix(p, grid, 0.1, op)
         rng = np.random.default_rng(22)
         u = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        u_next, diag = fixed_point_step(u, None, F, p, grid, 0.1, SolverSettings(), op)
+        u_next, diag = fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
         assert np.array_equal(u_next, u)
         assert diag.iterations == 1
 
@@ -291,7 +291,7 @@ class TestFixedPointStep:
         z = np.linalg.solve(A, u0)
         expected = 2 * z - u0
 
-        u_next, diag = fixed_point_step(u0, None, F, p, grid, tau, SolverSettings(), op)
+        u_next, diag = fixed_point_step(u0, None, F, p, grid, SolverSettings(), op)
         assert np.max(np.abs(u_next - expected)) < 1e-12
         assert diag.iterations <= 3
 
@@ -309,7 +309,7 @@ class TestFixedPointStep:
         F = build_system_matrix(p, grid, 5.0, op)
         u = 5.0 * gaussian(grid.interior_nodes()).astype(complex)
         with pytest.raises(NonConvergence) as err:
-            fixed_point_step(u, None, F, p, grid, 5.0, SolverSettings(max_iters=2), op)
+            fixed_point_step(u, None, F, p, grid, SolverSettings(max_iters=2), op)
         assert len(err.value.increments) == 2
 
     def test_non_finite_iterate_detected_from_increment(self):
@@ -321,7 +321,7 @@ class TestFixedPointStep:
         F = build_system_matrix(p, grid, 5.0, op)
         u = 5.0 * np.exp(-grid.interior_nodes() ** 2).astype(complex)
         with pytest.raises(NonConvergence, match="non-finite") as err:
-            fixed_point_step(u, None, F, p, grid, 5.0, SolverSettings(), op)
+            fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
         assert err.value.iterations == 4
 
     def test_divergence_raises_without_numpy_warnings(self):
@@ -335,28 +335,12 @@ class TestFixedPointStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence, match="non-finite") as err:
-                fixed_point_step(u, None, F, p, grid, 5.0, SolverSettings(), op)
+                fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
         assert err.value.iterations == 4
         increments = err.value.increments
         assert len(increments) == 4
         assert all(math.isfinite(d) for d in increments[:3])
         assert not math.isfinite(increments[3])
-
-    @pytest.mark.parametrize("tau", [0.0, -0.1, 0.05, math.inf, math.nan])
-    def test_tau_other_than_the_systems_rejected_before_solving(self, tau):
-        grid = GridSpec(-8.0, 8.0, 16)
-        p = ModelParams(1.0, 1.0, 1.0, 1.0, 0.0, alpha=1.6)
-        op = make_operator(1.6, 16)
-        F = build_system_matrix(p, grid, 0.1, op)
-
-        def no_solve(b):
-            raise AssertionError("solved before tau was checked")
-
-        F.solve = no_solve
-        u = gaussian(grid.interior_nodes()).astype(complex)
-        assert u.size == 15
-        with pytest.raises(ValueError, match="tau"):
-            fixed_point_step(u, None, F, p, grid, tau, SolverSettings(), op)
 
     def test_history_of_the_wrong_length_rejected(self):
         grid = GridSpec(-5.0, 5.0, 40)
@@ -365,7 +349,7 @@ class TestFixedPointStep:
         F = build_system_matrix(p, grid, 0.01, op)
         u = gaussian(grid.interior_nodes()).astype(complex)
         with pytest.raises(ValueError, match="history"):
-            fixed_point_step(u, [u[:-1]], F, p, grid, 0.01, SolverSettings(), op)
+            fixed_point_step(u, [u[:-1]], F, p, grid, SolverSettings(), op)
 
 
 class TestExtrapolatedStart:
