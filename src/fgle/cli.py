@@ -22,6 +22,7 @@ from .experiments import (
     ExactReference,
     FineGridReference,
     VerifySettings,
+    convergence_grids,
     convergence_study,
     inviscid_limit_study,
     norm_decay_study,
@@ -29,6 +30,7 @@ from .experiments import (
     sech_soliton_solution,
     verify_suite,
 )
+from .linalg import SingularMatrixError
 from .stepper import (
     GridSpec,
     ModelParams,
@@ -268,13 +270,13 @@ def parse_config(text: str) -> RunConfig:
             _check_exact_reference(model, initial)
         else:
             section("convergence", "h_ref", "tau_ref")
-            finest = 2.0 ** (1 - conv.levels)
-            try:
-                FineGridReference(conv.h_ref, conv.tau_ref).grids(
-                    (grid.a, grid.b), time_grid.T, grid.h * finest, time_grid.tau * finest
-                )
-            except ValueError as exc:
-                raise ConfigError(f"[convergence] {exc}") from None
+        try:
+            fine = FineGridReference(conv.h_ref, conv.tau_ref) if conv.reference == "fine" else None
+            convergence_grids(
+                (grid.a, grid.b), time_grid.T, time_grid.tau, grid.h, conv.levels, fine
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[convergence] {exc}") from None
 
     inviscid_pairs = None
     if mode == "inviscid":
@@ -490,6 +492,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except NonConvergence as exc:
         print(f"error: step {exc.step + 1}: {exc}", file=sys.stderr)
+        return 3
+    except SingularMatrixError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "sech_soliton_model_params",
     "error_norms",
     "restrict_to_coarse",
+    "convergence_grids",
     "convergence_study",
     "norm_decay_study",
     "inviscid_limit_study",
@@ -133,8 +134,8 @@ class ConvergenceRow:
 
 
 def _exact_division(num: float, den: float, what: str) -> int:
-    ratio = num / den
-    r = round(ratio)
+    ratio = num / den if den != 0 else math.inf
+    r = round(ratio) if math.isfinite(ratio) else 0
     if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError(f"{what}: {num} is not an integer multiple of {den}")
     return r
@@ -148,6 +149,33 @@ def restrict_to_coarse(fine_values: np.ndarray, ratio: int) -> np.ndarray:
         raise ValueError(f"fine grid with {m_fine} cells is not {ratio}-times a coarse grid")
     m_coarse = m_fine // ratio
     return fine_values[ratio * np.arange(1, m_coarse) - 1]
+
+
+def convergence_grids(
+    interval: tuple[float, float],
+    t_final: float,
+    base_tau: float,
+    base_h: float,
+    levels: int,
+    fine: FineGridReference | None = None,
+) -> tuple[list[tuple[float, float, GridSpec, TimeGrid]], tuple[GridSpec, TimeGrid] | None]:
+    """The (tau, h, grid, time grid) of each ``convergence_study`` level, and
+    the grids of a fine reference (None without one).
+
+    A ValueError unless every level's h divides the interval and its tau
+    divides t_final, and the finest level nests in the fine reference.
+    """
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    a, b = interval
+    runs = []
+    for lvl in range(levels):
+        tau, h = math.ldexp(base_tau, -lvl), math.ldexp(base_h, -lvl)
+        m = _exact_division(b - a, h, f"level {lvl} grid")
+        n = _exact_division(t_final, tau, f"level {lvl} time grid")
+        runs.append((tau, h, GridSpec(a, b, m), TimeGrid(t_final, n)))
+    ref_grids = None if fine is None else fine.grids(interval, t_final, h, tau)
+    return runs, ref_grids
 
 
 def convergence_study(
@@ -166,25 +194,18 @@ def convergence_study(
     Level l runs with (tau, h) = (base_tau, base_h) / 2^l and measures the
     error against the reference at t_final. Orders are the log2 ratios of
     consecutive errors and are left unset on the first row. Every grid, the
-    reference's included, is checked before the first run.
+    reference's included, is checked before the first run
+    (``convergence_grids``).
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    a, b = interval
     if u0 is None:
         if not isinstance(reference, ExactReference):
             raise ValueError("u0 is required when the reference is a fine-grid run")
         u0 = lambda x: reference.solution(x, 0.0)
 
-    runs = []
-    for lvl in range(levels):
-        tau, h = base_tau / 2**lvl, base_h / 2**lvl
-        m = _exact_division(b - a, h, f"level {lvl} grid")
-        n = _exact_division(t_final, tau, f"level {lvl} time grid")
-        runs.append((tau, h, GridSpec(a, b, m), TimeGrid(t_final, n)))
-    if isinstance(reference, FineGridReference):
-        ref_grid, ref_time = reference.grids(interval, t_final, h, tau)  # the finest h, tau
-        ref_final = run_simulation(params, ref_grid, ref_time, u0, settings).final
+    fine = reference if isinstance(reference, FineGridReference) else None
+    runs, ref_grids = convergence_grids(interval, t_final, base_tau, base_h, levels, fine)
+    if fine is not None:
+        ref_final = run_simulation(params, *ref_grids, u0, settings).final
 
     rows: list[ConvergenceRow] = []
     for tau, h, grid, time_grid in runs:

@@ -7,10 +7,11 @@ with A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta) h^(-alpha) C complex
 symmetric Toeplitz. A run factorizes A once by LU, in place. On small grids
 that is the dense LU of A, whose (M-1)^2 buffer becomes its factor. From
 _GS_MIN_SIZE unknowns on, A is never formed: the LU is that of its two
-half-order blocks (``linalg.toeplitz_half_blocks``), in one buffer of half
-A's size at a quarter of the flops, and it only seeds the Gohberg-Semencul
-inverse, which then applies A^{-1} by FFT at O(M log M) per inner solve; it
-stays as the fallback should the inverse fail its gate. From the second
+half-order blocks (``linalg.toeplitz_half_blocks``), in single precision, in
+one buffer of a quarter of A's bytes at a quarter of the flops. It only
+seeds the Gohberg-Semencul inverse, whose generator a few corrections bring
+to double precision; that inverse then applies A^{-1} by FFT at O(M log M)
+per inner solve, and a generator that fails its gate raises. From the second
 level on, the iteration starts from the midpoint of u^n and the degree-k
 polynomial extrapolation of u^{n+1} through the k+1 newest levels,
 k = min(earlier levels, 4). That start is off the fixed point by
@@ -191,10 +192,11 @@ def build_system_matrix(
     x = A^{-1} e_1. Below _GS_MIN_SIZE unknowns A is built once and
     LU-factorized in that same buffer, so the run holds one dense (M-1)^2
     complex matrix, not two. From _GS_MIN_SIZE on, no (M-1)^2 array is made:
-    the two half blocks of A's even/odd split are built in one buffer of
-    about half that size and factored there, and solves go through the
-    Gohberg-Semencul inverse built from them, unless that fails its gate
-    against the LU.
+    the two half blocks of A's even/odd split are built in complex64 in one
+    buffer of about a quarter of those bytes and factored there. That factor
+    only seeds the Gohberg-Semencul inverse, refined to double precision
+    against A's column, and every solve goes through the inverse. An inverse
+    that fails its gate raises ``linalg.SingularMatrixError``.
     """
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
@@ -208,8 +210,8 @@ def build_system_matrix(
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
     if col.size >= _GS_MIN_SIZE:
-        system = lu_factor(toeplitz_half_blocks(col), size=col.size)
-        return dataclasses.replace(system, tau=tau).with_gohberg_semencul()
+        system = lu_factor(toeplitz_half_blocks(col), size=col.size).with_gohberg_semencul(col)
+        return dataclasses.replace(system, tau=tau)
     # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row.
     # Its transpose is A again, as an F-contiguous view that getrf factors in place.
     return dataclasses.replace(lu_factor(scipy.linalg.toeplitz(col, col).T), tau=tau)

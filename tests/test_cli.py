@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fgle.linalg as linalg_mod
 from fgle import cli
 from fgle.cli import (
     ConfigError,
@@ -375,6 +376,26 @@ class TestCliDispatch:
         assert err.startswith("error: step 1: no convergence within 1 iterations")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "m, attr, value, expected",
+        [
+            (400, "_GS_GATE_RTOL", 0.0,
+             "error: Gohberg-Semencul inverse of order 399: the probe solve fails the gate; "),
+            (64, "_PIVOT_FLOOR", math.inf, "error: matrix is numerically singular"),
+        ],
+        ids=["gate", "pivot"],
+    )
+    def test_singular_matrix_exit_code(
+        self, tmp_path, capsys, monkeypatch, m, attr, value, expected
+    ):
+        monkeypatch.setattr(linalg_mod, attr, value)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL_SIMULATE.replace("m = 400", f"m = {m}"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(expected)
+        assert "Traceback" not in err
+
     def test_off_grid_snapshot_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL_SIMULATE + "\n[output]\nsnapshot_times = 0.33\n")
@@ -457,6 +478,13 @@ class TestCliDispatch:
         assert_config_error(
             tmp_path, capsys, "convergence", CONVERGENCE_FINE.replace(old, new), expected
         )
+
+    @pytest.mark.parametrize("levels", (1030, 1100))
+    @pytest.mark.parametrize("text", (CONVERGENCE_EXACT, CONVERGENCE_FINE), ids=("exact", "fine"))
+    def test_levels_past_float_range_exit_code(self, tmp_path, capsys, text, levels):
+        # the finest steps underflow; each level is checked before any run
+        text = re.sub(r"levels = \d+", f"levels = {levels}", text)
+        assert_config_error(tmp_path, capsys, "convergence", text, "[convergence] level ")
 
     @pytest.mark.parametrize("key, value", [("base_tau", "0.2"), ("base_h", "0.8")])
     def test_old_base_step_keys_rejected(self, tmp_path, capsys, key, value):

@@ -5,8 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import fgle.linalg as linalg_mod
 
@@ -197,7 +195,7 @@ class TestGohbergSemencul:
     @pytest.mark.parametrize("n", (1, 2, 3, 17, 400))
     def test_matches_dense_solve(self, n):
         A = symmetric_toeplitz(n, seed=n)
-        F = lu_factor(A).with_gohberg_semencul()
+        F = lu_factor(A).with_gohberg_semencul(A[:, 0])
         assert F.spectra is not None
         rng = np.random.default_rng(11)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -207,31 +205,36 @@ class TestGohbergSemencul:
         assert X.shape == (n, 4)
         assert np.max(np.abs(X - np.linalg.solve(A, B))) <= 1e-13
 
-    @settings(deadline=None, max_examples=20)
-    @given(
-        n=st.integers(2, 600),
-        entry=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
-        batch=st.sampled_from((None, 3)),
-    )
-    def test_gate_failure_keeps_lu_bit_for_bit(self, n, entry, batch):
-        # a matrix that is not Toeplitz breaks the formula; the gate must catch it
-        A = symmetric_toeplitz(n, seed=n)
-        i, j = entry[0] % n, entry[1] % n
-        A[i, j] += 0.5
-        system = lu_factor(A)
-        gated = system.with_gohberg_semencul()
-        assert gated is system and gated.spectra is None
-        rng = np.random.default_rng(12)
-        shape = (n,) if batch is None else (n, batch)
-        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        expected = scipy.linalg.lu_solve((system.lu, system.piv), b)
-        assert np.array_equal(gated.solve(b), expected)
+    def test_gate_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg_mod, "_GS_GATE_RTOL", 0.0)
+        for n in (2, 17, 400):
+            A = symmetric_toeplitz(n, seed=n)
+            expected = (
+                rf"order {n}: the probe solve fails the gate; residual \S+, "
+                r"tolerance 0\.0e\+00, generator residuals \[\S+"
+            )
+            with pytest.raises(SingularMatrixError, match=expected):
+                lu_factor(A).with_gohberg_semencul(A[:, 0])
 
-    def test_singular_generator_keeps_lu(self):
-        # x_0 = 0: the formula divides by it, so the LU must stay in charge
+    def test_seed_of_another_matrix_stalls(self):
+        # the LU only seeds x: from the identity's e_1 the corrections do not
+        # reach this well-conditioned A's generator within the cap, and must say so
+        col = np.zeros(64, dtype=complex)
+        col[:3] = (4.0, 1.0, 0.5)
+        system = lu_factor(np.eye(64, dtype=complex))
+        with pytest.raises(SingularMatrixError, match=r"order 64: 3 corrections stall short of "
+                           r"rounding level; .* generator residuals \[\S+, \S+, \S+, \S+\]$"):
+            system.with_gohberg_semencul(col)
+
+    def test_singular_generator_raises(self):
+        # x_0 = 0: the formula divides by it
         A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        system = lu_factor(A)
-        assert system.with_gohberg_semencul() is system
+        with pytest.raises(SingularMatrixError, match=r"order 2: x_0 .* is zero"):
+            lu_factor(A).with_gohberg_semencul(A[:, 0])
+
+    def test_column_must_match_the_system(self):
+        with pytest.raises(ValueError, match="column"):
+            lu_factor(np.eye(4, dtype=complex)).with_gohberg_semencul(np.ones(5))
 
 
 def symmetric_toeplitz_column(n, seed):
@@ -245,35 +248,55 @@ class TestHalfBlockLu:
         blocks = toeplitz_half_blocks(col)
         system = lu_factor(blocks, size=n)
         assert system.lu.shape == (2, (n + 1) // 2, (n + 1) // 2)
+        assert system.lu.dtype == np.complex64
         assert np.shares_memory(system.lu, blocks)
+        refined = system.with_gohberg_semencul(col)
         A = scipy.linalg.toeplitz(col, col)
         rng = np.random.default_rng(n)
         for shape in ((n,), (n, 3)):
             b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            x = system.solve(b)
+            x = refined.solve(b)
             dense = np.linalg.solve(A, b)
-            assert x.shape == b.shape
+            assert x.shape == b.shape and x.dtype == complex
             assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("n", (350, 351))
     def test_generator_matches_dense_lu(self, n):
         col = symmetric_toeplitz_column(n, seed=n)
-        halves = lu_factor(toeplitz_half_blocks(col), size=n).with_gohberg_semencul()
-        dense = lu_factor(scipy.linalg.toeplitz(col, col)).with_gohberg_semencul()
+        halves = lu_factor(toeplitz_half_blocks(col), size=n).with_gohberg_semencul(col)
+        dense = lu_factor(scipy.linalg.toeplitz(col, col)).with_gohberg_semencul(col)
         assert halves.spectra is not None and dense.spectra is not None
         scale = np.max(np.abs(dense.spectra))
         assert np.max(np.abs(halves.spectra - dense.spectra)) <= 1e-13 * scale
 
+    def test_blocks_are_scaled_into_single_precision(self):
+        # entries of 1e39 overflow complex64; scaled by 1 / max|c| they cannot
+        col = 1e39 * symmetric_toeplitz_column(400, seed=5)
+        blocks = toeplitz_half_blocks(col)
+        assert blocks.dtype == np.complex64 and np.all(np.isfinite(blocks))
+        assert np.max(np.abs(blocks)) <= 2.0
+        b = np.random.default_rng(5).standard_normal(400) + 0j
+        x = lu_factor(blocks, size=400).with_gohberg_semencul(col).solve(b)
+        dense = np.linalg.solve(scipy.linalg.toeplitz(col, col), b)
+        assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
+
     @pytest.mark.parametrize("n", (350, 351))
-    def test_gate_failure_falls_back_to_the_halves(self, monkeypatch, n):
+    def test_gate_failure_raises_on_the_halves(self, monkeypatch, n):
         monkeypatch.setattr(linalg_mod, "_GS_GATE_RTOL", 0.0)
         col = symmetric_toeplitz_column(n, seed=n)
         system = lu_factor(toeplitz_half_blocks(col), size=n)
-        gated = system.with_gohberg_semencul()
-        assert gated is system and gated.spectra is None
-        b = np.random.default_rng(13).standard_normal((n, 2)) + 0j
-        dense = np.linalg.solve(scipy.linalg.toeplitz(col, col), b)
-        assert np.max(np.abs(gated.solve(b) - dense)) <= 1e-13 * np.max(np.abs(dense))
+        expected = rf"order {n}: the probe solve fails the gate"
+        with pytest.raises(SingularMatrixError, match=expected):
+            system.with_gohberg_semencul(col)
+
+    def test_single_precision_factor_refuses_to_solve(self):
+        col = symmetric_toeplitz_column(351, seed=351)
+        halves = lu_factor(toeplitz_half_blocks(col), size=351)
+        dense = lu_factor(np.eye(6, dtype=np.complex64))
+        for system in (halves, dense):
+            assert system.lu.dtype == np.complex64
+            with pytest.raises(ValueError, match="single-precision factor"):
+                system.solve(np.ones(system.size))
 
     def test_singular_half_block_rejected(self):
         # c_0 = c_(n-1) = 1: rows 0 and n-1 of A are equal, and so D's first row is zero

@@ -10,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgle.linalg as linalg_mod
 import fgle.stepper as stepper_mod
 from fgle.experiments import sech_soliton_model_params, sech_soliton_solution
 from fgle.linalg import ComplexField
@@ -202,8 +203,8 @@ class TestBuildSystemMatrix:
 
     def test_half_block_buffer(self):
         # above the crossover A is never formed: its two half blocks are
-        # factored in the one buffer they were built in, about half an
-        # (M-1)^2 complex matrix, where the dense LU of A took one
+        # factored in single precision in the one buffer they were built in,
+        # about a quarter of an (M-1)^2 complex matrix, where the dense LU of A took one
         m = 1024
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
         grid, op = GridSpec(-16.0, 16.0, m), make_operator(1.6, m)
@@ -214,7 +215,7 @@ class TestBuildSystemMatrix:
         finally:
             tracemalloc.stop()
         assert m - 1 >= stepper_mod._GS_MIN_SIZE
-        assert peak <= 0.6 * 16 * (m - 1) ** 2
+        assert peak <= 0.32 * 16 * (m - 1) ** 2
 
     def test_solver_switches_at_crossover(self):
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
@@ -223,8 +224,43 @@ class TestBuildSystemMatrix:
             build_system_matrix(p, GridSpec(-16.0, 16.0, m), 0.01, make_operator(1.6, m))
             for m in sizes
         )
-        assert small.spectra is None and small.lu.ndim == 2
+        assert small.spectra is None and small.lu.ndim == 2 and small.lu.dtype == complex
         assert large.spectra is not None and large.lu.ndim == 3
+        assert large.lu.dtype == np.complex64
+
+    @pytest.mark.parametrize(
+        "m, alpha, tau, upsilon, eta",
+        [
+            (2560, 1.6, 0.02, 0.001, 1.0),  # the sweep benchmark's A
+            (1280, 1.6, 0.0005, 0.3, 0.5),  # the fine reference's A
+            (400, 1.8, 0.02, 1.0, 1.0),
+            (4096, 2.0, 1.0, 1.0, 1.0),
+            (4096, 1.1, 1.0, 1.0, 1.0),
+        ],
+    )
+    def test_single_precision_seed_refined_in_few_corrections(self, m, alpha, tau, upsilon, eta):
+        # each correction about squares the generator's error: from about
+        # 1e-7 to rounding level in at most three
+        p = ModelParams(upsilon, eta, 1.0, -2.0, 0.0, alpha=alpha)
+        F = build_system_matrix(p, GridSpec(-16.0, 16.0, m), tau, make_operator(alpha, m))
+        seed, *corrected = F.residuals
+        assert 1e-10 < seed < 1e-6
+        assert 1 <= len(corrected) <= 3
+        assert corrected[-1] <= linalg_mod._GS_ROUNDING
+
+    def test_refined_solve_matches_dense_at_large_tau(self):
+        # M >= 2048 at alpha 2 and tau 1: A's entries reach about 1e4, and the
+        # single-precision seed still refines to the dense double solve
+        m, tau = 2048, 1.0
+        grid = GridSpec(-16.0, 16.0, m)
+        p = ModelParams(1.0, 1.0, 1.0, -2.0, 0.0, alpha=2.0)
+        op = make_operator(2.0, m)
+        F = build_system_matrix(p, grid, tau, op)
+        col = (tau / 2) * (1 + 1j) * grid.h**-2.0 * op.column
+        col[0] += 1.0
+        b = np.random.default_rng(2048).standard_normal((m - 1, 2)) @ np.array([1.0, 1j])
+        dense = np.linalg.solve(scipy.linalg.toeplitz(col, col), b)
+        assert np.max(np.abs(F.solve(b) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @settings(deadline=None, max_examples=12)
     @given(
