@@ -5,6 +5,7 @@ verification suite of the discrete properties the paper's proofs use."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -12,7 +13,14 @@ import numpy as np
 
 from .linalg import ComplexField, cholesky, l2_h, linf_h
 from .spectral import energy_equivalence_margins
-from .stepper import GridSpec, ModelParams, SolverSettings, TimeGrid, run_simulation
+from .stepper import (
+    GridSpec,
+    ModelParams,
+    SolverSettings,
+    TimeGrid,
+    factor_nbytes,
+    run_simulation,
+)
 from .wsgd import (
     LEADING_PAIR_ALPHA_THRESHOLD,
     assemble_operator,
@@ -151,6 +159,11 @@ def restrict_to_coarse(fine_values: np.ndarray, ratio: int) -> np.ndarray:
     return fine_values[ratio * np.arange(1, m_coarse) - 1]
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def convergence_grids(
     interval: tuple[float, float],
     t_final: float,
@@ -163,7 +176,9 @@ def convergence_grids(
     the grids of a fine reference (None without one).
 
     A ValueError unless every level's h divides the interval and its tau
-    divides t_final, and the finest level nests in the fine reference.
+    divides t_final, the finest level nests in the fine reference, and the
+    midpoint factor (``stepper.factor_nbytes``) of every level and of the
+    reference fits in physical memory.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -175,6 +190,17 @@ def convergence_grids(
         n = _exact_division(t_final, tau, f"level {lvl} time grid")
         runs.append((tau, h, GridSpec(a, b, m), TimeGrid(t_final, n)))
     ref_grids = None if fine is None else fine.grids(interval, t_final, h, tau)
+    sized = [(f"level {lvl} grid", grid) for lvl, (_, _, grid, _) in enumerate(runs)]
+    if ref_grids is not None:
+        sized.append(("reference grid", ref_grids[0]))
+    memory = _physical_memory()
+    for what, grid in sized:
+        need = factor_nbytes(grid.M)
+        if need > memory:
+            raise ValueError(
+                f"{what}: M = {grid.M} needs a {need / 2**30:.3g} GiB midpoint factor, "
+                f"more than the {memory / 2**30:.3g} GiB of physical memory"
+            )
     return runs, ref_grids
 
 

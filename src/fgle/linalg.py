@@ -40,8 +40,8 @@ class ComplexField:
             raise ValueError("field values must be a 1-D sequence")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-        if not self.h > 0:
-            raise ValueError("grid spacing h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"grid spacing h must be positive and finite, got {self.h}")
 
     def __len__(self) -> int:
         return self.values.size

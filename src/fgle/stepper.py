@@ -11,11 +11,11 @@ half-order blocks (``linalg.toeplitz_half_blocks``), in single precision, in
 one buffer of a quarter of A's bytes at a quarter of the flops. It only
 seeds the Gohberg-Semencul inverse, whose generator a few corrections bring
 to double precision; that inverse then applies A^{-1} by FFT at O(M log M)
-per inner solve, and a generator that fails its gate raises. From the second
-level on, the iteration starts from the midpoint of u^n and the degree-k
-polynomial extrapolation of u^{n+1} through the k+1 newest levels,
-k = min(earlier levels, 4). That start is off the fixed point by
-O(tau^(k+1)), so it saves inner solves without moving the fixed point. The
+per inner solve, and a generator that fails its gate raises. Each level's
+iteration starts from the midpoint of u^n and the degree-k polynomial
+extrapolation of u^{n+1} through the k+1 newest levels, k = min(earlier
+levels, 4): u^n itself on the first. That start is off the fixed point by
+O(tau^(k+1)) and never applies the stiff operator explicitly. The
 energy balance takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h,
 one FFT by Parseval (``OperatorMatrix.quadratic_form``).
 """
@@ -42,6 +42,7 @@ __all__ = [
     "Trajectory",
     "NonConvergence",
     "build_system_matrix",
+    "factor_nbytes",
     "fixed_point_step",
     "snapshot_steps",
     "run_simulation",
@@ -166,6 +167,14 @@ class Trajectory:
 # LU: below it the dense LU solve is faster than six FFTs.
 _GS_MIN_SIZE = 350
 
+
+def factor_nbytes(M: int) -> int:
+    """Bytes of the LU that ``build_system_matrix`` keeps for M cells: the dense
+    complex128 A below _GS_MIN_SIZE unknowns, two complex64 half blocks from it on."""
+    n = M - 1
+    return 16 * (n if n < _GS_MIN_SIZE else (n + 1) // 2) ** 2
+
+
 # Highest degree of the extrapolation that starts the inner iteration.
 _START_ORDER = 4
 
@@ -178,8 +187,8 @@ def _start_weights(k: int) -> np.ndarray:
     return w
 
 
-# indexed by the number of earlier levels used, 1 to _START_ORDER
-_START_WEIGHTS = {k: _start_weights(k) for k in range(1, _START_ORDER + 1)}
+# indexed by the number of earlier levels used, 0 (start from u^n) to _START_ORDER
+_START_WEIGHTS = {k: _start_weights(k) for k in range(_START_ORDER + 1)}
 
 
 def build_system_matrix(
@@ -243,11 +252,10 @@ def fixed_point_step(
     """Advance one level: returns (u^{n+1} values, diagnostics).
 
     ``history`` holds the earlier levels u^{n-1}, u^{n-2}, ..., newest first,
-    as the rows of a 2-D array or a list of arrays. With none (None or
-    empty) the start iterate is the explicit half-step predictor; otherwise
-    it is the midpoint of u^n and the degree-k polynomial extrapolation of
-    u^{n+1} through u^n and the k newest earlier levels,
-    k = min(len(history), 4): 1.5 u^n - 0.5 u^{n-1} for k = 1,
+    as the rows of a 2-D array or a list of arrays; None means none. The
+    start iterate is the midpoint of u^n and the degree-k polynomial
+    extrapolation of u^{n+1} through u^n and the k newest earlier levels,
+    k = min(len(history), 4): u^n for k = 0, 1.5 u^n - 0.5 u^{n-1} for k = 1,
     2 u^n - 1.5 u^{n-1} + 0.5 u^{n-2} for k = 2, and so on. The step is
     ``system.tau``. Iterates until the sup-norm increment falls below
     iter_tol * max(1, |z|_inf). |z|^2 is formed once per iterate and serves
@@ -258,17 +266,11 @@ def fixed_point_step(
     tau = system.tau
     u = _values(u_n)
     h = grid.h
-    diffusion = params.upsilon + 1j * params.eta
     cubic = params.kappa + 1j * params.zeta
-    if history is None or len(history) == 0:
-        z = u - (tau / 2.0) * (
-            diffusion * operator.apply(u, h) + cubic * np.abs(u) ** 2 * u - params.gamma * u
-        )
-    else:
-        levels = np.asarray(history, dtype=complex)
-        if levels.ndim != 2 or levels.shape[1] != u.size:
-            raise ValueError(f"history levels must have {u.size} values, got {levels.shape}")
-        z = _extrapolated_start(u, levels)
+    levels = np.asarray(() if history is None else history, dtype=complex)
+    if levels.size and (levels.ndim != 2 or levels.shape[1] != u.size):
+        raise ValueError(f"history levels must have {u.size} values, got {levels.shape}")
+    z = _extrapolated_start(u, levels.reshape(-1, u.size))
 
     increments: list[float] = []
     # a diverging iterate overflows; that shows below as a non-finite

@@ -10,6 +10,7 @@ bounds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +42,11 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 # Sign threshold of the leading partial sum w_0 + w_1 = lambda_1 (1 - alpha)
 # + lambda_0: positive for alpha below sqrt(6) - 1 (the root of
 # a^3 + 4 a^2 - a - 10 in (1, 2)), negative above. All later partial sums
@@ -56,8 +62,7 @@ def grunwald_coeffs(alpha: float, L: int) -> np.ndarray:
     For alpha = 2 the factor vanishes at l = 3, so the tail is exactly zero.
     """
     alpha = _check_alpha(alpha)
-    if L < 2:
-        raise ValueError(f"L must be >= 2, got {L}")
+    _check_count("L", L, 2)
     l = np.arange(1, L + 1, dtype=float)
     return np.concatenate(([1.0], np.cumprod((l - alpha - 1.0) / l)))
 
@@ -247,8 +252,7 @@ def assemble_operator(weights: WsgdWeights, M: int) -> OperatorMatrix:
     stored. C is positive definite for alpha in (1, 2], which ``fgle verify``
     certifies.
     """
-    if M < 3:
-        raise ValueError(f"M must be >= 3, got {M}")
+    _check_count("M", M, 3)
     w = weights.w
     if w.size < M:
         raise ValueError(f"need weights w_0..w_{M - 1}, got only {w.size} entries")

@@ -486,6 +486,16 @@ class TestCliDispatch:
         text = re.sub(r"levels = \d+", f"levels = {levels}", text)
         assert_config_error(tmp_path, capsys, "convergence", text, "[convergence] level ")
 
+    def test_levels_past_physical_memory_exit_code(self, tmp_path, capsys):
+        # levels = 40 at m 40: the finest grid has M = 40 * 2^39, whose
+        # midpoint factor no host holds; rejected before any run
+        text = CONVERGENCE_EXACT.replace("levels = 5", "levels = 40")
+        with pytest.raises(
+            ConfigError, match=r"^\[convergence\] level \d+ grid: M = \d+ needs a .* GiB midpoint"
+        ):
+            parse_config(text)
+        assert_config_error(tmp_path, capsys, "convergence", text, "GiB of physical memory")
+
     @pytest.mark.parametrize("key, value", [("base_tau", "0.2"), ("base_h", "0.8")])
     def test_old_base_step_keys_rejected(self, tmp_path, capsys, key, value):
         text = CONVERGENCE_EXACT.replace("levels = 5", f"{key} = {value}\nlevels = 5")

@@ -184,6 +184,44 @@ class TestConvergenceStudy:
             )
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "memory, message",
+        [
+            (16 * 79**2 - 1, "level 1 grid: M = 80 needs a"),
+            (16 * 319**2 - 1, "reference grid: M = 320 needs a"),
+        ],
+        ids=["level", "reference"],
+    )
+    def test_factor_beyond_physical_memory_rejected_before_any_run(
+        self, monkeypatch, memory, message
+    ):
+        # levels at M = 40 and 80, reference at M = 320: all dense LUs of
+        # 16 (M-1)^2 bytes; one byte short of a factor rejects that grid
+        import fgle.experiments as experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(experiments, "run_simulation", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convergence_study(
+                sech_soliton_model_params(alpha=1.6),
+                (-16.0, 16.0),
+                0.5,
+                0.1,
+                0.8,
+                2,
+                FineGridReference(h_ref=0.1, tau_ref=0.025),
+                u0=lambda x: sech_soliton_solution(x, 0.0, 0.3),
+            )
+        assert calls == []
+
+    def test_factor_that_just_fits_accepted(self, monkeypatch):
+        import fgle.experiments as experiments
+
+        monkeypatch.setattr(experiments, "_physical_memory", lambda: 16 * 79**2)
+        runs, _ = experiments.convergence_grids((-16.0, 16.0), 0.5, 0.1, 0.8, 2)
+        assert [grid.M for _, _, grid, _ in runs] == [40, 80]
+
     def test_fine_reference_requires_initial_data(self):
         p = sech_soliton_model_params()
         with pytest.raises(ValueError, match="u0"):

@@ -33,6 +33,11 @@ class TestComplexField:
         with pytest.raises(ValueError, match="h"):
             ComplexField(np.zeros(4), h=0.0)
 
+    @pytest.mark.parametrize("h", (math.inf, math.nan, -0.5))
+    def test_spacing_must_be_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="grid spacing h must be positive and finite"):
+            ComplexField(np.zeros(4), h=h)
+
 
 class TestInnerProductAndNorms:
     def test_impulse_inner_product(self):

@@ -228,6 +228,12 @@ class TestBuildSystemMatrix:
         assert large.spectra is not None and large.lu.ndim == 3
         assert large.lu.dtype == np.complex64
 
+    @pytest.mark.parametrize("m", [40, stepper_mod._GS_MIN_SIZE, 351, 352])
+    def test_factor_nbytes_is_the_kept_factor(self, m):
+        p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
+        system = build_system_matrix(p, GridSpec(-16.0, 16.0, m), 0.01, make_operator(1.6, m))
+        assert stepper_mod.factor_nbytes(m) == system.lu.nbytes
+
     @pytest.mark.parametrize(
         "m, alpha, tau, upsilon, eta",
         [
@@ -349,8 +355,8 @@ class TestFixedPointStep:
         assert len(err.value.increments) == 2
 
     def test_non_finite_iterate_detected_from_increment(self):
-        # the fourth iterate is the first non-finite one; the increment check
-        # must stop at that solve, as a separate isfinite pass would
+        # the fifth iterate is the first non-finite one (its |z|^2 overflows);
+        # the check must stop at that solve, as a separate isfinite pass would
         grid = GridSpec(-10.0, 10.0, 50)
         p = ModelParams(1.0, 1.0, 8.0, 5.0, 0.0, alpha=1.8)
         op = make_operator(1.8, 50)
@@ -358,7 +364,7 @@ class TestFixedPointStep:
         u = 5.0 * np.exp(-grid.interior_nodes() ** 2).astype(complex)
         with pytest.raises(NonConvergence, match="non-finite") as err:
             fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
-        assert err.value.iterations == 4
+        assert err.value.iterations == 5
 
     def test_divergence_raises_without_numpy_warnings(self):
         # the case above: overflow in the diverging iterate must not surface as
@@ -372,11 +378,31 @@ class TestFixedPointStep:
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence, match="non-finite") as err:
                 fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
-        assert err.value.iterations == 4
+        assert err.value.iterations == 5
         increments = err.value.increments
-        assert len(increments) == 4
-        assert all(math.isfinite(d) for d in increments[:3])
-        assert not math.isfinite(increments[3])
+        assert len(increments) == 5
+        assert all(math.isfinite(d) for d in increments[:4])
+        # |z_5| >= increments[4] - |z_4|, and |z_4| <= |u| + the first four
+        # increments: the fifth iterate is too large for its |z|^2 to be finite
+        fifth = increments[4] - sum(increments[:4]) - np.max(np.abs(u))
+        assert fifth > math.sqrt(np.finfo(float).max)
+
+    @pytest.mark.parametrize("history", [None, []], ids=["none", "empty"])
+    def test_first_level_starts_from_u_n(self, history):
+        # no earlier level: the start is u^n, so the first right-hand side is
+        # u - (tau/2)(kappa + i zeta)|u|^2 u, with no explicit operator product
+        grid = GridSpec(-10.0, 10.0, 60)
+        op = make_operator(1.8, 60)
+        tau = 0.05
+        F = build_system_matrix(EXAMPLE_PARAMS, grid, tau, op)
+        u = (1.0 + 0.5j) * gaussian(grid.interior_nodes())
+        rhs = []
+        solve = F.solve
+        F.solve = lambda b: rhs.append(np.array(b)) or solve(b)
+        fixed_point_step(u, history, F, EXAMPLE_PARAMS, grid, SolverSettings(), op)
+        cubic = EXAMPLE_PARAMS.kappa + 1j * EXAMPLE_PARAMS.zeta
+        expected = u - (tau / 2.0) * cubic * np.abs(u) ** 2 * u
+        assert np.max(np.abs(rhs[0] - expected)) <= 1e-15
 
     def test_history_of_the_wrong_length_rejected(self):
         grid = GridSpec(-5.0, 5.0, 40)
@@ -527,7 +553,7 @@ class TestRunSimulation:
         assert err.value.step == 0
 
     def test_divergence_reported_at_its_step_without_warnings(self):
-        # README coefficients at tau 0.5: the first step's iterate overflows
+        # README coefficients at tau 1: the first step's iterate overflows
         # |z|^2 while its increment is still finite; that must not pass the
         # relative stopping test, nor raise numpy warnings on the way
         grid = GridSpec(-10.0, 10.0, 400)
@@ -535,10 +561,19 @@ class TestRunSimulation:
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence, match="non-finite") as err:
                 run_simulation(
-                    EXAMPLE_PARAMS, grid, TimeGrid(1.0, 2), lambda x: 2.0 * gaussian(x)
+                    EXAMPLE_PARAMS, grid, TimeGrid(2.0, 2), lambda x: 2.0 * gaussian(x)
                 )
         assert err.value.step == 0
         assert len(err.value.increments) == err.value.iterations
+        assert math.isfinite(err.value.increments[-1])
+
+    def test_readme_case_converges_at_tau_half(self):
+        # the case above at tau 0.5: started from u^n, the first level's
+        # iteration contracts, and the energy balances to rounding
+        grid = GridSpec(-10.0, 10.0, 400)
+        traj = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 2), lambda x: 2.0 * gaussian(x))
+        assert len(traj.diagnostics) == 2
+        assert max(abs(d.energy_identity_residual) for d in traj.diagnostics) <= 1e-10
 
     def test_initial_length_validated(self):
         grid = GridSpec(-10.0, 10.0, 100)

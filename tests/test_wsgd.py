@@ -2,6 +2,7 @@
 Laplacian discretization."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,14 @@ class TestGrunwaldCoeffs:
     def test_short_length_rejected(self):
         with pytest.raises(ValueError, match="L"):
             grunwald_coeffs(1.5, 1)
+
+    @pytest.mark.parametrize("L", (10.5, 2.0, True))
+    def test_non_integer_length_rejected(self, L):
+        # the check GridSpec makes for M; wsgd_weights and symbol_f inherit it
+        message = re.escape(f"L must be an integer >= 2, got {L!r}")
+        for call in (grunwald_coeffs, wsgd_weights, lambda a, n: symbol_f(a, 1.0, n)):
+            with pytest.raises(ValueError, match=message):
+                call(1.5, L)
 
 
 class TestWsgdWeights:
@@ -190,6 +199,11 @@ class TestAssembleOperator:
     def test_insufficient_weights_rejected(self):
         with pytest.raises(ValueError, match="weights"):
             assemble_operator(wsgd_weights(1.5, 4), 16)
+
+    @pytest.mark.parametrize("M", (10.0, True, 2))
+    def test_grid_size_must_be_an_integer(self, M):
+        with pytest.raises(ValueError, match=re.escape(f"M must be an integer >= 3, got {M!r}")):
+            assemble_operator(wsgd_weights(1.5, 16), M)
 
     @pytest.mark.parametrize("alpha", (1.1, 1.6, 2.0))
     @pytest.mark.parametrize("M", (3, 4, 64, 1280))
