@@ -11,7 +11,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -19,14 +19,14 @@ import numpy as np
 
 from .experiments import (
     ConvergenceRow,
-    ExactReference,
     FineGridReference,
     VerifySettings,
+    _check_listed,
+    _sech_soliton_reference,
     convergence_grids,
     convergence_study,
     inviscid_limit_study,
     norm_decay_study,
-    sech_soliton_model_params,
     sech_soliton_solution,
     verify_suite,
 )
@@ -37,9 +37,11 @@ from .stepper import (
     NonConvergence,
     SolverSettings,
     TimeGrid,
+    _check_time_step,
     run_simulation,
     snapshot_steps,
 )
+from .wsgd import _check_count
 
 __all__ = [
     "ConfigError",
@@ -66,8 +68,7 @@ class ConvergenceSettings:
     def __post_init__(self):
         if self.reference not in ("exact", "fine"):
             raise ValueError(f"reference must be 'exact' or 'fine', got '{self.reference}'")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
+        _check_count("levels", self.levels, 1)
         if self.reference == "exact" and (self.h_ref, self.tau_ref) != (None, None):
             raise ValueError("h_ref and tau_ref apply to reference = fine only")
 
@@ -156,35 +157,21 @@ def _convert(section: str, key: str, raw: str, kind: type):
     return tuple(values) if kind is tuple else values[0]
 
 
+def _checked(where: str, check: Callable, *args, **kwargs):
+    """``check(*args, **kwargs)``, its ValueError reported after ``where``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from None
+
+
 def _build(section: str, cls, **values):
     """``cls(**values)``; a missing required field or a ValueError is reported
     against ``[section]``."""
     for f in fields(cls):
         if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"section [{section}] is missing required key '{f.name}'")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
-
-
-def _check_exact_reference(model: ModelParams, initial: str) -> None:
-    """The exact reference is the sech soliton: it solves only the model with
-    the soliton's coefficients, from the soliton's initial data."""
-    if model.alpha != 2.0:
-        raise ConfigError("[convergence] reference = exact requires alpha = 2")
-    if not model.upsilon > 0:
-        raise ConfigError("[convergence] reference = exact requires upsilon > 0")
-    soliton = sech_soliton_model_params(model.upsilon, alpha=2.0)
-    for f in fields(ModelParams):
-        want, got = getattr(soliton, f.name), getattr(model, f.name)
-        if not math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):
-            raise ConfigError(
-                f"[convergence] reference = exact requires the sech soliton's [model] "
-                f"{f.name} = {want!r} at upsilon = {model.upsilon!r}, got {got!r}"
-            )
-    if initial != "soliton":
-        raise ConfigError("[convergence] reference = exact requires [model] initial = soliton")
+    return _checked(f"[{section}]", cls, **values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -238,53 +225,35 @@ def parse_config(text: str) -> RunConfig:
     output = section("output")
     snapshot_times = output.get("snapshot_times", ())
     if mode == "simulate":
-        try:
-            snapshot_steps(time_grid, snapshot_times)
-        except ValueError as exc:
-            raise ConfigError(f"[output] {exc}") from None
+        _checked("[output]", snapshot_steps, time_grid, snapshot_times)
     elif "snapshot_times" in output:
         raise ConfigError(f"[output] snapshot_times is not read by mode = {mode}")
 
     decay_gammas = None
     if mode == "decay":
         decay_gammas = section("decay", "gammas")["gammas"]
-        if not decay_gammas:
-            raise ConfigError("[decay] gammas must list at least one value")
-
-    if model is not None:
-        # every run needs tau * gamma < 2; later convergence levels have smaller tau
-        tau = time_grid.tau
-        if decay_gammas is not None:
-            gammas = [(f"[decay] gammas entry {g:g}", g) for g in decay_gammas]
-        else:
-            gammas = [(f"[model] gamma = {model.gamma:g}", model.gamma)]
-        for what, gamma in gammas:
-            if not tau * gamma < 2.0:
-                raise ConfigError(
-                    f"{what} with tau = {tau:g}: tau * gamma = {tau * gamma:g} must be < 2"
-                )
+        _checked("[decay]", _check_listed, "gammas", decay_gammas,
+                 lambda gamma: _check_time_step(time_grid.tau, gamma))
+    elif model is not None:
+        # later convergence levels have smaller tau, so level 0's is the one to check
+        _checked("[model] gamma:", _check_time_step, time_grid.tau, model.gamma)
 
     if mode == "convergence":
         conv = _build("convergence", ConvergenceSettings, **section("convergence"))
+        fine = None
         if conv.reference == "exact":
-            _check_exact_reference(model, initial)
+            _checked("[convergence]", _sech_soliton_reference, model, initial)
         else:
             section("convergence", "h_ref", "tau_ref")
-        try:
-            fine = FineGridReference(conv.h_ref, conv.tau_ref) if conv.reference == "fine" else None
-            convergence_grids(
-                (grid.a, grid.b), time_grid.T, time_grid.tau, grid.h, conv.levels, fine
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[convergence] {exc}") from None
+            fine = _checked("[convergence]", FineGridReference, conv.h_ref, conv.tau_ref)
+        _checked("[convergence]", convergence_grids, (grid.a, grid.b), time_grid.T,
+                 time_grid.tau, grid.h, conv.levels, fine)
 
     inviscid_pairs = None
     if mode == "inviscid":
         seq = section("inviscid", "upsilon_kappa")["upsilon_kappa"]
-        if not seq:
-            raise ConfigError("[inviscid] upsilon_kappa must list at least one value")
-        if any(v < 0 for v in seq):
-            raise ConfigError("[inviscid] upsilon_kappa values must be >= 0")
+        _checked("[inviscid]", _check_listed, "upsilon_kappa", seq,
+                 lambda v: replace(model, upsilon=v, kappa=v))
         inviscid_pairs = tuple((v, v) for v in seq)
 
     return RunConfig(
@@ -404,8 +373,7 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
 def run_convergence(cfg: RunConfig, outdir: Path) -> int:
     c = cfg.convergence
     if c.reference == "exact":
-        upsilon = cfg.model.upsilon
-        reference = ExactReference(lambda x, t: sech_soliton_solution(x, t, upsilon))
+        reference = _sech_soliton_reference(cfg.model, cfg.initial)
     else:
         reference = FineGridReference(h_ref=c.h_ref, tau_ref=c.tau_ref)
     rows = convergence_study(

@@ -6,23 +6,26 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ComplexField, cholesky, l2_h, linf_h
+from .linalg import ComplexField, _check_positive, cholesky, l2_h, linf_h
 from .spectral import energy_equivalence_margins
 from .stepper import (
     GridSpec,
     ModelParams,
     SolverSettings,
     TimeGrid,
+    _check_time_step,
     factor_nbytes,
     run_simulation,
 )
 from .wsgd import (
     LEADING_PAIR_ALPHA_THRESHOLD,
+    _check_alpha,
+    _check_count,
     assemble_operator,
     c_alpha,
     check_weight_properties,
@@ -106,6 +109,26 @@ class ExactReference:
     solution: Callable[[np.ndarray, float], np.ndarray]
 
 
+def _sech_soliton_reference(model: ModelParams, initial: str) -> ExactReference:
+    """The sech soliton as the exact reference of ``model`` from the initial data named
+    ``initial``: a ValueError, in run-config keys, unless both are the soliton's own."""
+    if model.alpha != 2.0:
+        raise ValueError("reference = exact requires alpha = 2")
+    if not model.upsilon > 0:
+        raise ValueError("reference = exact requires upsilon > 0")
+    soliton = sech_soliton_model_params(model.upsilon, alpha=2.0)
+    for f in fields(ModelParams):
+        want, got = getattr(soliton, f.name), getattr(model, f.name)
+        if not math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):
+            raise ValueError(
+                f"reference = exact requires the sech soliton's [model] "
+                f"{f.name} = {want!r} at upsilon = {model.upsilon!r}, got {got!r}"
+            )
+    if initial != "soliton":
+        raise ValueError("reference = exact requires [model] initial = soliton")
+    return ExactReference(lambda x, t: sech_soliton_solution(x, t, model.upsilon))
+
+
 @dataclass(frozen=True)
 class FineGridReference:
     """Numerical reference on a nested fine grid (index-subsampled, never
@@ -116,9 +139,7 @@ class FineGridReference:
 
     def __post_init__(self):
         for name in ("h_ref", "tau_ref"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _check_positive(name, getattr(self, name))
 
     def grids(self, interval, t_final, finest_h, finest_tau) -> tuple[GridSpec, TimeGrid]:
         """The reference's grids; a ValueError unless the finest level nests in
@@ -139,6 +160,18 @@ class ConvergenceRow:
     err_linf: float
     order1: float | None = None
     order2: float | None = None
+
+
+def _check_listed(name: str, values, check=lambda value: None) -> None:
+    """A study's list of inputs: not empty, as its study would run nothing or pass
+    with no checks at all, and each entry passing ``check``, named in its error."""
+    if len(values) == 0:
+        raise ValueError(f"{name} must list at least one value")
+    for value in values:
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
 
 def _exact_division(num: float, den: float, what: str) -> int:
@@ -180,8 +213,7 @@ def convergence_grids(
     midpoint factor (``stepper.factor_nbytes``) of every level and of the
     reference fits in physical memory.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    _check_count("levels", levels, 1)
     a, b = interval
     runs = []
     for lvl in range(levels):
@@ -258,14 +290,15 @@ def norm_decay_study(
     u0,
     settings: SolverSettings | None = None,
 ) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-    """Sequences (t_n, ||u^n||^2_h) for each linear-gain coefficient gamma."""
+    """Sequences (t_n, ||u^n||^2_h) for each linear-gain coefficient gamma,
+    every one checked, with its time step, before the first run."""
+    _check_listed("gammas", gammas, lambda gamma: _check_time_step(time_grid.tau, gamma))
+    models = [replace(params, gamma=float(gamma)) for gamma in gammas]
     operator = assemble_operator(wsgd_weights(params.alpha, grid.M), grid.M)
     out: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    for gamma in gammas:
-        traj = run_simulation(
-            replace(params, gamma=float(gamma)), grid, time_grid, u0, settings, operator=operator
-        )
-        out[float(gamma)] = (traj.times, traj.norm_sq)
+    for model in models:
+        traj = run_simulation(model, grid, time_grid, u0, settings, operator=operator)
+        out[model.gamma] = (traj.times, traj.norm_sq)
     return out
 
 
@@ -280,24 +313,19 @@ def inviscid_limit_study(
     """Deviation from the dispersive (upsilon = kappa = 0) limit at t = T.
 
     Returns (upsilon, kappa, ||u - u_limit||_h) for each pair, run with the
-    remaining coefficients taken from ``params``.
+    remaining coefficients taken from ``params``. Every pair is checked first.
     """
+    models = [replace(params, upsilon=float(u), kappa=float(k)) for u, k in pairs]
+    _check_listed("pairs", models)
     operator = assemble_operator(wsgd_weights(params.alpha, grid.M), grid.M)
     limit = run_simulation(
         replace(params, upsilon=0.0, kappa=0.0), grid, time_grid, u0, settings, operator=operator
     ).final
     out = []
-    for upsilon, kappa in pairs:
-        traj = run_simulation(
-            replace(params, upsilon=float(upsilon), kappa=float(kappa)),
-            grid,
-            time_grid,
-            u0,
-            settings,
-            operator=operator,
-        )
+    for model in models:
+        traj = run_simulation(model, grid, time_grid, u0, settings, operator=operator)
         deviation, _ = error_norms(traj.final, limit)
-        out.append((float(upsilon), float(kappa), deviation))
+        out.append((model.upsilon, model.kappa, deviation))
     return out
 
 
@@ -368,14 +396,9 @@ class VerifySettings:
     seed: int = 1234
 
     def __post_init__(self):
-        if len(self.alphas) == 0:
-            raise ValueError("alphas must list at least one value")
-        for alpha in self.alphas:
-            if not (1.0 < alpha <= 2.0):
-                raise ValueError(f"alphas: alpha must lie in (1, 2], got {alpha}")
+        _check_listed("alphas", self.alphas, _check_alpha)
         for name, least in (("weight_length", 3), ("grid_points", 3), ("vectors", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            _check_count(name, getattr(self, name), least)
 
 
 @dataclass

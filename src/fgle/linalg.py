@@ -27,6 +27,12 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a factorization meets a (numerically) singular matrix."""
 
 
+def _check_positive(name: str, value) -> None:
+    """The package's one check of a positive finite real: a ValueError naming ``name``."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass
 class ComplexField:
     """Complex-valued grid function on the M-1 interior nodes, spacing h."""
@@ -40,8 +46,7 @@ class ComplexField:
             raise ValueError("field values must be a 1-D sequence")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
-        if not 0 < self.h < math.inf:
-            raise ValueError(f"grid spacing h must be positive and finite, got {self.h}")
+        _check_positive("grid spacing h", self.h)
 
     def __len__(self) -> int:
         return self.values.size

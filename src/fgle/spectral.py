@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ComplexField, circulant_product, l2_h, lp_h, symmetric_toeplitz_spectrum
+from .linalg import (
+    ComplexField, _check_positive, circulant_product, l2_h, lp_h, symmetric_toeplitz_spectrum
+)
 from .wsgd import assemble_operator, c_alpha, wsgd_weights
 
 __all__ = [
@@ -103,8 +105,7 @@ def energy_equivalence_margins(
     with lower = (Delta u, u)_h - C_alpha |u|^2 and upper = |u|^2 - (Delta u, u)_h,
     both nonnegative in exact arithmetic. ``h`` must be positive and finite.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"grid spacing h must be positive and finite, got {h}")
+    _check_positive("grid spacing h", h)
     fields = np.asarray(fields, dtype=complex)
     if fields.ndim == 1:
         fields = fields[:, None]

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import ComplexField, FactorizedSystem, lu_factor, toeplitz_half_blocks
-from .wsgd import OperatorMatrix, assemble_operator, wsgd_weights
+from .linalg import ComplexField, FactorizedSystem, _check_positive, lu_factor, toeplitz_half_blocks
+from .wsgd import OperatorMatrix, _check_alpha, _check_count, assemble_operator, wsgd_weights
 
 __all__ = [
     "ModelParams",
@@ -90,8 +89,7 @@ class ModelParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.upsilon < 0:
             raise ValueError(f"upsilon must be >= 0, got {self.upsilon}")
-        if not (1.0 < self.alpha <= 2.0):
-            raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,7 @@ class GridSpec:
     def __post_init__(self):
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError(f"need finite b > a, got [{self.a}, {self.b}]")
-        if isinstance(self.M, bool) or not isinstance(self.M, numbers.Integral) or self.M < 3:
-            raise ValueError(f"M must be an integer >= 3, got {self.M!r}")
+        _check_count("M", self.M, 3)
 
     @property
     def h(self) -> float:
@@ -122,10 +119,8 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"T must be positive and finite, got {self.T}")
-        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
+        _check_positive("T", self.T)
+        _check_count("N", self.N, 1)
 
     @property
     def tau(self) -> float:
@@ -138,11 +133,8 @@ class SolverSettings:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not 0 < self.iter_tol < math.inf:
-            raise ValueError(f"iter_tol must be positive and finite, got {self.iter_tol}")
-        m = self.max_iters
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {m!r}")
+        _check_positive("iter_tol", self.iter_tol)
+        _check_count("max_iters", self.max_iters, 1)
 
 
 @dataclass
@@ -175,6 +167,17 @@ def factor_nbytes(M: int) -> int:
     return 16 * (n if n < _GS_MIN_SIZE else (n + 1) // 2) ** 2
 
 
+def _check_time_step(tau: float, gamma: float) -> None:
+    """The package's one condition on the time step of a run with linear gain gamma:
+    tau positive and finite, and tau gamma < 2, which keeps Re A positive definite."""
+    _check_positive("tau", tau)
+    if not tau * gamma < 2.0:
+        raise ValueError(
+            f"tau * gamma must be < 2, got tau = {tau:g}, gamma = {gamma:g}, "
+            f"tau * gamma = {tau * gamma:g}"
+        )
+
+
 # Highest degree of the extrapolation that starts the inner iteration.
 _START_ORDER = 4
 
@@ -196,9 +199,9 @@ def build_system_matrix(
 ) -> FactorizedSystem:
     """Factorize A = (1 - tau gamma/2) I + (tau/2)(upsilon + i eta) h^(-alpha) C.
 
-    Requires a positive finite tau and tau gamma < 2, which makes Re A
-    positive definite (C is), so A is invertible and Re x_0 > 0 for
-    x = A^{-1} e_1. Below _GS_MIN_SIZE unknowns A is built once and
+    Requires a positive finite tau and tau gamma < 2 (``_check_time_step``),
+    which makes Re A positive definite (C is), so A is invertible and
+    Re x_0 > 0 for x = A^{-1} e_1. Below _GS_MIN_SIZE unknowns A is built once and
     LU-factorized in that same buffer, so the run holds one dense (M-1)^2
     complex matrix, not two. From _GS_MIN_SIZE on, no (M-1)^2 array is made:
     the two half blocks of A's even/odd split are built in complex64 in one
@@ -207,15 +210,9 @@ def build_system_matrix(
     against A's column, and every solve goes through the inverse. An inverse
     that fails its gate raises ``linalg.SingularMatrixError``.
     """
-    if not 0.0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_time_step(tau, params.gamma)
     if operator.column.size != grid.M - 1 or operator.alpha != params.alpha:
         raise ValueError("operator matrix does not match the model/grid")
-    if not tau * params.gamma < 2.0:
-        raise ValueError(
-            f"tau * gamma must be < 2, got tau = {tau:g}, gamma = {params.gamma:g}, "
-            f"tau * gamma = {tau * params.gamma:g}"
-        )
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
     if col.size >= _GS_MIN_SIZE:

@@ -36,15 +36,24 @@ __all__ = [
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (1.0 < alpha <= 2.0):
+    """The package's one check of the fractional order: alpha as a float, in (1, 2]."""
+    if not 1.0 < alpha <= 2.0:
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
-    return alpha
+    return float(alpha)
 
 
 def _check_count(name: str, value, least: int) -> None:
+    """The package's one check of a count: an integer, not a bool, of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_angles(name: str, values) -> np.ndarray:
+    """The package's one check of angles: ``values`` as floats in [0, pi], to 1e-12."""
+    angles = np.asarray(values, dtype=float)
+    if not np.all((angles >= -1e-12) & (angles <= math.pi + 1e-12)):
+        raise ValueError(f"{name} must lie in [0, pi]")
+    return angles
 
 
 # Sign threshold of the leading partial sum w_0 + w_1 = lambda_1 (1 - alpha)
@@ -268,9 +277,7 @@ def h_function(alpha: float, omega) -> np.ndarray | float:
     (1 - alpha^2)/3 at pi; identically -1 for alpha = 2.
     """
     alpha = _check_alpha(alpha)
-    om = np.asarray(omega, dtype=float)
-    if not np.all((om >= -1e-12) & (om <= math.pi + 1e-12)):
-        raise ValueError("omega must lie in [0, pi]")
+    om = _check_angles("omega", omega)
     l1, l0, lm1 = _lambdas(alpha)
     base = (alpha / 2.0) * (om - math.pi)
     val = l1 * np.cos(base - om) + l0 * np.cos(base) + lm1 * np.cos(base + om)
@@ -288,9 +295,7 @@ def symbol_f(alpha: float, theta, L: int) -> tuple[np.ndarray, np.ndarray] | tup
     weight build.
     """
     alpha = _check_alpha(alpha)
-    th = np.asarray(theta, dtype=float)
-    if not np.all((th >= -1e-12) & (th <= math.pi + 1e-12)):
-        raise ValueError("theta must lie in [0, pi]")
+    th = _check_angles("theta", theta)
     cos_half = math.cos(alpha * math.pi / 2.0)
     closed = (2.0 * np.sin(th / 2.0)) ** alpha / cos_half * h_function(alpha, th)
     w = wsgd_weights(alpha, L).w

@@ -209,7 +209,7 @@ class TestParseConfig:
         [
             ("reference = exact", "reference = nearby",
              "[convergence] reference must be 'exact' or 'fine', got 'nearby'"),
-            ("levels = 5", "levels = 0", "[convergence] levels must be >= 1"),
+            ("levels = 5", "levels = 0", "[convergence] levels must be an integer >= 1, got 0"),
             ("reference = exact", "reference = fine",
              "section [convergence] is missing required key 'h_ref'"),
         ],
@@ -351,13 +351,23 @@ class TestCliDispatch:
         assert main([mode, "--config", str(cfg)]) == 2
         assert f"[{mode}] {section.split()[0]} must be finite" in capsys.readouterr().err
 
+    def test_negative_inviscid_value_exit_code(self, tmp_path, capsys):
+        # each value is upsilon, so it meets the model's own upsilon >= 0 check
+        cfg = tmp_path / "inviscid.cfg"
+        cfg.write_text(INVISCID.replace("upsilon_kappa = 0.1", "upsilon_kappa = 0.1 -0.1"))
+        out = tmp_path / "out"
+        assert main(["inviscid", "--config", str(cfg), "--out", str(out)]) == 2
+        expected = "[inviscid] upsilon_kappa: upsilon must be >= 0, got -0.1"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "setting, expected",
         [
-            ("grid_points = 2", "[verify] grid_points must be >= 3, got 2"),
-            ("vectors = 0", "[verify] vectors must be >= 1, got 0"),
-            ("weight_length = 2", "[verify] weight_length must be >= 3, got 2"),
-            ("seed = -1", "[verify] seed must be >= 0, got -1"),
+            ("grid_points = 2", "[verify] grid_points must be an integer >= 3, got 2"),
+            ("vectors = 0", "[verify] vectors must be an integer >= 1, got 0"),
+            ("weight_length = 2", "[verify] weight_length must be an integer >= 3, got 2"),
+            ("seed = -1", "[verify] seed must be an integer >= 0, got -1"),
             ("alphas = 1.5 0.5", "[verify] alphas: alpha must lie in (1, 2], got 0.5"),
         ],
     )
@@ -441,12 +451,15 @@ class TestCliDispatch:
         "mode, text, expected",
         [
             ("simulate", MINIMAL_SIMULATE.replace("gamma = 0.0", "gamma = 40"),
-             "[model] gamma = 40 with tau = 0.05: tau * gamma = 2 must be < 2"),
+             "[model] gamma: tau * gamma must be < 2, got tau = 0.05, gamma = 40, "
+             "tau * gamma = 2"),
             ("decay", MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay")
              + "\n[decay]\ngammas = -2 45\n",
-             "[decay] gammas entry 45 with tau = 0.05: tau * gamma = 2.25 must be < 2"),
+             "[decay] gammas: tau * gamma must be < 2, got tau = 0.05, gamma = 45, "
+             "tau * gamma = 2.25"),
             ("convergence", CONVERGENCE_EXACT.replace("gamma = 0.0", "gamma = 12.5"),
-             "[model] gamma = 12.5 with tau = 0.2: tau * gamma = 2.5 must be < 2"),
+             "[model] gamma: tau * gamma must be < 2, got tau = 0.2, gamma = 12.5, "
+             "tau * gamma = 2.5"),
         ],
         ids=["simulate", "decay", "convergence"],
     )

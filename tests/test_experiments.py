@@ -10,6 +10,7 @@ import pytest
 from fgle.experiments import (
     ExactReference,
     FineGridReference,
+    convergence_grids,
     convergence_study,
     error_norms,
     inviscid_limit_study,
@@ -222,6 +223,12 @@ class TestConvergenceStudy:
         runs, _ = experiments.convergence_grids((-16.0, 16.0), 0.5, 0.1, 0.8, 2)
         assert [grid.M for _, _, grid, _ in runs] == [40, 80]
 
+    @pytest.mark.parametrize("levels", [2.5, True, 0])
+    def test_levels_must_be_an_integer(self, levels):
+        message = f"levels must be an integer >= 1, got {levels!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convergence_grids((-16.0, 16.0), 0.5, 0.1, 0.8, levels)
+
     def test_fine_reference_requires_initial_data(self):
         p = sech_soliton_model_params()
         with pytest.raises(ValueError, match="u0"):
@@ -264,6 +271,27 @@ class TestNormDecayStudy:
         assert norms[-1] < norms[0] / 10.0
         assert np.all(np.diff(norms) <= 1e-12)
 
+    @pytest.mark.parametrize(
+        "gammas, message",
+        [
+            ([], "gammas must list at least one value"),
+            ([-2.0, 45.0], "tau = 0.05, gamma = 45, tau * gamma = 2.25"),
+        ],
+        ids=["empty", "tau-gamma"],
+    )
+    def test_every_gamma_checked_before_any_run(self, monkeypatch, gammas, message):
+        import fgle.experiments as experiments
+
+        calls = []
+        run = experiments.run_simulation
+        monkeypatch.setattr(
+            experiments, "run_simulation", lambda *a, **k: calls.append(a) or run(*a, **k)
+        )
+        p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.8)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            norm_decay_study(p, gammas, GridSpec(-10.0, 10.0, 40), TimeGrid(1.0, 20), gaussian)
+        assert calls == []
+
 
 class TestInviscidLimit:
     def test_zero_pair_has_zero_deviation(self):
@@ -279,6 +307,27 @@ class TestInviscidLimit:
         out = inviscid_limit_study(p, pairs, grid, TimeGrid(1.0, 20), gaussian)
         devs = [d for _, _, d in out]
         assert devs[0] > devs[1] > devs[2] > 0.0
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([], "pairs must list at least one value"),
+            ([(0.1, 0.1), (-1.0, 0.0)], "upsilon must be >= 0, got -1.0"),
+        ],
+        ids=["empty", "negative-upsilon"],
+    )
+    def test_every_pair_checked_before_any_run(self, monkeypatch, pairs, message):
+        import fgle.experiments as experiments
+
+        calls = []
+        run = experiments.run_simulation
+        monkeypatch.setattr(
+            experiments, "run_simulation", lambda *a, **k: calls.append(a) or run(*a, **k)
+        )
+        p = ModelParams(0.1, 1.0, 0.1, -2.0, 0.0, alpha=1.5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            inviscid_limit_study(p, pairs, GridSpec(-10.0, 10.0, 40), TimeGrid(0.5, 10), gaussian)
+        assert calls == []
 
 
 class TestOperatorRefinementOrders:
@@ -311,8 +360,13 @@ class TestVerifySuite:
         "kwargs, message",
         [
             ({"alphas": (1.5, 0.9)}, r"alphas: alpha must lie in \(1, 2\], got 0.9"),
-            ({"n_vectors": 0}, "vectors must be >= 1, got 0"),
-            ({"grid_points": 2}, "grid_points must be >= 3, got 2"),
+            ({"n_vectors": 0}, "vectors must be an integer >= 1, got 0"),
+            ({"grid_points": 2}, "grid_points must be an integer >= 3, got 2"),
+            ({"n_vectors": 2.5}, "vectors must be an integer >= 1, got 2.5"),
+            ({"n_vectors": True}, "vectors must be an integer >= 1, got True"),
+            ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            ({"grid_points": 16.0}, "grid_points must be an integer >= 3, got 16.0"),
+            ({"weight_length": True}, "weight_length must be an integer >= 3, got True"),
         ],
     )
     def test_arguments_checked_as_settings(self, kwargs, message):
