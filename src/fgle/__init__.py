@@ -25,14 +25,11 @@ from .linalg import (
     FactorizedSystem,
     SingularMatrixError,
     cholesky,
-    inner_product,
     l2_h,
     linf_h,
-    lp_h,
     lu_factor,
 )
 from .spectral import (
-    semidiscrete_fourier,
     sobolev_norm,
     sobolev_seminorm,
     verify_interpolation,

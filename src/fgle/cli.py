@@ -27,6 +27,7 @@ from .experiments import (
     convergence_study,
     inviscid_limit_study,
     norm_decay_study,
+    sech_soliton_coefficients,
     sech_soliton_solution,
     verify_suite,
 )
@@ -215,6 +216,8 @@ def parse_config(text: str) -> RunConfig:
         model = _build("model", ModelParams, **coeffs)
         if initial not in ("gaussian", "soliton"):
             raise ConfigError(f"[model] initial must be 'gaussian' or 'soliton', got '{initial}'")
+        if initial == "soliton":
+            _checked("[model] initial = soliton:", sech_soliton_coefficients, model.upsilon)
         gs = section("grid", "a", "b", "m")
         ts = section("time", "t_final", "steps")
         grid = _build("grid", GridSpec, a=gs["a"], b=gs["b"], M=gs["m"])

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ComplexField, _check_positive, cholesky, l2_h, linf_h
+from .linalg import ComplexField, _check_pair, _check_positive, cholesky, l2_h, linf_h
 from .spectral import energy_equivalence_margins
 from .stepper import (
     GridSpec,
@@ -23,7 +23,6 @@ from .stepper import (
     run_simulation,
 )
 from .wsgd import (
-    LEADING_PAIR_ALPHA_THRESHOLD,
     _check_alpha,
     _check_count,
     assemble_operator,
@@ -74,7 +73,7 @@ def sech_soliton_coefficients(upsilon: float) -> SolitonCoefficients:
     equation exactly.
     """
     if not upsilon > 0:
-        raise ValueError("upsilon must be positive")
+        raise ValueError(f"upsilon must be positive, got {upsilon}")
     s = math.sqrt(1.0 + 4.0 * upsilon * upsilon)
     d = (s - 1.0) / (2.0 * upsilon)
     kappa = -upsilon * (3.0 * s - 1.0) / (2.0 * (2.0 + 9.0 * upsilon * upsilon))
@@ -96,8 +95,7 @@ def sech_soliton_model_params(upsilon: float = 0.3, alpha: float = 2.0) -> Model
 
 def error_norms(u: ComplexField, v: ComplexField) -> tuple[float, float]:
     """(l2_h, linf_h) norms of u - v on a shared grid."""
-    if len(u) != len(v) or u.h != v.h:
-        raise ValueError("error norms need fields on the same grid")
+    _check_pair(u, v)
     e = ComplexField(u.values - v.values, u.h)
     return l2_h(e), linf_h(e)
 
@@ -445,22 +443,15 @@ def verify_suite(
     theta = np.linspace(0.0, math.pi, 101)[1:]
 
     for alpha in alphas:
+        # each property is judged against the status it is expected to have
+        # (the leading pair w0 + w1 changes sign), so correct weights pass
         report = check_weight_properties(wsgd_weights(alpha, weight_length))
-        # The leading pair w0 + w1 provably changes sign at sqrt(6) - 1; the
-        # gate compares each property against its true expected status so a
-        # correct weight sequence always passes.
-        leading_should_hold = alpha > LEADING_PAIR_ALPHA_THRESHOLD or alpha == 2.0
-        wrong = []
-        worst = math.inf
-        for c in report.checks:
-            expected = leading_should_hold if c.name == "leading_pair_sum_negative" else True
-            if c.passed != expected:
-                wrong.append(c.name)
-            worst = min(worst, c.margin if expected else -c.margin)
+        wrong = [c.name for c in report.checks if c.passed != c.expected]
+        worst = min(c.margin if c.expected else -c.margin for c in report.checks)
         detail = ""
         if wrong:
             detail = "violated: " + ", ".join(wrong)
-        elif not leading_should_hold:
+        elif not all(c.expected for c in report.checks):
             detail = "leading pair sum positive, expected below threshold alpha"
         checks.append(SuiteCheck("coefficient_properties", alpha, not wrong, worst, detail))
 
@@ -476,7 +467,7 @@ def verify_suite(
             const = float(np.max(np.abs(hvals + 1.0)))
             checks.append(SuiteCheck("symbol_constant", alpha, const <= 1e-14, 1e-14 - const))
 
-        closed, _ = symbol_f(alpha, theta, 2)
+        closed = symbol_f(alpha, theta)
         power = theta**alpha
         slack = 1e-12 * np.maximum(1.0, power)
         lo = closed - c_alpha(alpha) * power

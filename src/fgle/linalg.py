@@ -1,5 +1,7 @@
-"""Grid functions, discrete inner products, dense factorizations and the FFT
-products behind the Toeplitz operator and the Gohberg-Semencul solve.
+"""Grid functions and their norms, dense factorizations, and the FFT products
+behind the Toeplitz operator and the Gohberg-Semencul solve. The one
+symmetric Toeplitz quadratic form, ``toeplitz_quadratic_form``, serves both
+the operator's energy (Delta_h u, u)_h and the H^sigma_h seminorm.
 
 A symmetric Toeplitz matrix is also centrosymmetric (J A J = A, J the
 exchange matrix), so an even/odd change of basis splits it into two blocks
@@ -53,27 +55,15 @@ class ComplexField:
 
 
 def _check_pair(u: ComplexField, v: ComplexField) -> None:
+    """The package's one check that two fields share a grid: same length and spacing."""
     if len(u) != len(v):
         raise ValueError(f"field lengths differ: {len(u)} vs {len(v)}")
     if u.h != v.h:
         raise ValueError(f"field spacings differ: {u.h} vs {v.h}")
 
 
-def inner_product(u: ComplexField, v: ComplexField) -> complex:
-    """Discrete inner product (u, v)_h = h * sum_j u_j * conj(v_j)."""
-    _check_pair(u, v)
-    return complex(u.h * np.sum(u.values * np.conj(v.values)))
-
-
 def l2_h(u: ComplexField) -> float:
     return math.sqrt(u.h * float(np.sum(np.abs(u.values) ** 2)))
-
-
-def lp_h(u: ComplexField, p: float) -> float:
-    """Discrete l^p norm (h * sum |u_j|^p)^(1/p) for finite p >= 1."""
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    return float((u.h * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
 
 
 def linf_h(u: ComplexField) -> float:
@@ -124,6 +114,21 @@ def symmetric_toeplitz_spectrum(column: np.ndarray) -> np.ndarray:
     embedding[embedding.size - n + 1 :] = column[:0:-1]
     spectrum = np.fft.fft(embedding)
     return spectrum.real if np.isrealobj(column) else spectrum
+
+
+def toeplitz_quadratic_form(spectrum: np.ndarray, values: np.ndarray, scale: float):
+    """scale Re(u^H T u) for each column u of ``values`` (shape (n,) or (n, k)).
+
+    T is the real symmetric Toeplitz matrix whose circulant embedding has the
+    real ``spectrum`` (``symmetric_toeplitz_spectrum``) of length L >= 2n - 1.
+    By Parseval that is scale / L * sum_k spectrum_k |FFT_L(u)_k|^2, one FFT
+    per column: the zero-padded u sees only the embedding's top-left block, T.
+    Returns shape (k,), or a scalar for 1-D ``values``.
+    """
+    coeffs = np.fft.fft(values.T, spectrum.size)
+    forms = (coeffs.real**2 + coeffs.imag**2) @ spectrum
+    forms *= scale / spectrum.size
+    return forms
 
 
 def circulant_product(spectrum: np.ndarray, values: np.ndarray, sum_axis: int | None = None):

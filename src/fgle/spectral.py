@@ -1,16 +1,16 @@
-"""Semi-discrete Fourier transform and fractional Sobolev (semi-)norms.
+"""Fractional Sobolev (semi-)norms of grid functions and the spectral
+inequalities the paper's proofs use.
 
-The transform places the interior nodes at x_j = j h, consistent with the
-zero extension of the truncated problem; all norms below are invariant
-under the constant phase introduced by shifting the physical origin.
-
-The seminorm int |k|^(2 sigma) |u_hat(k)|^2 dk is evaluated by the
-composite trapezoid rule over [-pi/h, pi/h], with a panel count set here
+The seminorm int |k|^(2 sigma) |u_hat(k)|^2 dk of the semi-discrete Fourier
+transform u_hat(k) = (1/sqrt(2 pi)) h sum_j u_j exp(-i k j h) is evaluated by
+the composite trapezoid rule over [-pi/h, pi/h], with a panel count set here
 from the number of nodes, but never node by node: |u_hat|^2 is a Toeplitz
-form in u, so the rule's sum is u^H T u, where T is the real symmetric
+form in u, so the rule's sum is Re(u^H T u), where T is the real symmetric
 Toeplitz matrix of the rule's moments of |k|^(2 sigma) against the lag
-phases. One FFT over the nodes gives all moments, and T is applied through
-a circulant embedding.
+phases. One FFT over the rule's nodes gives all moments, and the form is
+``linalg.toeplitz_quadratic_form``, the one the operator's energy uses: one
+more FFT per vector, by Parseval. All norms are invariant under the constant
+phase introduced by shifting the physical origin.
 """
 
 from __future__ import annotations
@@ -21,18 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    ComplexField, _check_positive, circulant_product, l2_h, lp_h, symmetric_toeplitz_spectrum
+    ComplexField, _check_positive, l2_h, symmetric_toeplitz_spectrum, toeplitz_quadratic_form
 )
-from .wsgd import assemble_operator, c_alpha, wsgd_weights
+from .wsgd import _check_operator, assemble_operator, c_alpha, wsgd_weights
 
 __all__ = [
     "InterpolationReport",
-    "semidiscrete_fourier",
     "sobolev_seminorm",
     "sobolev_norm",
     "energy_equivalence_margins",
     "verify_interpolation",
-    "gagliardo_nirenberg_ratio",
 ]
 
 # Composite trapezoid panels. The integrand has a |k|^(2 sigma) kink at the
@@ -43,21 +41,6 @@ QUADRATURE_FLOOR = 32768
 
 def _panels(nodes: int) -> int:
     return max(16 * nodes, QUADRATURE_FLOOR)
-
-
-def semidiscrete_fourier(u: ComplexField, k):
-    """Transform value (1/sqrt(2 pi)) h sum_j u_j exp(-i k x_j).
-
-    k may be a scalar or an array; every entry must satisfy |k| <= pi/h.
-    """
-    karr = np.asarray(k, dtype=float)
-    kmax = math.pi / u.h
-    if not np.all(np.abs(karr) <= kmax * (1.0 + 1e-12)):
-        raise ValueError(f"|k| must not exceed pi/h = {kmax}")
-    x = u.h * np.arange(1, len(u) + 1)
-    phases = np.exp(-1j * np.multiply.outer(karr, x))
-    out = (u.h / math.sqrt(2.0 * math.pi)) * (phases @ u.values)
-    return out if karr.ndim else complex(out)
 
 
 def _seminorm_batch(values: np.ndarray, h: float, sigma: float, panels: int) -> np.ndarray:
@@ -78,10 +61,9 @@ def _seminorm_batch(values: np.ndarray, h: float, sigma: float, panels: int) -> 
     n = panels + (panels % 2)
     # |k_m| from the integer offset |m - n/2|, so the samples are exactly even
     abs_k = np.abs(np.arange(n) - n // 2) * (2.0 * math.pi / (n * h))
-    moments = np.fft.rfft(abs_k ** (2.0 * sigma))[:nodes].real * (h / n)
+    moments = np.fft.rfft(abs_k ** (2.0 * sigma))[:nodes].real
     moments[1::2] *= -1.0
-    products = circulant_product(symmetric_toeplitz_spectrum(moments), values.T).T
-    return np.sum(values.conj() * products, axis=0).real
+    return toeplitz_quadratic_form(symmetric_toeplitz_spectrum(moments), values, h / n)
 
 
 def sobolev_seminorm(u: ComplexField, sigma: float) -> float:
@@ -112,8 +94,7 @@ def energy_equivalence_margins(
     M = fields.shape[0] + 1
     if operator is None:
         operator = assemble_operator(wsgd_weights(alpha, M), M)
-    elif operator.column.size != M - 1 or operator.alpha != alpha:
-        raise ValueError("operator matrix does not match alpha/fields")
+    _check_operator(operator, alpha, M)
     sem = _seminorm_batch(fields, h, alpha / 2.0, _panels(M - 1))
     qf = operator.quadratic_form(fields, h)
     ca = c_alpha(alpha)
@@ -143,14 +124,3 @@ def verify_interpolation(u: ComplexField, sigma0: float, sigma: float) -> Interp
     rhs = math.sqrt(2.0) * hs**r * l2_h(u) ** (1.0 - r)
     return InterpolationReport(sigma0=sigma0, sigma=sigma, lhs=lhs, rhs=rhs, margin=rhs - lhs)
 
-
-def gagliardo_nirenberg_ratio(u: ComplexField, p: float, sigma0: float, sigma: float) -> float:
-    """Empirical ratio ||u||_{l^p_h} / (||u||_{H^sigma}^(s0/s) ||u||_h^(1-s0/s)).
-
-    Diagnostic only: the inequality's constant is not quantified, so no
-    pass/fail judgement is attached.
-    """
-    if not ((p - 2.0) / (2.0 * p) < sigma0 <= sigma <= 1.0):
-        raise ValueError("need (p-2)/(2p) < sigma0 <= sigma <= 1")
-    r = sigma0 / sigma if sigma > 0 else 1.0
-    return lp_h(u, p) / (math.sqrt(sobolev_norm(u, sigma)) ** r * l2_h(u) ** (1.0 - r))

@@ -30,7 +30,9 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import ComplexField, FactorizedSystem, _check_positive, lu_factor, toeplitz_half_blocks
-from .wsgd import OperatorMatrix, _check_alpha, _check_count, assemble_operator, wsgd_weights
+from .wsgd import (
+    OperatorMatrix, _check_alpha, _check_count, _check_operator, assemble_operator, wsgd_weights
+)
 
 __all__ = [
     "ModelParams",
@@ -211,8 +213,7 @@ def build_system_matrix(
     that fails its gate raises ``linalg.SingularMatrixError``.
     """
     _check_time_step(tau, params.gamma)
-    if operator.column.size != grid.M - 1 or operator.alpha != params.alpha:
-        raise ValueError("operator matrix does not match the model/grid")
+    _check_operator(operator, params.alpha, grid.M)
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
     if col.size >= _GS_MIN_SIZE:

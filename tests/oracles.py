@@ -33,6 +33,18 @@ def apply_fractional_laplacian(u: ComplexField, weights: WsgdWeights) -> Complex
     return ComplexField(out, u.h)
 
 
+def symbol_series(alpha: float, theta, L: int):
+    """The weights' L-term cosine series 1/cos(alpha pi/2) * sum_{l<=L} w_l cos((l-1) theta).
+
+    Independent of ``wsgd.symbol_f``, which is its closed-form limit: it sums
+    the WSGD weights themselves. theta may be a scalar or an array.
+    """
+    w = wsgd_weights(alpha, L).w
+    l = np.arange(L + 1, dtype=float)
+    series = np.cos(np.multiply.outer(np.asarray(theta, dtype=float), l - 1.0)) @ w
+    return series / math.cos(alpha * math.pi / 2.0)
+
+
 def trapezoid_seminorm(values: np.ndarray, h: float, sigma: float, panels: int) -> np.ndarray:
     """|.|^2_{H^sigma_h} per column of ``values`` by the dense composite trapezoid rule.
 

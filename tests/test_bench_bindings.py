@@ -1,30 +1,56 @@
-"""The benchmark tracer still binds to the package.
+"""The benchmark's own calls still bind to the package.
 
-``bench/tracer.py`` wraps package functions by module and name. A rename or
-a changed call path would otherwise surface only when the benchmark runs;
-here it fails in about a second.
+``bench/tracer.py`` wraps package functions by module and name, and
+``bench/worker.py`` and ``bench/workloads.py`` call the package directly. A
+rename or a changed call path would otherwise surface only when the
+benchmark runs; here it fails in seconds. The bench modules are loaded from
+their files, so ``bench/`` is never put on ``sys.path``.
 """
 
+import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fgle.cli as cli_mod
 import fgle.stepper as stepper_mod
+from fgle.experiments import verify_suite
 from fgle.stepper import GridSpec, ModelParams, TimeGrid
 
-_TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER_PATH)
+def _load(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, _BENCH / filename)
     module = importlib.util.module_from_spec(spec)
+    # registered before it runs, as an import would, so its dataclasses resolve
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("bench_tracer", "tracer.py")
+workloads = _load("bench_workloads", "workloads.py")
+worker = _load("bench_worker", "worker.py")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_worker_setup_succeeds(name, monkeypatch):
+    # the worker imports its workloads by module name, as the benchmark's
+    # worker process finds them beside it
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    workload = workloads.WORKLOADS[name]()
+    spec = {"name": workload.name, "fields": dataclasses.asdict(workload)}
+    reply = worker.setup({"mode": "setup", "workload": spec})
+    assert reply["failures"] == []
+    assert reply["setup_s"] > 0.0
+
+
+def test_verify_suite_makes_the_gated_check_count():
+    assert len(verify_suite().checks) == workloads.VerifySuite().checks() == 43
 
 
 def test_every_target_resolves():

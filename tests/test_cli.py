@@ -578,6 +578,22 @@ class TestCliDispatch:
         expected = 0.1 * np.sum(np.abs(sech_soliton_solution(x, 0.0, 1.0)) ** 2)
         assert float(first.split(",")[1]) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "mode, text",
+        [("simulate", MINIMAL_SIMULATE), ("decay", DECAY), ("inviscid", INVISCID),
+         ("convergence", CONVERGENCE_FINE)],
+        ids=["simulate", "decay", "inviscid", "convergence"],
+    )
+    def test_soliton_start_needs_positive_upsilon(self, tmp_path, capsys, mode, text):
+        # the sech profile is built from upsilon and has no form at upsilon = 0
+        text = re.sub(r"\nupsilon = [0-9.]+", "\nupsilon = 0.0", text)
+        if "initial = soliton" not in text:
+            text = text.replace("gamma = 0.0", "gamma = 0.0\ninitial = soliton")
+        expected = "[model] initial = soliton: upsilon must be positive, got 0.0"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            parse_config(text)
+        assert_config_error(tmp_path, capsys, mode, text, expected)
+
     def test_decay_writes_per_gamma_series(self, tmp_path):
         cfg = tmp_path / "decay.cfg"
         cfg.write_text(

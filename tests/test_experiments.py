@@ -99,8 +99,11 @@ class TestErrorNorms:
         assert linf == pytest.approx(max(diffs), rel=1e-14)
 
     def test_grid_mismatch(self):
-        with pytest.raises(ValueError, match="grid"):
-            error_norms(ComplexField(np.ones(8), 0.5), ComplexField(np.ones(8), 0.25))
+        u = ComplexField(np.ones(8), 0.5)
+        with pytest.raises(ValueError, match="field lengths differ: 8 vs 9"):
+            error_norms(u, ComplexField(np.ones(9), 0.5))
+        with pytest.raises(ValueError, match="field spacings differ: 0.5 vs 0.25"):
+            error_norms(u, ComplexField(np.ones(8), 0.25))
 
 
 class TestRestriction:

@@ -1,4 +1,4 @@
-"""Inner products, norms and dense factorization contracts."""
+"""Grid norms, the Toeplitz quadratic form and dense factorization contracts."""
 
 import math
 
@@ -13,10 +13,10 @@ from fgle.linalg import (
     SingularMatrixError,
     cholesky,
     fft_length,
-    inner_product,
+    symmetric_toeplitz_spectrum,
+    toeplitz_quadratic_form,
     l2_h,
     linf_h,
-    lp_h,
     lu_factor,
     toeplitz_half_blocks,
 )
@@ -41,34 +41,16 @@ class TestComplexField:
 
 class TestInnerProductAndNorms:
     def test_impulse_inner_product(self):
+        # (u, u)_h of a unit impulse is the mesh weight h
         vals = np.zeros(8)
         vals[3] = 1.0
-        u = ComplexField(vals, h=0.5)
-        assert inner_product(u, u) == 0.5
+        assert l2_h(ComplexField(vals, h=0.5)) ** 2 == pytest.approx(0.5, rel=1e-15)
 
     def test_norm_squared_is_real_inner_product(self):
         rng = np.random.default_rng(0)
         u = ComplexField(rng.standard_normal(16) + 1j * rng.standard_normal(16), h=0.1)
-        ip = inner_product(u, u)
-        assert ip.imag == pytest.approx(0.0, abs=1e-16)
+        ip = u.h * np.vdot(u.values, u.values)
         assert l2_h(u) ** 2 == pytest.approx(ip.real, rel=1e-14)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(1)
-        u = ComplexField(rng.standard_normal(8) + 1j * rng.standard_normal(8), h=0.2)
-        v = ComplexField(rng.standard_normal(8) + 1j * rng.standard_normal(8), h=0.2)
-        assert inner_product(u, v) == pytest.approx(np.conj(inner_product(v, u)))
-
-    def test_lp_matches_direct_sum(self):
-        rng = np.random.default_rng(2)
-        u = ComplexField(rng.standard_normal(12) + 1j * rng.standard_normal(12), h=0.3)
-        direct = (0.3 * sum(abs(z) ** 3 for z in u.values)) ** (1 / 3)
-        assert lp_h(u, 3) == pytest.approx(direct, rel=1e-14)
-
-    def test_lp_rejects_non_finite_p(self):
-        u = ComplexField(np.array([0.5, -0.25]), h=1.0)
-        with pytest.raises(ValueError, match="finite"):
-            lp_h(u, math.inf)
 
     def test_inverse_inequality(self):
         # ||u||_inf^2 <= h^{-1} ||u||_h^2 for any grid function
@@ -76,13 +58,6 @@ class TestInnerProductAndNorms:
         for _ in range(20):
             u = ComplexField(rng.standard_normal(10) + 1j * rng.standard_normal(10), h=0.05)
             assert l2_h(u) >= math.sqrt(u.h) * linf_h(u) * (1 - 1e-14)
-
-    def test_mismatch_rejected(self):
-        u = ComplexField(np.zeros(4), h=0.5)
-        with pytest.raises(ValueError, match="length"):
-            inner_product(u, ComplexField(np.zeros(5), h=0.5))
-        with pytest.raises(ValueError, match="spacing"):
-            inner_product(u, ComplexField(np.zeros(4), h=0.25))
 
 
 class TestCholesky:
@@ -335,7 +310,7 @@ class TestQuadraticFormRoutes:
         op = assemble_operator(w, M)
         u = ComplexField(rng.standard_normal(M - 1) + 1j * rng.standard_normal(M - 1), h)
 
-        direct = inner_product(apply_fractional_laplacian(u, w), u)
+        direct = h * np.vdot(u.values, apply_fractional_laplacian(u, w).values)
         assert direct.imag == pytest.approx(0.0, abs=1e-12 * abs(direct))
         quad = h ** (1 - alpha) * float(np.real(np.conj(u.values) @ (op.C @ u.values)))
         lam = cholesky(op.C) @ u.values
@@ -357,3 +332,17 @@ class TestQuadraticFormRoutes:
         assert batch.shape == (k,)
         assert np.allclose(batch, dense, rtol=1e-10, atol=0.0)
         assert batch[2] == pytest.approx(op.quadratic_form(fields[:, 2], h), rel=1e-10)
+
+    @pytest.mark.parametrize("n", (1, 2, 17))
+    def test_toeplitz_form_matches_dense(self, n):
+        # any real symmetric Toeplitz T, not only a positive definite one
+        rng = np.random.default_rng(9)
+        column = rng.standard_normal(n)
+        T = scipy.linalg.toeplitz(column)
+        u = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        forms = toeplitz_quadratic_form(symmetric_toeplitz_spectrum(column), u, 0.5)
+        dense = 0.5 * np.real(np.sum(np.conj(u) * (T @ u), axis=0))
+        assert forms.shape == (3,)
+        assert np.allclose(forms, dense, rtol=0.0, atol=1e-13 * np.max(np.abs(dense)))
+        single = toeplitz_quadratic_form(symmetric_toeplitz_spectrum(column), u[:, 1], 0.5)
+        assert single == pytest.approx(dense[1], abs=1e-13 * np.max(np.abs(dense)))

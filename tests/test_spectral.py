@@ -1,4 +1,4 @@
-"""Fourier transform, Sobolev norm quadrature and the spectral inequalities."""
+"""Sobolev norm quadrature and the spectral inequalities."""
 
 import math
 
@@ -8,13 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import trapezoid_seminorm, trapezoid_seminorm_by_fft
 
-from fgle.linalg import ComplexField, inner_product, lp_h
+from fgle.linalg import ComplexField
 from fgle.spectral import (
     _panels,
     _seminorm_batch,
     energy_equivalence_margins,
-    gagliardo_nirenberg_ratio,
-    semidiscrete_fourier,
     sobolev_norm,
     sobolev_seminorm,
     verify_interpolation,
@@ -27,39 +25,6 @@ def random_field(rng, m, h, real=False):
     if not real:
         vals = vals + 1j * rng.standard_normal(m - 1)
     return ComplexField(vals, h)
-
-
-class TestSemidiscreteFourier:
-    def test_zero_field(self):
-        u = ComplexField(np.zeros(8), h=0.5)
-        for k in (0.0, 1.0, math.pi / 0.5):
-            assert semidiscrete_fourier(u, k) == 0.0
-
-    def test_impulse_magnitude(self):
-        vals = np.zeros(8)
-        vals[2] = 1.0
-        u = ComplexField(vals, h=1.0)
-        for k in np.linspace(-math.pi, math.pi, 9):
-            assert abs(semidiscrete_fourier(u, k)) == pytest.approx(
-                1.0 / math.sqrt(2 * math.pi), rel=1e-14
-            )
-
-    def test_out_of_band_rejected(self):
-        u = ComplexField(np.zeros(8), h=0.5)
-        for k in (2.1 * math.pi, math.nan, [0.0, math.nan]):
-            with pytest.raises(ValueError, match="pi/h"):
-                semidiscrete_fourier(u, k)
-
-    def test_parseval(self):
-        # quadrature oracle: (u, v)_h = int u_hat conj(v_hat) dk over the band
-        rng = np.random.default_rng(11)
-        h, m = 0.25, 24
-        u = random_field(rng, m, h)
-        v = random_field(rng, m, h)
-        k = np.linspace(-math.pi / h, math.pi / h, 4097)
-        integrand = semidiscrete_fourier(u, k) * np.conj(semidiscrete_fourier(v, k))
-        quad = np.trapezoid(integrand, k)
-        assert quad == pytest.approx(inner_product(u, v), rel=1e-8)
 
 
 class TestSobolevSeminorm:
@@ -232,20 +197,3 @@ class TestInterpolationInequality:
         with pytest.raises(ValueError, match="sigma"):
             verify_interpolation(u, 0.9, 0.5)
 
-
-class TestGagliardoNirenbergDiagnostic:
-    def test_ratio_is_finite_and_positive(self):
-        rng = np.random.default_rng(20)
-        u = random_field(rng, 32, 0.2)
-        r = gagliardo_nirenberg_ratio(u, p=4, sigma0=0.3, sigma=0.9)
-        assert 0.0 < r < math.inf
-
-    def test_sigma_zero_takes_unit_exponent(self):
-        u = random_field(np.random.default_rng(22), 32, 0.2)
-        r = gagliardo_nirenberg_ratio(u, p=1.5, sigma0=0.0, sigma=0.0)
-        assert r == pytest.approx(lp_h(u, 1.5) / math.sqrt(sobolev_norm(u, 0.0)), rel=1e-14)
-
-    def test_exponent_domain(self):
-        u = ComplexField(np.ones(8), h=0.5)
-        with pytest.raises(ValueError):
-            gagliardo_nirenberg_ratio(u, p=4, sigma0=0.2, sigma=0.9)

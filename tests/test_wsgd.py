@@ -23,7 +23,7 @@ from fgle.wsgd import (
     symbol_f,
     wsgd_weights,
 )
-from oracles import apply_fractional_laplacian
+from oracles import apply_fractional_laplacian, symbol_series
 
 ALPHAS = (1.1, 1.5, 1.9, 2.0)
 
@@ -66,9 +66,9 @@ class TestGrunwaldCoeffs:
 
     @pytest.mark.parametrize("L", (10.5, 2.0, True))
     def test_non_integer_length_rejected(self, L):
-        # the check GridSpec makes for M; wsgd_weights and symbol_f inherit it
+        # the check GridSpec makes for M; wsgd_weights inherits it
         message = re.escape(f"L must be an integer >= 2, got {L!r}")
-        for call in (grunwald_coeffs, wsgd_weights, lambda a, n: symbol_f(a, 1.0, n)):
+        for call in (grunwald_coeffs, wsgd_weights):
             with pytest.raises(ValueError, match=message):
                 call(1.5, L)
 
@@ -117,6 +117,7 @@ class TestWeightProperties:
         assert partial[2] == 0.0
         report = check_weight_properties(w)
         assert report.passed, report.failures()
+        assert all(c.expected for c in report.checks)
         assert report.total_sum == 0.0
 
     def test_total_sum_shrinks_with_length(self):
@@ -133,6 +134,8 @@ class TestWeightProperties:
             "leading_pair_sum_negative"
         ]
         assert report.failures() == expected_failures, (alpha, report.failures())
+        # each check records the status it is expected to have
+        assert [c.name for c in report.checks if not c.expected] == expected_failures
 
     @pytest.mark.parametrize("alpha", (1.1, 1.3, 1.44))
     def test_leading_pair_sum_positive_below_threshold(self, alpha):
@@ -311,36 +314,31 @@ class TestSymbolFunctions:
             h_function(1.5, omega)
 
     def test_symbol_zero_at_origin(self):
-        closed, series = symbol_f(1.5, 0.0, 64)
-        assert closed == 0.0
+        assert symbol_f(1.5, 0.0) == 0.0
 
     def test_symbol_alpha2_at_pi(self):
-        closed, _ = symbol_f(2.0, math.pi, 8)
-        assert closed == pytest.approx(4.0, rel=1e-14)
+        assert symbol_f(2.0, math.pi) == pytest.approx(4.0, rel=1e-14)
 
     def test_symbol_array_matches_scalar_calls(self):
         theta = np.linspace(0.0, math.pi, 33)
-        closed, series = symbol_f(1.7, theta, 64)
-        assert closed.shape == series.shape == theta.shape
-        for th, c, s in zip(theta, closed, series):
-            scalar_closed, scalar_series = symbol_f(1.7, float(th), 64)
-            assert c == pytest.approx(scalar_closed, rel=1e-15, abs=1e-15)
-            assert s == pytest.approx(scalar_series, rel=1e-13, abs=1e-13)
+        closed = symbol_f(1.7, theta)
+        assert closed.shape == theta.shape
+        for th, c in zip(theta, closed):
+            scalar = symbol_f(1.7, float(th))
+            assert isinstance(scalar, float)
+            assert c == pytest.approx(scalar, rel=1e-15, abs=1e-15)
 
     @pytest.mark.parametrize("theta", (-0.1, 4.0, math.nan, [0.5, 4.0], [0.5, math.nan]))
     def test_symbol_theta_domain(self, theta):
         with pytest.raises(ValueError, match="theta"):
-            symbol_f(1.5, theta, 8)
+            symbol_f(1.5, theta)
 
     def test_series_converges_to_closed_form(self):
-        closed, series = symbol_f(1.5, math.pi / 2, 4096)
-        assert abs(closed - series) < 1e-6
+        gap = symbol_f(1.5, math.pi / 2) - symbol_series(1.5, math.pi / 2, 4096)
+        assert abs(gap) < 1e-6
 
     def test_series_gap_decays_with_length(self):
-        gaps = []
-        for L in (256, 1024, 4096):
-            closed, series = symbol_f(1.3, 0.3, L)
-            gaps.append(abs(closed - series))
+        gaps = [abs(symbol_f(1.3, 0.3) - symbol_series(1.3, 0.3, L)) for L in (256, 1024, 4096)]
         assert gaps[0] > gaps[1] > gaps[2]
 
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8, 2.0))
@@ -348,7 +346,7 @@ class TestSymbolFunctions:
         # c_alpha theta^alpha <= f <= theta^alpha, the two-sided symbol bound
         ca = c_alpha(alpha)
         for theta in np.linspace(0.0, math.pi, 64):
-            closed, _ = symbol_f(alpha, float(theta), 2)
+            closed = symbol_f(alpha, float(theta))
             slack = 1e-12 * max(1.0, theta**alpha)
             assert closed >= ca * theta**alpha - slack
             assert closed <= theta**alpha + slack
