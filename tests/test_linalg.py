@@ -11,6 +11,7 @@ import fgle.linalg as linalg_mod
 from fgle.linalg import (
     ComplexField,
     SingularMatrixError,
+    _check_pair,
     cholesky,
     fft_length,
     symmetric_toeplitz_spectrum,
@@ -58,6 +59,13 @@ class TestInnerProductAndNorms:
         for _ in range(20):
             u = ComplexField(rng.standard_normal(10) + 1j * rng.standard_normal(10), h=0.05)
             assert l2_h(u) >= math.sqrt(u.h) * linf_h(u) * (1 - 1e-14)
+
+    def test_mismatch_rejected(self):
+        u = ComplexField(np.zeros(4), h=0.5)
+        with pytest.raises(ValueError, match="length"):
+            _check_pair(u, ComplexField(np.zeros(5), h=0.5))
+        with pytest.raises(ValueError, match="spacing"):
+            _check_pair(u, ComplexField(np.zeros(4), h=0.25))
 
 
 class TestCholesky:
