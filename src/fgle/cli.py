@@ -11,24 +11,22 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .experiments import (
-    ConvergenceRow,
     FineGridReference,
     VerifySettings,
     _check_listed,
+    _initial_data,
     _sech_soliton_reference,
     convergence_grids,
     convergence_study,
     inviscid_limit_study,
     norm_decay_study,
-    sech_soliton_coefficients,
-    sech_soliton_solution,
     verify_suite,
 )
 from .linalg import SingularMatrixError
@@ -38,6 +36,7 @@ from .stepper import (
     NonConvergence,
     SolverSettings,
     TimeGrid,
+    _check_factor_fits,
     _check_time_step,
     run_simulation,
     snapshot_steps,
@@ -72,6 +71,16 @@ class ConvergenceSettings:
         _check_count("levels", self.levels, 1)
         if self.reference == "exact" and (self.h_ref, self.tau_ref) != (None, None):
             raise ValueError("h_ref and tau_ref apply to reference = fine only")
+        if self.reference == "fine" and None in (self.h_ref, self.tau_ref):
+            raise ValueError("reference = fine requires both h_ref and tau_ref")
+
+
+def _reference(conv: ConvergenceSettings, model: ModelParams, initial: str):
+    """The reference ``conv`` names: the sech soliton (an ExactReference), which ``model``
+    and the initial data named ``initial`` must be, or a nested fine-grid run."""
+    if conv.reference == "exact":
+        return _sech_soliton_reference(model, initial)
+    return FineGridReference(conv.h_ref, conv.tau_ref)
 
 
 @dataclass(frozen=True)
@@ -90,15 +99,7 @@ class RunConfig:
     verify: VerifySettings = field(default_factory=VerifySettings)
 
 
-# The sections each mode reads besides [run]; all but _OPTIONAL are required.
-_STUDY = ("model", "grid", "time", "solver", "output")
-_MODES: dict[str, tuple[str, ...]] = {
-    "simulate": _STUDY,
-    "convergence": (*_STUDY, "convergence"),
-    "decay": (*_STUDY, "decay"),
-    "inviscid": (*_STUDY, "inviscid"),
-    "verify": ("output", "verify"),
-}
+# Sections a mode may omit; every other one it reads (``_MODES``) is required.
 _OPTIONAL = ("solver", "output", "verify")
 
 # Every admitted key, by section, with its kind: float, int, str, or tuple
@@ -204,23 +205,22 @@ def parse_config(text: str) -> RunConfig:
     mode = section("run", "mode")["mode"]
     if mode not in _MODES:
         raise ConfigError(f"[run] mode must be one of {', '.join(_MODES)}, got '{mode}'")
+    read, _ = _MODES[mode]
     for name in sections:
-        if name != "run" and name not in _MODES[mode]:
+        if name != "run" and name not in read:
             raise ConfigError(f"section [{name}] is not read by mode = {mode}")
 
     model = grid = time_grid = conv = None
     initial = "gaussian"
-    if "model" in _MODES[mode]:
+    if "model" in read:
         coeffs = dict(section("model"))
         initial = coeffs.pop("initial", initial)
         model = _build("model", ModelParams, **coeffs)
-        if initial not in ("gaussian", "soliton"):
-            raise ConfigError(f"[model] initial must be 'gaussian' or 'soliton', got '{initial}'")
-        if initial == "soliton":
-            _checked("[model] initial = soliton:", sech_soliton_coefficients, model.upsilon)
+        _checked("[model]", _initial_data, initial, model.upsilon)
         gs = section("grid", "a", "b", "m")
         ts = section("time", "t_final", "steps")
         grid = _build("grid", GridSpec, a=gs["a"], b=gs["b"], M=gs["m"])
+        _checked("[grid]", _check_factor_fits, grid.M)
         time_grid = _build("time", TimeGrid, T=ts["t_final"], N=ts["steps"])
 
     solver = _build("solver", SolverSettings, **section("solver"))
@@ -243,14 +243,9 @@ def parse_config(text: str) -> RunConfig:
 
     if mode == "convergence":
         conv = _build("convergence", ConvergenceSettings, **section("convergence"))
-        fine = None
-        if conv.reference == "exact":
-            _checked("[convergence]", _sech_soliton_reference, model, initial)
-        else:
-            section("convergence", "h_ref", "tau_ref")
-            fine = _checked("[convergence]", FineGridReference, conv.h_ref, conv.tau_ref)
+        reference = _checked("[convergence]", _reference, conv, model, initial)
         _checked("[convergence]", convergence_grids, (grid.a, grid.b), time_grid.T,
-                 time_grid.tau, grid.h, conv.levels, fine)
+                 time_grid.tau, grid.h, conv.levels, reference)
 
     inviscid_pairs = None
     if mode == "inviscid":
@@ -298,7 +293,7 @@ def serialize_config(cfg: RunConfig) -> str:
     sections["verify"] = asdict(cfg.verify)
 
     lines = []
-    for name in ("run", *_MODES[cfg.mode]):
+    for name in ("run", *_MODES[cfg.mode][0]):
         entries = []
         for key, kind in _KEYS[name].items():
             value = sections[name][key]
@@ -334,14 +329,9 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _initial_sampler(cfg: RunConfig) -> Callable[[np.ndarray], np.ndarray]:
-    if cfg.initial == "soliton":
-        upsilon = cfg.model.upsilon
-        return lambda x: sech_soliton_solution(x, 0.0, upsilon)
-    return lambda x: np.exp(-2.0 * x * x).astype(complex)
-
-
-def _write_trajectory(traj, outdir: Path) -> None:
+def run_simulate(cfg: RunConfig, outdir: Path) -> int:
+    u0 = _initial_data(cfg.initial, cfg.model.upsilon)
+    traj = run_simulation(cfg.model, cfg.grid, cfg.time, u0, cfg.solver, cfg.snapshot_times)
     write_csv(outdir / "norms.csv", ["t", "norm_sq"], zip(traj.times, traj.norm_sq))
     write_csv(
         outdir / "diagnostics.csv",
@@ -358,72 +348,46 @@ def _write_trajectory(traj, outdir: Path) -> None:
             ["x", "re", "im", "abs"],
             zip(x, snap.values.real, snap.values.imag, np.abs(snap.values)),
         )
-
-
-def _convergence_rows(rows: list[ConvergenceRow]):
-    for r in rows:
-        yield (r.tau, r.h, r.err_l2, r.err_linf, r.order1, r.order2)
-
-
-def run_simulate(cfg: RunConfig, outdir: Path) -> int:
-    traj = run_simulation(
-        cfg.model, cfg.grid, cfg.time, _initial_sampler(cfg), cfg.solver, cfg.snapshot_times
-    )
-    _write_trajectory(traj, outdir)
     return 0
 
 
 def run_convergence(cfg: RunConfig, outdir: Path) -> int:
-    c = cfg.convergence
-    if c.reference == "exact":
-        reference = _sech_soliton_reference(cfg.model, cfg.initial)
-    else:
-        reference = FineGridReference(h_ref=c.h_ref, tau_ref=c.tau_ref)
     rows = convergence_study(
         cfg.model,
         (cfg.grid.a, cfg.grid.b),
         cfg.time.T,
         cfg.time.tau,
         cfg.grid.h,
-        c.levels,
-        reference,
-        u0=_initial_sampler(cfg),
+        cfg.convergence.levels,
+        _reference(cfg.convergence, cfg.model, cfg.initial),
+        u0=_initial_data(cfg.initial, cfg.model.upsilon),
         settings=cfg.solver,
     )
     write_csv(
         outdir / "convergence.csv",
         ["tau", "h", "err_l2", "err_linf", "order1", "order2"],
-        _convergence_rows(rows),
+        ((r.tau, r.h, r.err_l2, r.err_linf, r.order1, r.order2) for r in rows),
     )
     return 0
 
 
 def run_decay(cfg: RunConfig, outdir: Path) -> int:
-    series = norm_decay_study(
-        cfg.model, cfg.decay_gammas, cfg.grid, cfg.time, _initial_sampler(cfg), cfg.solver
-    )
+    u0 = _initial_data(cfg.initial, cfg.model.upsilon)
+    series = norm_decay_study(cfg.model, cfg.decay_gammas, cfg.grid, cfg.time, u0, cfg.solver)
     for gamma, (times, norms) in series.items():
         write_csv(outdir / f"norms_gamma{gamma:g}.csv", ["t", "norm_sq"], zip(times, norms))
     return 0
 
 
 def run_inviscid(cfg: RunConfig, outdir: Path) -> int:
-    rows = inviscid_limit_study(
-        cfg.model, cfg.inviscid_pairs, cfg.grid, cfg.time, _initial_sampler(cfg), cfg.solver
-    )
+    u0 = _initial_data(cfg.initial, cfg.model.upsilon)
+    rows = inviscid_limit_study(cfg.model, cfg.inviscid_pairs, cfg.grid, cfg.time, u0, cfg.solver)
     write_csv(outdir / "inviscid.csv", ["upsilon", "kappa", "deviation_l2"], rows)
     return 0
 
 
 def run_verify(cfg: RunConfig, outdir: Path) -> int:
-    v = cfg.verify
-    report = verify_suite(
-        alphas=v.alphas,
-        weight_length=v.weight_length,
-        grid_points=v.grid_points,
-        n_vectors=v.vectors,
-        seed=v.seed,
-    )
+    report = verify_suite(*astuple(cfg.verify))  # VerifySettings lists the suite's arguments
     for check in report.checks:
         print(check.line())
     write_csv(
@@ -432,6 +396,17 @@ def run_verify(cfg: RunConfig, outdir: Path) -> int:
         ((c.name, c.alpha, c.passed, c.margin, c.detail) for c in report.checks),
     )
     return 0 if report.passed else 1
+
+
+# Each mode: the sections it reads besides [run] (all but _OPTIONAL required), and its runner.
+_STUDY = ("model", "grid", "time", "solver", "output")
+_MODES: dict[str, tuple[tuple[str, ...], Callable[[RunConfig, Path], int]]] = {
+    "simulate": (_STUDY, run_simulate),
+    "convergence": ((*_STUDY, "convergence"), run_convergence),
+    "decay": ((*_STUDY, "decay"), run_decay),
+    "inviscid": ((*_STUDY, "inviscid"), run_inviscid),
+    "verify": (("output", "verify"), run_verify),
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -455,9 +430,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         outdir = Path(args.out or cfg.output_dir or "out")
         outdir.mkdir(parents=True, exist_ok=True)
-        runs = {"simulate": run_simulate, "convergence": run_convergence, "decay": run_decay,
-                "inviscid": run_inviscid, "verify": run_verify}
-        return runs[args.command](cfg, outdir)
+        _, run = _MODES[cfg.mode]
+        return run(cfg, outdir)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,6 @@ verification suite of the discrete properties the paper's proofs use."""
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
@@ -18,8 +17,9 @@ from .stepper import (
     ModelParams,
     SolverSettings,
     TimeGrid,
+    _check_factor_fits,
     _check_time_step,
-    factor_nbytes,
+    _exact_division,
     run_simulation,
 )
 from .wsgd import (
@@ -93,6 +93,26 @@ def sech_soliton_model_params(upsilon: float = 0.3, alpha: float = 2.0) -> Model
     return ModelParams(upsilon=upsilon, eta=0.5, kappa=c.kappa, zeta=-1.0, gamma=0.0, alpha=alpha)
 
 
+def _gaussian(x: np.ndarray) -> np.ndarray:
+    """exp(-2 x^2): the default initial data, and ``verify_suite``'s too."""
+    return np.exp(-2.0 * x * x)
+
+
+def _initial_data(name: str, upsilon: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The initial data named ``name`` for a model with this upsilon: 'gaussian'
+    (``_gaussian``) or 'soliton', the sech soliton at t = 0, which is built from
+    upsilon and needs it positive. Anything else is a ValueError."""
+    if name == "gaussian":
+        return _gaussian
+    if name != "soliton":
+        raise ValueError(f"initial must be 'gaussian' or 'soliton', got '{name}'")
+    try:
+        sech_soliton_coefficients(upsilon)
+    except ValueError as exc:
+        raise ValueError(f"initial = soliton: {exc}") from None
+    return lambda x: sech_soliton_solution(x, 0.0, upsilon)
+
+
 def error_norms(u: ComplexField, v: ComplexField) -> tuple[float, float]:
     """(l2_h, linf_h) norms of u - v on a shared grid."""
     _check_pair(u, v)
@@ -112,8 +132,6 @@ def _sech_soliton_reference(model: ModelParams, initial: str) -> ExactReference:
     ``initial``: a ValueError, in run-config keys, unless both are the soliton's own."""
     if model.alpha != 2.0:
         raise ValueError("reference = exact requires alpha = 2")
-    if not model.upsilon > 0:
-        raise ValueError("reference = exact requires upsilon > 0")
     soliton = sech_soliton_model_params(model.upsilon, alpha=2.0)
     for f in fields(ModelParams):
         want, got = getattr(soliton, f.name), getattr(model, f.name)
@@ -172,14 +190,6 @@ def _check_listed(name: str, values, check=lambda value: None) -> None:
             raise ValueError(f"{name}: {exc}") from None
 
 
-def _exact_division(num: float, den: float, what: str) -> int:
-    ratio = num / den if den != 0 else math.inf
-    r = round(ratio) if math.isfinite(ratio) else 0
-    if r < 1 or abs(ratio - r) > 1e-9 * max(1.0, abs(ratio)):
-        raise ValueError(f"{what}: {num} is not an integer multiple of {den}")
-    return r
-
-
 def restrict_to_coarse(fine_values: np.ndarray, ratio: int) -> np.ndarray:
     """Interior values on a nested coarse grid: coarse node j is fine node j*ratio."""
     fine_values = np.asarray(fine_values)
@@ -190,26 +200,21 @@ def restrict_to_coarse(fine_values: np.ndarray, ratio: int) -> np.ndarray:
     return fine_values[ratio * np.arange(1, m_coarse) - 1]
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this host."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def convergence_grids(
     interval: tuple[float, float],
     t_final: float,
     base_tau: float,
     base_h: float,
     levels: int,
-    fine: FineGridReference | None = None,
+    reference: ExactReference | FineGridReference | None = None,
 ) -> tuple[list[tuple[float, float, GridSpec, TimeGrid]], tuple[GridSpec, TimeGrid] | None]:
     """The (tau, h, grid, time grid) of each ``convergence_study`` level, and
-    the grids of a fine reference (None without one).
+    the grids of a fine reference (None for an exact reference or none).
 
     A ValueError unless every level's h divides the interval and its tau
-    divides t_final, the finest level nests in the fine reference, and the
-    midpoint factor (``stepper.factor_nbytes``) of every level and of the
-    reference fits in physical memory.
+    divides t_final (``stepper._exact_division``), the finest level nests in
+    a fine reference, and the midpoint factor of every level and of that
+    reference fits in physical memory (``stepper._check_factor_fits``).
     """
     _check_count("levels", levels, 1)
     a, b = interval
@@ -219,18 +224,16 @@ def convergence_grids(
         m = _exact_division(b - a, h, f"level {lvl} grid")
         n = _exact_division(t_final, tau, f"level {lvl} time grid")
         runs.append((tau, h, GridSpec(a, b, m), TimeGrid(t_final, n)))
-    ref_grids = None if fine is None else fine.grids(interval, t_final, h, tau)
+    ref_grids = None
     sized = [(f"level {lvl} grid", grid) for lvl, (_, _, grid, _) in enumerate(runs)]
-    if ref_grids is not None:
+    if isinstance(reference, FineGridReference):
+        ref_grids = reference.grids(interval, t_final, h, tau)
         sized.append(("reference grid", ref_grids[0]))
-    memory = _physical_memory()
     for what, grid in sized:
-        need = factor_nbytes(grid.M)
-        if need > memory:
-            raise ValueError(
-                f"{what}: M = {grid.M} needs a {need / 2**30:.3g} GiB midpoint factor, "
-                f"more than the {memory / 2**30:.3g} GiB of physical memory"
-            )
+        try:
+            _check_factor_fits(grid.M)
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
     return runs, ref_grids
 
 
@@ -258,9 +261,8 @@ def convergence_study(
             raise ValueError("u0 is required when the reference is a fine-grid run")
         u0 = lambda x: reference.solution(x, 0.0)
 
-    fine = reference if isinstance(reference, FineGridReference) else None
-    runs, ref_grids = convergence_grids(interval, t_final, base_tau, base_h, levels, fine)
-    if fine is not None:
+    runs, ref_grids = convergence_grids(interval, t_final, base_tau, base_h, levels, reference)
+    if ref_grids is not None:
         ref_final = run_simulation(params, *ref_grids, u0, settings).final
 
     rows: list[ConvergenceRow] = []
@@ -496,9 +498,7 @@ def verify_suite(
 
         params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=alpha)
         grid = GridSpec(-10.0, 10.0, m)
-        traj = run_simulation(
-            params, grid, TimeGrid(0.5, 10), lambda x: np.exp(-2.0 * x * x), operator=op
-        )
+        traj = run_simulation(params, grid, TimeGrid(0.5, 10), _gaussian, operator=op)
         res = max(abs(d.energy_identity_residual) for d in traj.diagnostics)
         checks.append(SuiteCheck("step_energy_balance", alpha, res <= 1e-10, 1e-10 - res))
 

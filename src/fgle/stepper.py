@@ -4,32 +4,28 @@ equation via a linearized fixed-point iteration.
 Each step solves the midpoint system for z = (u^{n+1} + u^n)/2 by lagging
 the cubic term:  A z_(s+1) = u^n - (tau/2)(kappa + i zeta) |z_(s)|^2 z_(s),
 with A = (1 - tau gamma / 2) I + (tau/2)(upsilon + i eta) h^(-alpha) C complex
-symmetric Toeplitz. A run factorizes A once by LU, in place. On small grids
-that is the dense LU of A, whose (M-1)^2 buffer becomes its factor. From
-_GS_MIN_SIZE unknowns on, A is never formed: the LU is that of its two
-half-order blocks (``linalg.toeplitz_half_blocks``), in single precision, in
-one buffer of a quarter of A's bytes at a quarter of the flops. It only
-seeds the Gohberg-Semencul inverse, whose generator a few corrections bring
-to double precision; that inverse then applies A^{-1} by FFT at O(M log M)
-per inner solve, and a generator that fails its gate raises. Each level's
-iteration starts from the midpoint of u^n and the degree-k polynomial
-extrapolation of u^{n+1} through the k+1 newest levels, k = min(earlier
-levels, 4): u^n itself on the first. That start is off the fixed point by
-O(tau^(k+1)) and never applies the stiff operator explicitly. The
-energy balance takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h,
-one FFT by Parseval (``OperatorMatrix.quadratic_form``).
+symmetric Toeplitz, factorized once per run (``build_system_matrix``). Each
+level's iteration starts from a polynomial extrapolation of the newest levels
+(``fixed_point_step``), never from the stiff operator applied explicitly. The
+energy balance takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h, one
+FFT by Parseval (``OperatorMatrix.quadratic_form``). The rules every run obeys
+are stated here once: the time step (``_check_time_step``), the factor's size
+(``_check_factor_fits``) and a whole number of steps (``_exact_division``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import ComplexField, FactorizedSystem, _check_positive, lu_factor, toeplitz_half_blocks
+from .linalg import (
+    ComplexField, FactorizedSystem, _check_positive, _check_spacing, lu_factor, toeplitz_half_blocks
+)
 from .wsgd import (
     OperatorMatrix, _check_alpha, _check_count, _check_operator, assemble_operator, wsgd_weights
 )
@@ -169,6 +165,32 @@ def factor_nbytes(M: int) -> int:
     return 16 * (n if n < _GS_MIN_SIZE else (n + 1) // 2) ** 2
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_factor_fits(M: int) -> None:
+    """The package's one size rule: the midpoint factor of a run on M cells
+    (``factor_nbytes``) fits in physical memory, or a ValueError names its GiB."""
+    need, memory = factor_nbytes(M), _physical_memory()
+    if need > memory:
+        raise ValueError(
+            f"M = {M} needs a {need / 2**30:.3g} GiB midpoint factor, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def _exact_division(num: float, den: float, what: str, least: int = 1) -> int:
+    """The package's one rule for a whole number of steps or cells: num / den as an integer
+    >= ``least``, to 1e-9 of the ratio (relative above 1), or a ValueError after ``what``."""
+    ratio = num / den if den != 0 else math.inf
+    r = round(ratio) if math.isfinite(ratio) else least - 1
+    if r < least or abs(ratio - r) > 1e-9 * max(1.0, abs(ratio)):
+        raise ValueError(f"{what}: {num} is not an integer multiple of {den}")
+    return r
+
+
 def _check_time_step(tau: float, gamma: float) -> None:
     """The package's one condition on the time step of a run with linear gain gamma:
     tau positive and finite, and tau gamma < 2, which keeps Re A positive definite."""
@@ -201,19 +223,18 @@ def build_system_matrix(
 ) -> FactorizedSystem:
     """Factorize A = (1 - tau gamma/2) I + (tau/2)(upsilon + i eta) h^(-alpha) C.
 
-    Requires a positive finite tau and tau gamma < 2 (``_check_time_step``),
-    which makes Re A positive definite (C is), so A is invertible and
-    Re x_0 > 0 for x = A^{-1} e_1. Below _GS_MIN_SIZE unknowns A is built once and
-    LU-factorized in that same buffer, so the run holds one dense (M-1)^2
-    complex matrix, not two. From _GS_MIN_SIZE on, no (M-1)^2 array is made:
-    the two half blocks of A's even/odd split are built in complex64 in one
-    buffer of about a quarter of those bytes and factored there. That factor
-    only seeds the Gohberg-Semencul inverse, refined to double precision
-    against A's column, and every solve goes through the inverse. An inverse
-    that fails its gate raises ``linalg.SingularMatrixError``.
+    Checks tau gamma < 2 (``_check_time_step``), which makes Re A positive
+    definite, so A is invertible and Re x_0 > 0 for x = A^{-1} e_1, and the
+    factor's size (``_check_factor_fits``), both before it allocates. Below
+    _GS_MIN_SIZE unknowns A is built and LU-factorized in one buffer. From
+    _GS_MIN_SIZE on A is never formed: the complex64 LU of its two half blocks
+    (``linalg.toeplitz_half_blocks``) seeds the Gohberg-Semencul inverse,
+    refined to double precision against A's column, through which every solve
+    goes. An inverse that fails its gate raises ``linalg.SingularMatrixError``.
     """
     _check_time_step(tau, params.gamma)
     _check_operator(operator, params.alpha, grid.M)
+    _check_factor_fits(grid.M)
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
     if col.size >= _GS_MIN_SIZE:
@@ -224,7 +245,10 @@ def build_system_matrix(
     return dataclasses.replace(lu_factor(scipy.linalg.toeplitz(col, col).T), tau=tau)
 
 
-def _values(u) -> np.ndarray:
+def _values(u, h: float) -> np.ndarray:
+    """The values of ``u``: a plain value array, or a ComplexField of spacing h."""
+    if isinstance(u, ComplexField):
+        _check_spacing(u.h, h)
     return np.asarray(getattr(u, "values", u), dtype=complex)
 
 
@@ -253,17 +277,16 @@ def fixed_point_step(
     as the rows of a 2-D array or a list of arrays; None means none. The
     start iterate is the midpoint of u^n and the degree-k polynomial
     extrapolation of u^{n+1} through u^n and the k newest earlier levels,
-    k = min(len(history), 4): u^n for k = 0, 1.5 u^n - 0.5 u^{n-1} for k = 1,
-    2 u^n - 1.5 u^{n-1} + 0.5 u^{n-2} for k = 2, and so on. The step is
-    ``system.tau``. Iterates until the sup-norm increment falls below
-    iter_tol * max(1, |z|_inf). |z|^2 is formed once per iterate and serves
-    the cubic term, that scale and the energy residual. An iterate whose
-    increment or |z|^2 is not finite raises NonConvergence, without numpy
-    overflow warnings.
+    k = min(len(history), 4) (``_start_weights``). The step is ``system.tau``;
+    a ComplexField ``u_n`` must have ``grid``'s spacing. Iterates until the
+    sup-norm increment falls below iter_tol * max(1, |z|_inf). |z|^2 is formed
+    once per iterate and serves the cubic term, that scale and the energy
+    residual. An iterate whose increment or |z|^2 is not finite raises
+    NonConvergence, without numpy overflow warnings.
     """
     tau = system.tau
-    u = _values(u_n)
     h = grid.h
+    u = _values(u_n, h)
     cubic = params.kappa + 1j * params.zeta
     levels = np.asarray(() if history is None else history, dtype=complex)
     if levels.size and (levels.ndim != 2 or levels.shape[1] != u.size):
@@ -319,17 +342,17 @@ def fixed_point_step(
 
 
 def snapshot_steps(time_grid: TimeGrid, snapshot_times) -> dict[int, float]:
-    """The time level of each snapshot time, keyed by step index. A time
-    outside [0, T] or off the time grid is a ValueError."""
+    """The time level of each snapshot time, keyed by step index. A time outside
+    [0, T], or not a whole number of steps (``_exact_division``), is a ValueError."""
     tau = time_grid.tau
     steps: dict[int, float] = {}
     for t in snapshot_times:
         if not (0.0 <= t <= time_grid.T * (1 + 1e-12)):
             raise ValueError(f"snapshot time {t} outside [0, {time_grid.T}]")
-        idx = round(t / tau)
-        if abs(t - idx * tau) > 1e-9 * max(1.0, time_grid.T):
-            raise ValueError(f"snapshot time {t} does not lie on the time grid (tau={tau})")
-        steps[idx] = t
+        try:
+            steps[_exact_division(t, tau, "snapshot time", least=0)] = t
+        except ValueError:
+            raise ValueError(f"snapshot time {t} does not lie on the time grid (tau={tau})") from None
     return steps
 
 
@@ -344,17 +367,14 @@ def run_simulation(
 ) -> Trajectory:
     """Advance N implicit midpoint steps from the sampled initial data.
 
-    u0 may be a callable evaluated on the interior nodes, a ComplexField, or
-    a plain value array, and must be finite. Snapshot times must coincide with
-    time-grid levels. Raises NonConvergence (tagged with the failing step) if
-    an inner iteration stalls.
+    u0 may be a callable evaluated on the interior nodes, a ComplexField of
+    the grid's spacing, or a plain value array, and must be finite. Snapshot
+    times must coincide with time-grid levels. Raises NonConvergence (tagged
+    with the failing step) if an inner iteration stalls.
     """
     settings = settings or SolverSettings()
     tau = time_grid.tau
-    if callable(u0):
-        u = np.asarray(u0(grid.interior_nodes()), dtype=complex)
-    else:
-        u = _values(u0)
+    u = _values(u0(grid.interior_nodes()) if callable(u0) else u0, grid.h)
     if u.size != grid.M - 1:
         raise ValueError(f"initial data has {u.size} values, expected {grid.M - 1}")
     if not np.all(np.isfinite(u)):

@@ -211,7 +211,7 @@ class TestParseConfig:
              "[convergence] reference must be 'exact' or 'fine', got 'nearby'"),
             ("levels = 5", "levels = 0", "[convergence] levels must be an integer >= 1, got 0"),
             ("reference = exact", "reference = fine",
-             "section [convergence] is missing required key 'h_ref'"),
+             "[convergence] reference = fine requires both h_ref and tau_ref"),
         ],
     )
     def test_convergence_settings_rejected(self, old, new, expected):
@@ -508,6 +508,28 @@ class TestCliDispatch:
         ):
             parse_config(text)
         assert_config_error(tmp_path, capsys, "convergence", text, "GiB of physical memory")
+
+    @pytest.mark.parametrize(
+        "mode, text",
+        [("simulate", MINIMAL_SIMULATE), ("decay", DECAY), ("inviscid", INVISCID)],
+        ids=["simulate", "decay", "inviscid"],
+    )
+    def test_grid_past_physical_memory_exit_code(self, tmp_path, capsys, mode, text):
+        # m = 4e6 needs a half-block factor of 16 (2e6)^2 bytes, 5.96e4 GiB:
+        # rejected by the size rule before any output or allocation
+        text = text.replace("m = 400", "m = 4000000")
+        with pytest.raises(
+            ConfigError, match=r"^\[grid\] M = 4000000 needs a 5\.96e\+04 GiB midpoint factor"
+        ):
+            parse_config(text)
+        assert_config_error(tmp_path, capsys, mode, text, "GiB of physical memory")
+
+    def test_exact_reference_at_zero_upsilon_exit_code(self, tmp_path, capsys):
+        # the soliton's coefficients report upsilon = 0 themselves
+        text = re.sub(r"\nupsilon = [0-9.]+", "\nupsilon = 0.0", CONVERGENCE_EXACT)
+        text = text.replace("initial = soliton", "initial = gaussian")
+        expected = "[convergence] upsilon must be positive, got 0.0"
+        assert_config_error(tmp_path, capsys, "convergence", text, expected)
 
     @pytest.mark.parametrize("key, value", [("base_tau", "0.2"), ("base_h", "0.8")])
     def test_old_base_step_keys_rejected(self, tmp_path, capsys, key, value):

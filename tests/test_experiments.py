@@ -202,9 +202,10 @@ class TestConvergenceStudy:
         # levels at M = 40 and 80, reference at M = 320: all dense LUs of
         # 16 (M-1)^2 bytes; one byte short of a factor rejects that grid
         import fgle.experiments as experiments
+        import fgle.stepper as stepper
 
         calls = []
-        monkeypatch.setattr(experiments, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: memory)
         monkeypatch.setattr(experiments, "run_simulation", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match=re.escape(message)):
             convergence_study(
@@ -221,8 +222,9 @@ class TestConvergenceStudy:
 
     def test_factor_that_just_fits_accepted(self, monkeypatch):
         import fgle.experiments as experiments
+        import fgle.stepper as stepper
 
-        monkeypatch.setattr(experiments, "_physical_memory", lambda: 16 * 79**2)
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 16 * 79**2)
         runs, _ = experiments.convergence_grids((-16.0, 16.0), 0.5, 0.1, 0.8, 2)
         assert [grid.M for _, _, grid, _ in runs] == [40, 80]
 

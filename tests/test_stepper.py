@@ -23,6 +23,7 @@ from fgle.stepper import (
     build_system_matrix,
     fixed_point_step,
     run_simulation,
+    snapshot_steps,
 )
 from fgle.wsgd import assemble_operator, wsgd_weights
 from oracles import apply_fractional_laplacian, linear_predictor_run
@@ -234,6 +235,25 @@ class TestBuildSystemMatrix:
         system = build_system_matrix(p, GridSpec(-16.0, 16.0, m), 0.01, make_operator(1.6, m))
         assert stepper_mod.factor_nbytes(m) == system.lu.nbytes
 
+    def test_factor_beyond_physical_memory_rejected_before_allocating(self, monkeypatch):
+        # the size rule of every run: one byte short of M = 80's dense LU, and no
+        # buffer of A or of its half blocks is built
+        def never(*args, **kwargs):
+            raise AssertionError("an oversized factor must not be allocated")
+
+        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 16 * 79**2 - 1)
+        monkeypatch.setattr(stepper_mod, "lu_factor", never)
+        monkeypatch.setattr(stepper_mod, "toeplitz_half_blocks", never)
+        p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
+        with pytest.raises(ValueError, match=r"^M = 80 needs a .* GiB midpoint factor, more than"):
+            build_system_matrix(p, GridSpec(-16.0, 16.0, 80), 0.01, make_operator(1.6, 80))
+
+    def test_factor_that_just_fits_built(self, monkeypatch):
+        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 16 * 79**2)
+        p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
+        system = build_system_matrix(p, GridSpec(-16.0, 16.0, 80), 0.01, make_operator(1.6, 80))
+        assert system.lu.nbytes == 16 * 79**2
+
     @pytest.mark.parametrize(
         "m, alpha, tau, upsilon, eta",
         [
@@ -413,6 +433,16 @@ class TestFixedPointStep:
         with pytest.raises(ValueError, match="history"):
             fixed_point_step(u, [u[:-1]], F, p, grid, SolverSettings(), op)
 
+    def test_field_from_another_grid_rejected(self):
+        # same length, other spacing: the field belongs to another grid
+        grid = GridSpec(-5.0, 5.0, 32)
+        op = make_operator(1.6, 32)
+        p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.6)
+        F = build_system_matrix(p, grid, 0.01, op)
+        u = ComplexField(gaussian(grid.interior_nodes()), h=0.9)
+        with pytest.raises(ValueError, match=r"^field spacings differ: 0\.9 vs 0\.3125$"):
+            fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
+
 
 class TestExtrapolatedStart:
     @pytest.mark.parametrize("length", [1, 2, 3, 4])
@@ -539,6 +569,18 @@ class TestRunSimulation:
                 EXAMPLE_PARAMS, grid, TimeGrid(1.0, 20), gaussian, snapshot_times=(0.503,)
             )
 
+    @pytest.mark.parametrize("offset, on_grid", [(0.0, True), (2e-12, True), (2e-11, False)])
+    def test_snapshot_judged_by_the_whole_step_rule(self, offset, on_grid):
+        # step 5 at tau = 1e-3: 2e-12 is 2e-9 of a step off, inside the rule's
+        # 1e-9 of the 5-step ratio, while 2e-11 is 2e-8 off; a rule that compared
+        # times against 1e-9 max(1, T) admitted both
+        time_grid, t = TimeGrid(0.01, 10), 0.005 + offset
+        if on_grid:
+            assert snapshot_steps(time_grid, (0.0, t)) == {0: 0.0, 5: t}
+        else:
+            with pytest.raises(ValueError, match="does not lie on the time grid"):
+                snapshot_steps(time_grid, (t,))
+
     def test_nonconvergence_reports_step(self):
         p = ModelParams(1.0, 1.0, 8.0, 5.0, 0.0, alpha=1.8)
         grid = GridSpec(-10.0, 10.0, 50)
@@ -579,6 +621,21 @@ class TestRunSimulation:
         grid = GridSpec(-10.0, 10.0, 100)
         with pytest.raises(ValueError, match="initial"):
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), np.zeros(50))
+
+    def test_initial_field_from_another_grid_rejected(self):
+        grid = GridSpec(-5.0, 5.0, 32)
+        u0 = ComplexField(gaussian(grid.interior_nodes()), h=0.9)
+        with pytest.raises(ValueError, match=r"^field spacings differ: 0\.9 vs 0\.3125$"):
+            run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
+
+    def test_initial_field_on_the_grid_accepted(self):
+        grid = GridSpec(-5.0, 5.0, 32)
+        values = gaussian(grid.interior_nodes())
+        from_field = run_simulation(
+            EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), ComplexField(values, grid.h)
+        )
+        from_array = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), values)
+        assert np.array_equal(from_field.final.values, from_array.final.values)
 
     @pytest.mark.parametrize(
         "u0",
