@@ -11,7 +11,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -20,8 +20,9 @@ import numpy as np
 from .experiments import (
     FineGridReference,
     VerifySettings,
-    _check_listed,
+    _decay_models,
     _initial_data,
+    _inviscid_models,
     _sech_soliton_reference,
     convergence_grids,
     convergence_study,
@@ -138,6 +139,15 @@ _KEYS: dict[str, dict[str, type]] = {
 }
 
 
+def _unread_keys(mode: str, initial: str) -> dict[str, tuple[str, ...]]:
+    """The keys of sections ``mode`` reads that it does not read: snapshot times outside
+    simulate, and the [model] coefficients its study sets for each run itself. Inviscid
+    reads upsilon with initial = soliton, as that profile is built from it."""
+    inviscid = ("kappa",) if initial == "soliton" else ("upsilon", "kappa")
+    model = {"decay": ("gamma",), "inviscid": inviscid}.get(mode, ())
+    return {"model": model, "output": () if mode == "simulate" else ("snapshot_times",)}
+
+
 def _convert(section: str, key: str, raw: str, kind: type):
     """The value of ``key = raw`` as its kind; numbers must be finite."""
     if kind is str:
@@ -209,12 +219,18 @@ def parse_config(text: str) -> RunConfig:
     for name in sections:
         if name != "run" and name not in read:
             raise ConfigError(f"section [{name}] is not read by mode = {mode}")
+    initial = sections.get("model", {}).get("initial", "gaussian")
+    unread = _unread_keys(mode, initial)
+    for name, keys in unread.items():
+        for key in keys:
+            if key in sections.get(name, {}):
+                raise ConfigError(f"[{name}] {key} is not read by mode = {mode}")
 
     model = grid = time_grid = conv = None
-    initial = "gaussian"
     if "model" in read:
-        coeffs = dict(section("model"))
-        initial = coeffs.pop("initial", initial)
+        # a coefficient the study sets for each run is 0.0, as in inviscid's limit run
+        coeffs = {**dict.fromkeys(unread["model"], 0.0), **section("model")}
+        coeffs.pop("initial", None)
         model = _build("model", ModelParams, **coeffs)
         _checked("[model]", _initial_data, initial, model.upsilon)
         gs = section("grid", "a", "b", "m")
@@ -222,6 +238,7 @@ def parse_config(text: str) -> RunConfig:
         grid = _build("grid", GridSpec, a=gs["a"], b=gs["b"], M=gs["m"])
         _checked("[grid]", _check_factor_fits, grid.M)
         time_grid = _build("time", TimeGrid, T=ts["t_final"], N=ts["steps"])
+        _checked("[model] gamma:", _check_time_step, time_grid.tau, model.gamma)
 
     solver = _build("solver", SolverSettings, **section("solver"))
 
@@ -229,30 +246,26 @@ def parse_config(text: str) -> RunConfig:
     snapshot_times = output.get("snapshot_times", ())
     if mode == "simulate":
         _checked("[output]", snapshot_steps, time_grid, snapshot_times)
-    elif "snapshot_times" in output:
-        raise ConfigError(f"[output] snapshot_times is not read by mode = {mode}")
+        _checked("[output] snapshot_times:", _check_distinct_files, "snapshot_t", snapshot_times)
 
     decay_gammas = None
     if mode == "decay":
         decay_gammas = section("decay", "gammas")["gammas"]
-        _checked("[decay]", _check_listed, "gammas", decay_gammas,
-                 lambda gamma: _check_time_step(time_grid.tau, gamma))
-    elif model is not None:
-        # later convergence levels have smaller tau, so level 0's is the one to check
-        _checked("[model] gamma:", _check_time_step, time_grid.tau, model.gamma)
+        _checked("[decay]", _decay_models, model, decay_gammas, grid, time_grid)
+        _checked("[decay] gammas:", _check_distinct_files, "norms_gamma", decay_gammas)
 
     if mode == "convergence":
         conv = _build("convergence", ConvergenceSettings, **section("convergence"))
         reference = _checked("[convergence]", _reference, conv, model, initial)
-        _checked("[convergence]", convergence_grids, (grid.a, grid.b), time_grid.T,
+        _checked("[convergence]", convergence_grids, model, (grid.a, grid.b), time_grid.T,
                  time_grid.tau, grid.h, conv.levels, reference)
 
     inviscid_pairs = None
     if mode == "inviscid":
         seq = section("inviscid", "upsilon_kappa")["upsilon_kappa"]
-        _checked("[inviscid]", _check_listed, "upsilon_kappa", seq,
-                 lambda v: replace(model, upsilon=v, kappa=v))
         inviscid_pairs = tuple((v, v) for v in seq)
+        _checked("[inviscid]", _inviscid_models, model, inviscid_pairs, grid, time_grid,
+                 "upsilon_kappa")
 
     return RunConfig(
         mode=mode,
@@ -274,6 +287,22 @@ def _f17(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _csv_name(stem: str, value: float) -> str:
+    """The file that the series of one list entry is written to: ``stem`` and the
+    value to 6 significant digits."""
+    return f"{stem}{value:g}.csv"
+
+
+def _check_distinct_files(stem: str, values) -> None:
+    """A ValueError if two entries of ``values`` would write one file (``_csv_name``)."""
+    seen: dict[str, float] = {}
+    for value in values:
+        name = _csv_name(stem, value)
+        if name in seen:
+            raise ValueError(f"{seen[name]!r} and {value!r} both write {name}")
+        seen[name] = value
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form of the sections ``cfg.mode`` reads;
     parse(serialize(parse(text))) == parse(text)."""
@@ -292,10 +321,13 @@ def serialize_config(cfg: RunConfig) -> str:
         sections["inviscid"] = {"upsilon_kappa": tuple(v for v, _ in cfg.inviscid_pairs)}
     sections["verify"] = asdict(cfg.verify)
 
+    unread = _unread_keys(cfg.mode, cfg.initial)
     lines = []
     for name in ("run", *_MODES[cfg.mode][0]):
         entries = []
         for key, kind in _KEYS[name].items():
+            if key in unread.get(name, ()):
+                continue
             value = sections[name][key]
             if kind is tuple:
                 value = " ".join(_f17(v) for v in value) or None
@@ -344,7 +376,7 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     x = traj.grid.interior_nodes()
     for t, snap in sorted(traj.snapshots.items()):
         write_csv(
-            outdir / f"snapshot_t{t:g}.csv",
+            outdir / _csv_name("snapshot_t", t),
             ["x", "re", "im", "abs"],
             zip(x, snap.values.real, snap.values.imag, np.abs(snap.values)),
         )
@@ -375,7 +407,7 @@ def run_decay(cfg: RunConfig, outdir: Path) -> int:
     u0 = _initial_data(cfg.initial, cfg.model.upsilon)
     series = norm_decay_study(cfg.model, cfg.decay_gammas, cfg.grid, cfg.time, u0, cfg.solver)
     for gamma, (times, norms) in series.items():
-        write_csv(outdir / f"norms_gamma{gamma:g}.csv", ["t", "norm_sq"], zip(times, norms))
+        write_csv(outdir / _csv_name("norms_gamma", gamma), ["t", "norm_sq"], zip(times, norms))
     return 0
 
 

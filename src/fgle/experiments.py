@@ -17,8 +17,7 @@ from .stepper import (
     ModelParams,
     SolverSettings,
     TimeGrid,
-    _check_factor_fits,
-    _check_time_step,
+    _check_run,
     _exact_division,
     run_simulation,
 )
@@ -178,16 +177,28 @@ class ConvergenceRow:
     order2: float | None = None
 
 
-def _check_listed(name: str, values, check=lambda value: None) -> None:
-    """A study's list of inputs: not empty, as its study would run nothing or pass
-    with no checks at all, and each entry passing ``check``, named in its error."""
+def _check_listed(name: str, values, check) -> list:
+    """What ``check`` returns for each entry of a study's list of inputs, which must not be
+    empty (its study would run nothing or pass no checks); an entry's error names the list."""
     if len(values) == 0:
         raise ValueError(f"{name} must list at least one value")
-    for value in values:
-        try:
-            check(value)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+    try:
+        return [check(value) for value in values]
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _decay_models(params: ModelParams, gammas, grid: GridSpec, time_grid: TimeGrid) -> list:
+    """``norm_decay_study``'s model of each run, each one checked by ``stepper._check_run``."""
+    return _check_listed("gammas", gammas, lambda gamma: _check_run(
+        replace(params, gamma=float(gamma)), grid, time_grid.tau))
+
+
+def _inviscid_models(params: ModelParams, pairs, grid, time_grid, name: str = "pairs") -> list:
+    """``inviscid_limit_study``'s model of each pair's run, each one checked by
+    ``stepper._check_run``; its limit run shares their gamma, grid and step."""
+    return _check_listed(name, pairs, lambda pair: _check_run(
+        replace(params, upsilon=float(pair[0]), kappa=float(pair[1])), grid, time_grid.tau))
 
 
 def restrict_to_coarse(fine_values: np.ndarray, ratio: int) -> np.ndarray:
@@ -201,6 +212,7 @@ def restrict_to_coarse(fine_values: np.ndarray, ratio: int) -> np.ndarray:
 
 
 def convergence_grids(
+    params: ModelParams,
     interval: tuple[float, float],
     t_final: float,
     base_tau: float,
@@ -213,8 +225,8 @@ def convergence_grids(
 
     A ValueError unless every level's h divides the interval and its tau
     divides t_final (``stepper._exact_division``), the finest level nests in
-    a fine reference, and the midpoint factor of every level and of that
-    reference fits in physical memory (``stepper._check_factor_fits``).
+    a fine reference, and a run of ``params`` may start on every level and on
+    that reference (``stepper._check_run``).
     """
     _check_count("levels", levels, 1)
     a, b = interval
@@ -225,13 +237,13 @@ def convergence_grids(
         n = _exact_division(t_final, tau, f"level {lvl} time grid")
         runs.append((tau, h, GridSpec(a, b, m), TimeGrid(t_final, n)))
     ref_grids = None
-    sized = [(f"level {lvl} grid", grid) for lvl, (_, _, grid, _) in enumerate(runs)]
+    checked = [(f"level {lvl} grid", grid, tau) for lvl, (tau, _, grid, _) in enumerate(runs)]
     if isinstance(reference, FineGridReference):
         ref_grids = reference.grids(interval, t_final, h, tau)
-        sized.append(("reference grid", ref_grids[0]))
-    for what, grid in sized:
+        checked.append(("reference grid", ref_grids[0], ref_grids[1].tau))
+    for what, grid, step in checked:
         try:
-            _check_factor_fits(grid.M)
+            _check_run(params, grid, step)
         except ValueError as exc:
             raise ValueError(f"{what}: {exc}") from None
     return runs, ref_grids
@@ -252,16 +264,17 @@ def convergence_study(
 
     Level l runs with (tau, h) = (base_tau, base_h) / 2^l and measures the
     error against the reference at t_final. Orders are the log2 ratios of
-    consecutive errors and are left unset on the first row. Every grid, the
-    reference's included, is checked before the first run
-    (``convergence_grids``).
+    consecutive errors and are left unset on the first row. Before the first
+    run, every level's and the reference's grids, time step and factor size
+    are checked (``convergence_grids``). ``params`` is used as given.
     """
     if u0 is None:
         if not isinstance(reference, ExactReference):
             raise ValueError("u0 is required when the reference is a fine-grid run")
         u0 = lambda x: reference.solution(x, 0.0)
 
-    runs, ref_grids = convergence_grids(interval, t_final, base_tau, base_h, levels, reference)
+    runs, ref_grids = convergence_grids(params, interval, t_final, base_tau, base_h, levels,
+                                        reference)
     if ref_grids is not None:
         ref_final = run_simulation(params, *ref_grids, u0, settings).final
 
@@ -290,10 +303,10 @@ def norm_decay_study(
     u0,
     settings: SolverSettings | None = None,
 ) -> dict[float, tuple[np.ndarray, np.ndarray]]:
-    """Sequences (t_n, ||u^n||^2_h) for each linear-gain coefficient gamma,
-    every one checked, with its time step, before the first run."""
-    _check_listed("gammas", gammas, lambda gamma: _check_time_step(time_grid.tau, gamma))
-    models = [replace(params, gamma=float(gamma)) for gamma in gammas]
+    """Sequences (t_n, ||u^n||^2_h) for each linear-gain coefficient gamma, which
+    overwrites ``params.gamma``. Every gamma's run is checked before the first
+    (``_decay_models``: time step and factor size); an empty list is a ValueError."""
+    models = _decay_models(params, gammas, grid, time_grid)
     operator = assemble_operator(wsgd_weights(params.alpha, grid.M), grid.M)
     out: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for model in models:
@@ -312,11 +325,12 @@ def inviscid_limit_study(
 ) -> list[tuple[float, float, float]]:
     """Deviation from the dispersive (upsilon = kappa = 0) limit at t = T.
 
-    Returns (upsilon, kappa, ||u - u_limit||_h) for each pair, run with the
-    remaining coefficients taken from ``params``. Every pair is checked first.
+    Returns (upsilon, kappa, ||u - u_limit||_h) for each pair, which overwrites
+    ``params.upsilon`` and ``params.kappa`` (both 0 in the limit run). Every pair's
+    model, time step and factor size are checked before the first run
+    (``_inviscid_models``); an empty list is a ValueError.
     """
-    models = [replace(params, upsilon=float(u), kappa=float(k)) for u, k in pairs]
-    _check_listed("pairs", models)
+    models = _inviscid_models(params, pairs, grid, time_grid)
     operator = assemble_operator(wsgd_weights(params.alpha, grid.M), grid.M)
     limit = run_simulation(
         replace(params, upsilon=0.0, kappa=0.0), grid, time_grid, u0, settings, operator=operator
@@ -496,7 +510,8 @@ def verify_suite(
         rel = float(np.max(np.abs(qf - lam) / lam))
         checks.append(SuiteCheck("factor_identity", alpha, rel <= 1e-10, 1e-10 - rel))
 
-        params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=alpha)
+        # gamma != 0, so a wrong sign of tau gamma / 2 on A's diagonal breaks the balance
+        params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=-1.0, alpha=alpha)
         grid = GridSpec(-10.0, 10.0, m)
         traj = run_simulation(params, grid, TimeGrid(0.5, 10), _gaussian, operator=op)
         res = max(abs(d.energy_identity_residual) for d in traj.diagnostics)

@@ -9,8 +9,8 @@ level's iteration starts from a polynomial extrapolation of the newest levels
 (``fixed_point_step``), never from the stiff operator applied explicitly. The
 energy balance takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h, one
 FFT by Parseval (``OperatorMatrix.quadratic_form``). The rules every run obeys
-are stated here once: the time step (``_check_time_step``), the factor's size
-(``_check_factor_fits``) and a whole number of steps (``_exact_division``).
+are stated here once: the time step and the factor's size, which ``_check_run``
+asks of every run, and a whole number of steps (``_exact_division``).
 """
 
 from __future__ import annotations
@@ -202,6 +202,15 @@ def _check_time_step(tau: float, gamma: float) -> None:
         )
 
 
+def _check_run(params: ModelParams, grid: GridSpec, tau: float) -> ModelParams:
+    """``params`` if a run of it on ``grid`` with step tau may start: the time step
+    (``_check_time_step``), then the midpoint factor's size (``_check_factor_fits``).
+    Every entry point that starts runs asks it for all of them before any work."""
+    _check_time_step(tau, params.gamma)
+    _check_factor_fits(grid.M)
+    return params
+
+
 # Highest degree of the extrapolation that starts the inner iteration.
 _START_ORDER = 4
 
@@ -223,18 +232,17 @@ def build_system_matrix(
 ) -> FactorizedSystem:
     """Factorize A = (1 - tau gamma/2) I + (tau/2)(upsilon + i eta) h^(-alpha) C.
 
-    Checks tau gamma < 2 (``_check_time_step``), which makes Re A positive
-    definite, so A is invertible and Re x_0 > 0 for x = A^{-1} e_1, and the
-    factor's size (``_check_factor_fits``), both before it allocates. Below
+    Checks that the run may start (``_check_run``) before it allocates: tau gamma
+    < 2 makes Re A positive definite, so A is invertible and Re x_0 > 0 for
+    x = A^{-1} e_1, and the factor fits in physical memory. Below
     _GS_MIN_SIZE unknowns A is built and LU-factorized in one buffer. From
     _GS_MIN_SIZE on A is never formed: the complex64 LU of its two half blocks
     (``linalg.toeplitz_half_blocks``) seeds the Gohberg-Semencul inverse,
     refined to double precision against A's column, through which every solve
     goes. An inverse that fails its gate raises ``linalg.SingularMatrixError``.
     """
-    _check_time_step(tau, params.gamma)
+    _check_run(params, grid, tau)
     _check_operator(operator, params.alpha, grid.M)
-    _check_factor_fits(grid.M)
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
     if col.size >= _GS_MIN_SIZE:
@@ -369,9 +377,11 @@ def run_simulation(
 
     u0 may be a callable evaluated on the interior nodes, a ComplexField of
     the grid's spacing, or a plain value array, and must be finite. Snapshot
-    times must coincide with time-grid levels. Raises NonConvergence (tagged
-    with the failing step) if an inner iteration stalls.
+    times must coincide with time-grid levels. ``_check_run`` comes first, before
+    the initial data is sampled. Raises NonConvergence (tagged with the failing
+    step) if an inner iteration stalls.
     """
+    _check_run(params, grid, time_grid.tau)
     settings = settings or SolverSettings()
     tau = time_grid.tau
     u = _values(u0(grid.interior_nodes()) if callable(u0) else u0, grid.h)

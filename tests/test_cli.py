@@ -74,11 +74,18 @@ CONVERGENCE_FINE = CONVERGENCE_EXACT.replace("reference = exact", "reference = f
     "levels = 5", "levels = 2\nh_ref = 0.1\ntau_ref = 0.05"
 )
 
-DECAY = MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay") + "\n[decay]\ngammas = -2\n"
-INVISCID = (
-    MINIMAL_SIMULATE.replace("mode = simulate", "mode = inviscid")
-    + "\n[inviscid]\nupsilon_kappa = 0.1\n"
-)
+
+
+def study_config(mode, entry):
+    """A decay or inviscid config with one ``entry`` in its study's section: the
+    simulate one without the [model] keys that study sets for each run itself."""
+    unread = {"decay": "gamma", "inviscid": "upsilon|kappa"}[mode]
+    text = re.sub(rf"\n(?:{unread}) = [^\n]*", "", MINIMAL_SIMULATE)
+    return text.replace("mode = simulate", f"mode = {mode}") + f"\n[{mode}]\n{entry}\n"
+
+
+DECAY = study_config("decay", "gammas = -2")
+INVISCID = study_config("inviscid", "upsilon_kappa = 0.1")
 VERIFY = "[run]\nmode = verify\n"
 
 
@@ -169,10 +176,11 @@ class TestParseConfig:
             CONVERGENCE_EXACT,
             CONVERGENCE_FINE,
             CONVERGENCE_FINE.replace("initial = soliton", ""),
-            MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay")
-            + "\n[decay]\ngammas = -2, -4 0.5\n",
-            MINIMAL_SIMULATE.replace("mode = simulate", "mode = inviscid")
-            + "\n[inviscid]\nupsilon_kappa = 0.1 0 1e-3\n",
+            study_config("decay", "gammas = -2, -4 0.5"),
+            study_config("inviscid", "upsilon_kappa = 0.1 0 1e-3"),
+            study_config("inviscid", "upsilon_kappa = 0.1").replace(
+                "[model]", "[model]\nupsilon = 0.5\ninitial = soliton"
+            ),
             "[run]\nmode = verify\n[verify]\nalphas = 1.25 2\nweight_length = 300\n"
             "grid_points = 17\nvectors = 3\nseed = 0\n",
         )
@@ -346,8 +354,7 @@ class TestCliDispatch:
     )
     def test_non_finite_study_list_exit_code(self, tmp_path, capsys, mode, section):
         cfg = tmp_path / "study.cfg"
-        text = MINIMAL_SIMULATE.replace("mode = simulate", f"mode = {mode}")
-        cfg.write_text(text + f"\n[{mode}]\n{section}\n")
+        cfg.write_text(study_config(mode, section))
         assert main([mode, "--config", str(cfg)]) == 2
         assert f"[{mode}] {section.split()[0]} must be finite" in capsys.readouterr().err
 
@@ -453,8 +460,7 @@ class TestCliDispatch:
             ("simulate", MINIMAL_SIMULATE.replace("gamma = 0.0", "gamma = 40"),
              "[model] gamma: tau * gamma must be < 2, got tau = 0.05, gamma = 40, "
              "tau * gamma = 2"),
-            ("decay", MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay")
-             + "\n[decay]\ngammas = -2 45\n",
+            ("decay", study_config("decay", "gammas = -2 45"),
              "[decay] gammas: tau * gamma must be < 2, got tau = 0.05, gamma = 45, "
              "tau * gamma = 2.25"),
             ("convergence", CONVERGENCE_EXACT.replace("gamma = 0.0", "gamma = 12.5"),
@@ -556,6 +562,15 @@ class TestCliDispatch:
              "section [convergence] is not read by mode = decay"),
             ("inviscid", INVISCID + "\n[decay]\ngammas = -2\n",
              "section [decay] is not read by mode = inviscid"),
+            ("decay", DECAY.replace("[model]", "[model]\ngamma = 1e6"),
+             "[model] gamma is not read by mode = decay"),
+            ("inviscid", INVISCID.replace("[model]", "[model]\nkappa = -77"),
+             "[model] kappa is not read by mode = inviscid"),
+            ("inviscid", INVISCID.replace("[model]", "[model]\nupsilon = 123"),
+             "[model] upsilon is not read by mode = inviscid"),
+            ("inviscid",
+             INVISCID.replace("[model]", "[model]\nupsilon = 1\ninitial = soliton\nkappa = 1"),
+             "[model] kappa is not read by mode = inviscid"),
             ("verify", VERIFY + "[solver]\nmax_iters = 5\n",
              "section [solver] is not read by mode = verify"),
             ("verify", VERIFY + "[time]\nt_final = 1\nsteps = 2\n",
@@ -563,9 +578,25 @@ class TestCliDispatch:
         ],
         ids=["simulate-decay", "simulate-verify", "convergence-inviscid",
              "convergence-snapshot", "exact-h_ref", "decay-snapshot", "decay-convergence",
-             "inviscid-decay", "verify-solver", "verify-time"],
+             "inviscid-decay", "decay-gamma", "inviscid-kappa", "inviscid-upsilon",
+             "soliton-inviscid-kappa", "verify-solver", "verify-time"],
     )
     def test_unread_section_or_key_exit_code(self, tmp_path, capsys, mode, text, expected):
+        assert_config_error(tmp_path, capsys, mode, text, expected)
+
+    @pytest.mark.parametrize(
+        "mode, text, expected",
+        [
+            ("decay", study_config("decay", "gammas = -2 -2.0000001"),
+             "[decay] gammas: -2.0 and -2.0000001 both write norms_gamma-2.csv"),
+            ("simulate", MINIMAL_SIMULATE + "\n[output]\nsnapshot_times = 0.5 0.5000000001\n",
+             "[output] snapshot_times: 0.5 and 0.5000000001 both write snapshot_t0.5.csv"),
+        ],
+        ids=["gammas", "snapshot_times"],
+    )
+    def test_entries_writing_one_file_exit_code(self, tmp_path, capsys, mode, text, expected):
+        # file names keep 6 significant digits: the later entry's file would
+        # overwrite the earlier one's without a word
         assert_config_error(tmp_path, capsys, mode, text, expected)
 
     def test_readme_command_line_matches_the_parser(self, capsys):
@@ -608,9 +639,8 @@ class TestCliDispatch:
     )
     def test_soliton_start_needs_positive_upsilon(self, tmp_path, capsys, mode, text):
         # the sech profile is built from upsilon and has no form at upsilon = 0
-        text = re.sub(r"\nupsilon = [0-9.]+", "\nupsilon = 0.0", text)
-        if "initial = soliton" not in text:
-            text = text.replace("gamma = 0.0", "gamma = 0.0\ninitial = soliton")
+        text = re.sub(r"\n(?:upsilon|initial) = [^\n]*", "", text)
+        text = text.replace("[model]", "[model]\nupsilon = 0.0\ninitial = soliton")
         expected = "[model] initial = soliton: upsilon must be positive, got 0.0"
         with pytest.raises(ConfigError, match=re.escape(expected)):
             parse_config(text)
@@ -618,12 +648,7 @@ class TestCliDispatch:
 
     def test_decay_writes_per_gamma_series(self, tmp_path):
         cfg = tmp_path / "decay.cfg"
-        cfg.write_text(
-            MINIMAL_SIMULATE.replace("mode = simulate", "mode = decay").replace(
-                "m = 400", "m = 200"
-            )
-            + "\n[decay]\ngammas = -2 -4\n"
-        )
+        cfg.write_text(study_config("decay", "gammas = -2 -4").replace("m = 400", "m = 200"))
         out = tmp_path / "out"
         assert main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "norms_gamma-2.csv").exists()
@@ -631,11 +656,9 @@ class TestCliDispatch:
 
     def test_inviscid_writes_deviations(self, tmp_path):
         text = (
-            MINIMAL_SIMULATE.replace("mode = simulate", "mode = inviscid")
-            .replace("eta = 1.0", "eta = 1.0")
+            study_config("inviscid", "upsilon_kappa = 0.1 0.01")
             .replace("zeta = 2.0", "zeta = -2.0")
             .replace("m = 400", "m = 200")
-            + "\n[inviscid]\nupsilon_kappa = 0.1 0.01\n"
         )
         cfg = tmp_path / "inv.cfg"
         cfg.write_text(text)

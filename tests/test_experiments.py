@@ -1,8 +1,10 @@
 """Benchmark machinery: exact solution, error norms, studies, restriction and
 the verification suite."""
 
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,14 +227,37 @@ class TestConvergenceStudy:
         import fgle.stepper as stepper
 
         monkeypatch.setattr(stepper, "_physical_memory", lambda: 16 * 79**2)
-        runs, _ = experiments.convergence_grids((-16.0, 16.0), 0.5, 0.1, 0.8, 2)
+        p = sech_soliton_model_params(alpha=1.6)
+        runs, _ = experiments.convergence_grids(p, (-16.0, 16.0), 0.5, 0.1, 0.8, 2)
         assert [grid.M for _, _, grid, _ in runs] == [40, 80]
 
     @pytest.mark.parametrize("levels", [2.5, True, 0])
     def test_levels_must_be_an_integer(self, levels):
         message = f"levels must be an integer >= 1, got {levels!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            convergence_grids((-16.0, 16.0), 0.5, 0.1, 0.8, levels)
+            convergence_grids(sech_soliton_model_params(), (-16.0, 16.0), 0.5, 0.1, 0.8, levels)
+
+    def test_time_step_of_level_zero_checked_before_the_reference_runs(self, monkeypatch):
+        # gamma = 45 breaks tau gamma < 2 on level 0 only (tau = 0.05); the
+        # M = 1280, 2000-step reference, which it does not break, must not run first
+        import fgle.experiments as experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "run_simulation", lambda *a, **k: calls.append(a))
+        p = dataclasses.replace(sech_soliton_model_params(alpha=1.6), gamma=45.0)
+        message = "level 0 grid: tau * gamma must be < 2, got tau = 0.05, gamma = 45"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            convergence_study(
+                p,
+                (-16.0, 16.0),
+                1.0,
+                0.05,
+                0.2,
+                2,
+                FineGridReference(h_ref=0.025, tau_ref=0.0005),
+                u0=lambda x: sech_soliton_solution(x, 0.0, 0.3),
+            )
+        assert calls == []
 
     def test_fine_reference_requires_initial_data(self):
         p = sech_soliton_model_params()
@@ -333,6 +358,25 @@ class TestInviscidLimit:
         with pytest.raises(ValueError, match=re.escape(message)):
             inviscid_limit_study(p, pairs, GridSpec(-10.0, 10.0, 40), TimeGrid(0.5, 10), gaussian)
         assert calls == []
+
+
+@pytest.mark.parametrize(
+    "study, values",
+    [(norm_decay_study, (-2.0,)), (inviscid_limit_study, ((0.1, 0.1),))],
+    ids=["decay", "inviscid"],
+)
+def test_oversized_grid_rejected_before_allocating(study, values):
+    # M = 4e6 needs a 5.96e4 GiB factor: rejected before the operator or the
+    # initial data, about 120 MiB at this M, is built
+    p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"M = 4000000 needs a 5\.96e\+04 GiB midpoint factor"):
+            study(p, values, GridSpec(-10.0, 10.0, 4_000_000), TimeGrid(1.0, 20), gaussian)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestOperatorRefinementOrders:

@@ -3,10 +3,9 @@ scheme into the package by monkeypatching, runs ``verify_suite`` with its
 defaults, and names the check families that must fail. No row edits the
 source, and the variants are ROADMAP item 3's.
 
-Two rows are missed today and are marked ``xfail(strict=True)``: a column
+One row is missed today and is marked ``xfail(strict=True)``: a column
 scaled from ``c_2`` on (every symbol check reads the closed form, not the
-assembled column) and ``+ tau gamma / 2`` on A's diagonal (the energy-balance
-run steps at gamma = 0 only). Each names the family item 3 plans to catch it.
+assembled column). It names the family item 3 plans to catch it.
 
 Two families catch no row, and no row of this kind can reach them:
 
@@ -103,7 +102,7 @@ ROWS = [
     pytest.param(wsgd, "assemble_operator", column_scaled_from_c2, {"operator_symbol"},
                  id="column-scaled", marks=missed("no check compares the column with the symbol")),
     pytest.param(stepper, "build_system_matrix", gain_sign_flipped, {"step_energy_balance"},
-                 id="gain-sign", marks=missed("the energy-balance run steps at gamma = 0 only")),
+                 id="gain-sign"),
     pytest.param(scipy.linalg, "toeplitz", hermitian_dense_a,
                  {"step_energy_balance"}, id="hermitian-a"),
 ]

@@ -648,6 +648,28 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="initial data must be finite"):
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
 
+    def test_oversized_grid_rejected_before_allocating(self):
+        # M = 4e6 needs a 5.96e4 GiB factor: rejected before the initial data
+        # or the operator, about 150 MiB at this M, is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^M = 4000000 needs a 5\.96e\+04 GiB"):
+                run_simulation(
+                    EXAMPLE_PARAMS, GridSpec(-10.0, 10.0, 4_000_000), TimeGrid(1.0, 20), gaussian
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_time_step_checked_before_the_initial_data(self):
+        def never(x):
+            raise AssertionError("a run that may not start must not sample its initial data")
+
+        p = ModelParams(1.0, 1.0, 1.0, 2.0, 40.0, alpha=1.8)
+        with pytest.raises(ValueError, match=r"^tau \* gamma must be < 2"):
+            run_simulation(p, GridSpec(-10.0, 10.0, 40), TimeGrid(1.0, 20), never)
+
 
 class TestEnergyBalance:
     @settings(deadline=None, max_examples=40)
