@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import math
 import sys
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
@@ -20,6 +21,7 @@ import numpy as np
 from .experiments import (
     FineGridReference,
     VerifySettings,
+    _balance_runs,
     _decay_models,
     _initial_data,
     _inviscid_models,
@@ -267,6 +269,10 @@ def parse_config(text: str) -> RunConfig:
         _checked("[inviscid]", _inviscid_models, model, inviscid_pairs, grid, time_grid,
                  "upsilon_kappa")
 
+    verify = _build("verify", VerifySettings, **section("verify"))
+    if mode == "verify":
+        _checked("[verify]", _balance_runs, verify)
+
     return RunConfig(
         mode=mode,
         model=model,
@@ -279,7 +285,7 @@ def parse_config(text: str) -> RunConfig:
         convergence=conv,
         decay_gammas=decay_gammas,
         inviscid_pairs=inviscid_pairs,
-        verify=_build("verify", VerifySettings, **section("verify")),
+        verify=verify,
     )
 
 
@@ -342,7 +348,7 @@ def serialize_config(cfg: RunConfig) -> str:
 
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
     """Deterministic CSV: header row, floats at 17 significant digits,
-    empty cell for missing values."""
+    empty cell for missing values; a cell holding ``,`` or ``"`` is quoted."""
 
     def cell(v) -> str:
         if v is None:
@@ -355,10 +361,10 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
             return str(int(v))
         return _f17(v)
 
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
-    with Path(path).open("w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(cell, row) for row in rows)
 
 
 def run_simulate(cfg: RunConfig, outdir: Path) -> int:

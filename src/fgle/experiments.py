@@ -189,9 +189,14 @@ def _check_listed(name: str, values, check) -> list:
 
 
 def _decay_models(params: ModelParams, gammas, grid: GridSpec, time_grid: TimeGrid) -> list:
-    """``norm_decay_study``'s model of each run, each one checked by ``stepper._check_run``."""
-    return _check_listed("gammas", gammas, lambda gamma: _check_run(
+    """``norm_decay_study``'s model of each run, each one checked by ``stepper._check_run``.
+    A repeated gamma, whose run would be made twice and kept once, is a ValueError."""
+    models = _check_listed("gammas", gammas, lambda gamma: _check_run(
         replace(params, gamma=float(gamma)), grid, time_grid.tau))
+    for i, model in enumerate(models):
+        if model in models[:i]:
+            raise ValueError(f"gammas: {model.gamma!r} is listed twice")
+    return models
 
 
 def _inviscid_models(params: ModelParams, pairs, grid, time_grid, name: str = "pairs") -> list:
@@ -202,7 +207,9 @@ def _inviscid_models(params: ModelParams, pairs, grid, time_grid, name: str = "p
 
 
 def restrict_to_coarse(fine_values: np.ndarray, ratio: int) -> np.ndarray:
-    """Interior values on a nested coarse grid: coarse node j is fine node j*ratio."""
+    """Interior values on a nested coarse grid: coarse node j is fine node j*ratio.
+    ``ratio`` is a count (``wsgd._check_count``), at least 1."""
+    _check_count("ratio", ratio, 1)
     fine_values = np.asarray(fine_values)
     m_fine = fine_values.size + 1
     if m_fine % ratio:
@@ -284,7 +291,7 @@ def convergence_study(
         if isinstance(reference, ExactReference):
             target = ComplexField(reference.solution(grid.interior_nodes(), t_final), grid.h)
         else:
-            ratio = round(h / reference.h_ref)
+            ratio = ref_grids[0].M // grid.M
             target = ComplexField(restrict_to_coarse(ref_final.values, ratio), grid.h)
         err_l2, err_linf = error_norms(target, traj.final)
         rows.append(ConvergenceRow(tau=tau, h=h, err_l2=err_l2, err_linf=err_linf))
@@ -441,6 +448,16 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _balance_runs(settings: VerifySettings) -> list[tuple[ModelParams, GridSpec, TimeGrid]]:
+    """``verify_suite``'s energy-balance run (model, grid, time grid) of each alpha, each
+    one checked by ``stepper._check_run``. Its gamma != 0, so a wrong sign of tau gamma / 2
+    on A's diagonal breaks the balance."""
+    grid, time_grid = GridSpec(-10.0, 10.0, settings.grid_points), TimeGrid(0.5, 10)
+    models = (ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=-1.0, alpha=alpha)
+              for alpha in settings.alphas)
+    return [(_check_run(model, grid, time_grid.tau), grid, time_grid) for model in models]
+
+
 def verify_suite(
     alphas: Sequence[float] = VerifySettings.alphas,
     weight_length: int = VerifySettings.weight_length,
@@ -451,14 +468,15 @@ def verify_suite(
     """Run the full operator/spectral invariant suite over a grid of alphas.
 
     The arguments are checked as ``VerifySettings``: an empty ``alphas``, whose
-    suite would pass with no checks at all, is a ValueError."""
-    VerifySettings(alphas, weight_length, grid_points, n_vectors, seed)
+    suite would pass with no checks at all, is a ValueError. So is a ``grid_points``
+    at which an energy-balance run may not start (``_balance_runs``), before any work."""
+    runs = _balance_runs(VerifySettings(alphas, weight_length, grid_points, n_vectors, seed))
     rng = np.random.default_rng(seed)
     checks: list[SuiteCheck] = []
     omega = np.linspace(0.0, math.pi, 1000)
     theta = np.linspace(0.0, math.pi, 101)[1:]
 
-    for alpha in alphas:
+    for alpha, (params, grid, time_grid) in zip(alphas, runs):
         # each property is judged against the status it is expected to have
         # (the leading pair w0 + w1 changes sign), so correct weights pass
         report = check_weight_properties(wsgd_weights(alpha, weight_length))
@@ -491,8 +509,7 @@ def verify_suite(
         ok = bool(np.all(lo >= -slack) and np.all(hi >= -slack))
         checks.append(SuiteCheck("symbol_bounds", alpha, ok, float(min(lo.min(), hi.min()))))
 
-        m = grid_points
-        h = 20.0 / m
+        m, h = grid.M, grid.h
         op = assemble_operator(wsgd_weights(alpha, m), m)
         fields = rng.standard_normal((m - 1, n_vectors)) + 1j * rng.standard_normal(
             (m - 1, n_vectors)
@@ -510,10 +527,7 @@ def verify_suite(
         rel = float(np.max(np.abs(qf - lam) / lam))
         checks.append(SuiteCheck("factor_identity", alpha, rel <= 1e-10, 1e-10 - rel))
 
-        # gamma != 0, so a wrong sign of tau gamma / 2 on A's diagonal breaks the balance
-        params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=-1.0, alpha=alpha)
-        grid = GridSpec(-10.0, 10.0, m)
-        traj = run_simulation(params, grid, TimeGrid(0.5, 10), _gaussian, operator=op)
+        traj = run_simulation(params, grid, time_grid, _gaussian, operator=op)
         res = max(abs(d.energy_identity_residual) for d in traj.diagnostics)
         checks.append(SuiteCheck("step_energy_balance", alpha, res <= 1e-10, 1e-10 - res))
 

@@ -1,6 +1,7 @@
 """Config parsing, CSV artifacts, CLI dispatch and the verification gate."""
 
 import configparser
+import csv
 import math
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fgle.linalg as linalg_mod
+import fgle.stepper as stepper_mod
 from fgle import cli
 from fgle.cli import (
     ConfigError,
@@ -256,6 +258,7 @@ class TestWriteCsv:
                     st.integers(),
                     st.booleans(),
                     st.none(),
+                    st.text(alphabet='ab ,"'),
                 ),
                 min_size=3,
                 max_size=3,
@@ -269,12 +272,16 @@ class TestWriteCsv:
         text = path.read_text()
         # one line per row after the header, and exactly one newline at the end
         assert text.endswith("\n")
-        lines = text[:-1].split("\n")
-        assert lines[0] == "a,b,c" and len(lines) == len(rows) + 1
-        for line, row in zip(lines[1:], rows):
-            for cell, v in zip(line.split(","), row):
+        assert text.count("\n") == len(rows) + 1
+        records = list(csv.reader(text.splitlines()))
+        assert records[0] == ["a", "b", "c"] and len(records) == len(rows) + 1
+        for record, row in zip(records[1:], rows):
+            assert len(record) == 3
+            for cell, v in zip(record, row):
                 if v is None:
                     assert cell == ""
+                elif isinstance(v, str):
+                    assert cell == v
                 elif isinstance(v, bool):
                     assert cell == ("1" if v else "0")
                 elif isinstance(v, int):
@@ -679,3 +686,27 @@ class TestVerifySuite:
         lines = (out / "verify.csv").read_text().splitlines()
         assert lines[0] == "check,alpha,passed,margin,detail"
         assert all(line.split(",")[2] == "1" for line in lines[1:])
+
+    def test_verify_csv_rows_have_five_fields(self, tmp_path):
+        # at alpha 1.1 and 1.3 the coefficient_properties detail holds a comma,
+        # which the CSV must quote
+        cfg = tmp_path / "v.cfg"
+        cfg.write_text(VERIFY)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        with (out / "verify.csv").open(newline="") as fh:
+            records = list(csv.reader(fh))
+        assert len(records) == 44 and all(len(r) == 5 for r in records)
+        details = {r[1]: r[4] for r in records[1:] if r[0] == "coefficient_properties"}
+        positive = "leading pair sum positive, expected below threshold alpha"
+        assert [a for a, d in details.items() if d == positive] == ["1.1000000000000001", "1.3"]
+
+    def test_verify_grid_past_physical_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the energy-balance run at M = 400 needs a 640 kB half-block factor
+        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 100_000)
+        text = VERIFY + "\n[verify]\nalphas = 1.5\ngrid_points = 400\n"
+        expected = ("[verify] M = 400 needs a 0.000596 GiB midpoint factor, "
+                    "more than the 9.31e-05 GiB of physical memory")
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            parse_config(text)
+        assert_config_error(tmp_path, capsys, "verify", text, expected)

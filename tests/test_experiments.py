@@ -122,6 +122,12 @@ class TestRestriction:
         with pytest.raises(ValueError, match="coarse"):
             restrict_to_coarse(np.zeros(10), 4)
 
+    @pytest.mark.parametrize("ratio", [0, -2, 2.5, True])
+    def test_ratio_must_be_a_count(self, ratio):
+        message = f"ratio must be an integer >= 1, got {ratio!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            restrict_to_coarse(np.zeros(15), ratio)
+
 
 class TestConvergenceStudy:
     def test_single_level_has_no_orders(self):
@@ -306,8 +312,9 @@ class TestNormDecayStudy:
         [
             ([], "gammas must list at least one value"),
             ([-2.0, 45.0], "tau = 0.05, gamma = 45, tau * gamma = 2.25"),
+            ([-2.0, -2.0], "gammas: -2.0 is listed twice"),
         ],
-        ids=["empty", "tau-gamma"],
+        ids=["empty", "tau-gamma", "repeated"],
     )
     def test_every_gamma_checked_before_any_run(self, monkeypatch, gammas, message):
         import fgle.experiments as experiments
@@ -397,6 +404,21 @@ class TestVerifySuite:
     def test_default_alpha_grid_passes(self):
         report = verify_suite(grid_points=32, n_vectors=6)
         assert report.passed, [c.line() for c in report.failures()]
+
+    def test_oversized_grid_rejected_before_any_work(self, monkeypatch):
+        # the energy-balance run at M = 400 needs a 640 kB half-block factor;
+        # without the check first, the suite reached a 3.9 MiB peak before the run's
+        import fgle.stepper as stepper
+
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^M = 400 needs a 0\.000596 GiB midpoint factor"):
+                verify_suite(alphas=(1.5,), grid_points=400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_empty_alphas_rejected(self):
         # an empty suite would pass with no checks at all

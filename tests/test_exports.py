@@ -1,13 +1,17 @@
-"""Every public export list names something that exists, and README's
-Python examples run.
+"""Every public export list names something that exists, README's Python
+examples run, and ``import fgle`` is the run API that README imports.
 
 A deleted function left in an ``__all__`` list breaks ``from fgle.<module>
 import *`` only for the caller who tries it; here it fails in under a second.
 """
 
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,9 +29,36 @@ def test_export_list_resolves(name):
     exec(f"from {name} import *", {})
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+# Run in a fresh interpreter: in this one, other tests have imported every module.
+FRESH_IMPORT = """
+import json, sys, types
+import fgle
+fgle.stepper.build_system_matrix, fgle.wsgd.assemble_operator  # the benchmark's set-up
+print(json.dumps({
+    "loaded": [m for m in ("fgle.experiments", "fgle.spectral", "fgle.cli") if m in sys.modules],
+    "public": sorted(n for n, v in vars(fgle).items()
+                     if not n.startswith("_") and not isinstance(v, types.ModuleType)),
+}))
+"""
+
+
+def test_namespace_is_the_readme_run_api():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    imported = re.findall(r"^from fgle import (.+)$", "".join(blocks), re.M)
+    readme_names = sorted(n.strip() for line in imported for n in line.split(","))
+    path = [str(Path(fgle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT], capture_output=True, text=True,
+                          env=env, check=True)
+    fresh = json.loads(proc.stdout)
+    assert fresh["loaded"] == []
+    assert readme_names and fresh["public"] == readme_names
+
+
 def test_readme_python_blocks_run(capsys):
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
