@@ -17,6 +17,7 @@ from .stepper import (
     ModelParams,
     SolverSettings,
     TimeGrid,
+    _check_fits,
     _check_run,
     _exact_division,
     run_simulation,
@@ -158,13 +159,17 @@ class FineGridReference:
 
     def grids(self, interval, t_final, finest_h, finest_tau) -> tuple[GridSpec, TimeGrid]:
         """The reference's grids; a ValueError unless the finest level nests in
-        them, and then every coarser level, a multiple of it, nests too."""
+        them, and then every coarser level, a multiple of it, nests too, and
+        unless the reference's norms and times fit (``stepper.TimeGrid``)."""
         a, b = interval
         m = _exact_division(b - a, self.h_ref, "reference grid")
         n = _exact_division(t_final, self.tau_ref, "reference time grid")
         _exact_division(finest_h, self.h_ref, "finest level grid")
         _exact_division(finest_tau, self.tau_ref, "finest level time grid")
-        return GridSpec(a, b, m), TimeGrid(t_final, n)
+        try:
+            return GridSpec(a, b, m), TimeGrid(t_final, n)
+        except ValueError as exc:
+            raise ValueError(f"reference time grid: {exc}") from None
 
 
 @dataclass
@@ -188,14 +193,20 @@ def _check_listed(name: str, values, check) -> list:
         raise ValueError(f"{name}: {exc}") from None
 
 
+def _check_distinct(name: str, values: list) -> None:
+    """A ValueError if an entry of a study's list repeats an earlier one, whose
+    run or check would be made twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name}: {value!r} is listed twice")
+
+
 def _decay_models(params: ModelParams, gammas, grid: GridSpec, time_grid: TimeGrid) -> list:
     """``norm_decay_study``'s model of each run, each one checked by ``stepper._check_run``.
     A repeated gamma, whose run would be made twice and kept once, is a ValueError."""
     models = _check_listed("gammas", gammas, lambda gamma: _check_run(
         replace(params, gamma=float(gamma)), grid, time_grid.tau))
-    for i, model in enumerate(models):
-        if model in models[:i]:
-            raise ValueError(f"gammas: {model.gamma!r} is listed twice")
+    _check_distinct("gammas", [model.gamma for model in models])
     return models
 
 
@@ -233,26 +244,32 @@ def convergence_grids(
     A ValueError unless every level's h divides the interval and its tau
     divides t_final (``stepper._exact_division``), the finest level nests in
     a fine reference, and a run of ``params`` may start on every level and on
-    that reference (``stepper._check_run``).
+    that reference (``stepper._check_run``), whose norms and times fit
+    (``stepper.TimeGrid``).
     """
     _check_count("levels", levels, 1)
     a, b = interval
-    runs = []
+    steps = []
     for lvl in range(levels):
         tau, h = math.ldexp(base_tau, -lvl), math.ldexp(base_h, -lvl)
         m = _exact_division(b - a, h, f"level {lvl} grid")
         n = _exact_division(t_final, tau, f"level {lvl} time grid")
-        runs.append((tau, h, GridSpec(a, b, m), TimeGrid(t_final, n)))
+        steps.append((tau, h, GridSpec(a, b, m), n))
     ref_grids = None
-    checked = [(f"level {lvl} grid", grid, tau) for lvl, (tau, _, grid, _) in enumerate(runs)]
+    checked = [(f"level {lvl} grid", grid, tau, n) for lvl, (tau, _, grid, n) in enumerate(steps)]
     if isinstance(reference, FineGridReference):
         ref_grids = reference.grids(interval, t_final, h, tau)
-        checked.append(("reference grid", ref_grids[0], ref_grids[1].tau))
-    for what, grid, step in checked:
+        checked.append(("reference grid", ref_grids[0], ref_grids[1].tau, ref_grids[1].N))
+    # each time grid is made here, so its size rule (``TimeGrid``) comes after
+    # every level's divisibility, level by level with the factor's
+    time_grids = []
+    for what, grid, step, n in checked:
         try:
+            time_grids.append(TimeGrid(t_final, n))
             _check_run(params, grid, step)
         except ValueError as exc:
             raise ValueError(f"{what}: {exc}") from None
+    runs = [(tau, h, grid, time_grid) for (tau, h, grid, _), time_grid in zip(steps, time_grids)]
     return runs, ref_grids
 
 
@@ -417,7 +434,7 @@ class VerifySettings:
     seed: int = 1234
 
     def __post_init__(self):
-        _check_listed("alphas", self.alphas, _check_alpha)
+        _check_distinct("alphas", _check_listed("alphas", self.alphas, _check_alpha))
         for name, least in (("weight_length", 3), ("grid_points", 3), ("vectors", 1), ("seed", 0)):
             _check_count(name, getattr(self, name), least)
 
@@ -451,11 +468,15 @@ class VerificationReport:
 def _balance_runs(settings: VerifySettings) -> list[tuple[ModelParams, GridSpec, TimeGrid]]:
     """``verify_suite``'s energy-balance run (model, grid, time grid) of each alpha, each
     one checked by ``stepper._check_run``. Its gamma != 0, so a wrong sign of tau gamma / 2
-    on A's diagonal breaks the balance."""
+    on A's diagonal breaks the balance. ``factor_identity`` forms dense matrices on the
+    same grid, which must fit in physical memory too: at its peak it holds the dense C
+    and two copies of its Cholesky factor, 8 (M-1)^2 bytes each."""
     grid, time_grid = GridSpec(-10.0, 10.0, settings.grid_points), TimeGrid(0.5, 10)
     models = (ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=-1.0, alpha=alpha)
               for alpha in settings.alphas)
-    return [(_check_run(model, grid, time_grid.tau), grid, time_grid) for model in models]
+    runs = [(_check_run(model, grid, time_grid.tau), grid, time_grid) for model in models]
+    _check_fits(f"M = {grid.M}", 3 * 8 * (grid.M - 1) ** 2, "factor_identity check")
+    return runs
 
 
 def verify_suite(
@@ -468,8 +489,9 @@ def verify_suite(
     """Run the full operator/spectral invariant suite over a grid of alphas.
 
     The arguments are checked as ``VerifySettings``: an empty ``alphas``, whose
-    suite would pass with no checks at all, is a ValueError. So is a ``grid_points``
-    at which an energy-balance run may not start (``_balance_runs``), before any work."""
+    suite would pass with no checks at all, is a ValueError, and so is an alpha listed
+    twice. So is a ``grid_points`` at which an energy-balance run may not start, or whose
+    dense matrices would not fit in memory (``_balance_runs``), before any work."""
     runs = _balance_runs(VerifySettings(alphas, weight_length, grid_points, n_vectors, seed))
     rng = np.random.default_rng(seed)
     checks: list[SuiteCheck] = []

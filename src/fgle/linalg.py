@@ -78,17 +78,18 @@ def linf_h(u: ComplexField) -> float:
 def cholesky(matrix) -> np.ndarray:
     """Factor a symmetric positive definite matrix as C = L^T L, L lower.
 
-    A non-positive pivot is reported as ``SingularMatrixError`` ("not SPD").
+    A non-positive pivot is reported as ``SingularMatrixError`` ("not SPD"), and a
+    non-finite entry as a ValueError.
 
     The lower factor with C = L^T L (rather than the usual L L^T) comes
     from factoring the index-reversed matrix and flipping back.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("cholesky expects a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+        raise ValueError("cholesky expects a finite square matrix")
     try:
-        m = scipy.linalg.cholesky(a[::-1, ::-1], lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        m = np.linalg.cholesky(a[::-1, ::-1])
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
     return np.ascontiguousarray(m.T[::-1, ::-1])
 
@@ -104,6 +105,15 @@ def fft_length(n: int) -> int:
         if k == 1:
             return m
         m += 1
+
+
+def symmetric_toeplitz(column) -> np.ndarray:
+    """The symmetric Toeplitz matrix T_ij = c_|i-j| with first column ``column``, as
+    a read-only strided view of one 2n - 1 buffer: complex symmetric for a complex
+    column, never Hermitian. Copy it to get a writable matrix."""
+    c = np.asarray(column)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[:0:-1], c)), c.size)
+    return windows[::-1]
 
 
 def symmetric_toeplitz_spectrum(column: np.ndarray) -> np.ndarray:
@@ -172,9 +182,8 @@ def toeplitz_half_blocks(column: np.ndarray) -> np.ndarray:
     c = (c / scale if scale > 0 else c).astype(np.complex64)
     n = c.size
     k = (n + 1) // 2
-    window = np.lib.stride_tricks.sliding_window_view
-    toeplitz = window(np.concatenate((c[k - 1 : 0 : -1], c[:k])), k)[::-1]
-    hankel = window(c[::-1][: 2 * k - 1], k)
+    toeplitz = symmetric_toeplitz(c[:k])
+    hankel = np.lib.stride_tricks.sliding_window_view(c[::-1][: 2 * k - 1], k)
     # T and H are symmetric, so each C-ordered buffer block holds S^T or D^T
     blocks = np.empty((2, k, k), dtype=np.complex64)
     np.add(toeplitz, hankel, out=blocks[0])

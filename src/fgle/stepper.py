@@ -10,7 +10,8 @@ level's iteration starts from a polynomial extrapolation of the newest levels
 energy balance takes upsilon ||Lambda z||^2_h as upsilon (Delta_h z, z)_h, one
 FFT by Parseval (``OperatorMatrix.quadratic_form``). The rules every run obeys
 are stated here once: the time step and the factor's size, which ``_check_run``
-asks of every run, and a whole number of steps (``_exact_division``).
+asks of every run, a whole number of steps (``_exact_division``), and the memory
+rule (``_check_fits``) that the factor and ``TimeGrid``'s step count share.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
-    ComplexField, FactorizedSystem, _check_positive, _check_spacing, lu_factor, toeplitz_half_blocks
+    ComplexField, FactorizedSystem, _check_positive, _check_spacing, lu_factor, symmetric_toeplitz,
+    toeplitz_half_blocks,
 )
 from .wsgd import (
     OperatorMatrix, _check_alpha, _check_count, _check_operator, assemble_operator, wsgd_weights
@@ -113,12 +114,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class TimeGrid:
+    """N steps over [0, T]. A run keeps 16 (N + 1) bytes of norms and times, which
+    must fit in physical memory (``_check_fits``)."""
+
     T: float
     N: int
 
     def __post_init__(self):
         _check_positive("T", self.T)
         _check_count("N", self.N, 1)
+        _check_fits(f"N = {self.N}", 16 * (self.N + 1), "series of norms and times")
 
     @property
     def tau(self) -> float:
@@ -170,15 +175,21 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_factor_fits(M: int) -> None:
-    """The package's one size rule: the midpoint factor of a run on M cells
-    (``factor_nbytes``) fits in physical memory, or a ValueError names its GiB."""
-    need, memory = factor_nbytes(M), _physical_memory()
+def _check_fits(subject: str, need: int, what: str) -> None:
+    """The package's one memory rule: ``need`` bytes fit in physical memory, or a
+    ValueError says '<subject> needs a <GiB> GiB <what>, more than the <GiB> ...'."""
+    memory = _physical_memory()
     if need > memory:
         raise ValueError(
-            f"M = {M} needs a {need / 2**30:.3g} GiB midpoint factor, "
+            f"{subject} needs a {need / 2**30:.3g} GiB {what}, "
             f"more than the {memory / 2**30:.3g} GiB of physical memory"
         )
+
+
+def _check_factor_fits(M: int) -> None:
+    """The size rule of every run: the midpoint factor of a run on M cells
+    (``factor_nbytes``) fits in physical memory (``_check_fits``)."""
+    _check_fits(f"M = {M}", factor_nbytes(M), "midpoint factor")
 
 
 def _exact_division(num: float, den: float, what: str, least: int = 1) -> int:
@@ -248,9 +259,8 @@ def build_system_matrix(
     if col.size >= _GS_MIN_SIZE:
         system = lu_factor(toeplitz_half_blocks(col), size=col.size).with_gohberg_semencul(col)
         return dataclasses.replace(system, tau=tau)
-    # A is complex symmetric, not Hermitian: toeplitz(col) alone would conjugate the row.
-    # Its transpose is A again, as an F-contiguous view that getrf factors in place.
-    return dataclasses.replace(lu_factor(scipy.linalg.toeplitz(col, col).T), tau=tau)
+    # the transpose of the copy is A again, an F-contiguous view getrf factors in place
+    return dataclasses.replace(lu_factor(symmetric_toeplitz(col).copy().T), tau=tau)
 
 
 def _values(u, h: float) -> np.ndarray:

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import circulant_product, symmetric_toeplitz_spectrum, toeplitz_quadratic_form
+from .linalg import (
+    circulant_product, symmetric_toeplitz, symmetric_toeplitz_spectrum, toeplitz_quadratic_form
+)
 
 __all__ = [
     "WsgdWeights",
@@ -86,24 +87,21 @@ def _lambdas(alpha: float) -> tuple[float, float, float]:
 
 @dataclass
 class WsgdWeights:
-    """Shift weights lambda_1, lambda_0, lambda_-1 and the sequences g, w.
+    """The weight sequence w_0..w_L for order alpha.
 
-    w combines three shifted Grunwald expansions:
+    w combines three shifted Grunwald expansions (g from ``grunwald_coeffs``,
+    the shift weights lambda_1, lambda_0, lambda_-1 from ``_lambdas``):
         w_0 = lambda_1 g_0
         w_1 = lambda_1 g_1 + lambda_0 g_0
         w_l = lambda_1 g_l + lambda_0 g_{l-1} + lambda_-1 g_{l-2},  l >= 2
     """
 
     alpha: float
-    lambda1: float
-    lambda0: float
-    lambda_m1: float
-    g: np.ndarray = field(repr=False)
     w: np.ndarray = field(repr=False)
 
     @property
     def length(self) -> int:
-        """Largest retained index L (sequences have L + 1 entries)."""
+        """Largest retained index L (w has L + 1 entries)."""
         return self.w.size - 1
 
 
@@ -115,7 +113,7 @@ def wsgd_weights(alpha: float, L: int) -> WsgdWeights:
     w = l1 * g
     w[1:] += l0 * g[:-1]
     w[2:] += lm1 * g[:-2]
-    return WsgdWeights(alpha=alpha, lambda1=l1, lambda0=l0, lambda_m1=lm1, g=g, w=w)
+    return WsgdWeights(alpha=alpha, w=w)
 
 
 @dataclass
@@ -146,22 +144,13 @@ class WeightPropertyReport:
 
 
 def _tail_sum_bound(weights: WsgdWeights) -> float:
-    """Empirical bound on |sum_{l>L} w_l|, from 4L further terms.
+    """Empirical bound on |sum_{l>L} w_l|, from the 4L terms w_{L+1}..w_{5L}.
 
     The continuation terms decay like l^(-1-alpha); twice their sum safely
     covers the remainder beyond index 5L for every alpha in (1, 2].
     """
     L = weights.length
-    alpha = weights.alpha
-    l = np.arange(L + 1, 5 * L + 1, dtype=float)
-    g_ext = weights.g[L] * np.cumprod((l - alpha - 1.0) / l)
-    g_all = np.concatenate((weights.g[L - 1 :], g_ext))  # g_{L-1} .. g_{5L}
-    w_ext = (
-        weights.lambda1 * g_all[2:]
-        + weights.lambda0 * g_all[1:-1]
-        + weights.lambda_m1 * g_all[:-2]
-    )
-    return 2.0 * float(np.sum(w_ext))
+    return 2.0 * float(np.sum(wsgd_weights(weights.alpha, 5 * L).w[L + 1 :]))
 
 
 def check_weight_properties(weights: WsgdWeights) -> WeightPropertyReport:
@@ -232,7 +221,7 @@ class OperatorMatrix:
     @property
     def C(self) -> np.ndarray:
         """Dense C, O(M^2) memory: for oracles and certification only."""
-        return scipy.linalg.toeplitz(self.column)
+        return symmetric_toeplitz(self.column).copy()
 
     @cached_property
     def _spectrum(self) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 from fgle.experiments import (
     ExactReference,
     FineGridReference,
+    VerifySettings,
     convergence_grids,
     convergence_study,
     error_norms,
@@ -237,6 +238,22 @@ class TestConvergenceStudy:
         runs, _ = experiments.convergence_grids(p, (-16.0, 16.0), 0.5, 0.1, 0.8, 2)
         assert [grid.M for _, _, grid, _ in runs] == [40, 80]
 
+    def test_step_count_beyond_physical_memory_rejected_before_any_run(self, monkeypatch):
+        # 500,000 steps keep 7.6 MiB of norms and times; the M = 40 factor fits
+        import fgle.stepper as stepper
+
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 2**20)
+        with pytest.raises(ValueError, match=r"^level 0 grid: N = 500000 needs a .* GiB series"):
+            convergence_grids(sech_soliton_model_params(), (-16.0, 16.0), 0.5, 1e-6, 0.8, 2)
+
+    def test_reference_step_count_beyond_physical_memory_names_the_reference(self):
+        # 10^12 reference steps keep 14.9 TiB of norms and times
+        reference = FineGridReference(h_ref=0.1, tau_ref=1e-12)
+        message = r"^reference time grid: N = 1000000000000 needs a 1\.49e\+04 GiB"
+        with pytest.raises(ValueError, match=message):
+            convergence_grids(sech_soliton_model_params(alpha=1.6), (-16.0, 16.0), 1.0, 0.2, 0.8, 2,
+                              reference)
+
     @pytest.mark.parametrize("levels", [2.5, True, 0])
     def test_levels_must_be_an_integer(self, levels):
         message = f"levels must be an integer >= 1, got {levels!r}"
@@ -420,6 +437,39 @@ class TestVerifySuite:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_dense_check_past_physical_memory_rejected_before_any_work(self, monkeypatch):
+        # at M = 1200 the midpoint factor is 5.5 MiB, while factor_identity holds
+        # three dense (M-1)^2 arrays, 32.9 MiB (the suite peaked at 33.1 MiB);
+        # 16 MiB admits the factor and not the check
+        import fgle.stepper as stepper
+
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 16 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^M = 1200 needs a 0\.0321 GiB factor_identity"):
+                verify_suite(alphas=(1.5,), grid_points=1200, n_vectors=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_dense_check_that_just_fits_accepted(self, monkeypatch):
+        import fgle.experiments as experiments
+        import fgle.stepper as stepper
+
+        settings = VerifySettings(alphas=(1.5, 2.0), grid_points=40)
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 24 * 39**2)
+        assert len(experiments._balance_runs(settings)) == 2
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 24 * 39**2 - 1)
+        with pytest.raises(ValueError, match="factor_identity check, more than"):
+            experiments._balance_runs(settings)
+
+    @pytest.mark.parametrize("alphas, shown", [((1.5, 1.5), "1.5"), ((2, 1.5, 2.0), "2.0")])
+    def test_repeated_alpha_rejected(self, alphas, shown):
+        # every check of that alpha would run twice; 2 and 2.0 are one alpha
+        with pytest.raises(ValueError, match=re.escape(f"alphas: {shown} is listed twice")):
+            verify_suite(alphas=alphas, grid_points=32, n_vectors=4)
+
     def test_empty_alphas_rejected(self):
         # an empty suite would pass with no checks at all
         with pytest.raises(ValueError, match="alphas"):
@@ -461,7 +511,7 @@ class TestVerifySuite:
         check = experiments_mod.check_weight_properties
 
         def check_tampered(w):
-            bad = WsgdWeights(w.alpha, w.lambda1, w.lambda0, w.lambda_m1, w.g, w.w.copy())
+            bad = WsgdWeights(w.alpha, w.w.copy())
             bad.w[0] = -bad.w[0]
             return check(bad)
 

@@ -5,6 +5,7 @@ A deleted function left in an ``__all__`` list breaks ``from fgle.<module>
 import *`` only for the caller who tries it; here it fails in under a second.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -63,3 +64,31 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
         assert capsys.readouterr().out, f"README example printed nothing:\n{block}"
+
+
+def _names_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "scipy"
+    return isinstance(node, ast.Name) and node.id == "scipy"
+
+
+def _statement_name(stmt) -> str:
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return "import"
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return ast.unparse(stmt.targets[0] if isinstance(stmt, ast.Assign) else stmt.target)
+    return getattr(stmt, "name", ast.unparse(stmt))
+
+
+def test_scipy_is_used_only_by_the_lu():
+    # the package's scipy boundary: its import and the two LU sites in linalg
+    sites = set()
+    for path in Path(fgle.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if any(_names_scipy(node) for node in ast.walk(stmt)):
+                sites.add((path.name, _statement_name(stmt)))
+    assert sites == {
+        ("linalg.py", "import"), ("linalg.py", "_GETRS"), ("linalg.py", "_factor_in_place")
+    }

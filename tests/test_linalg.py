@@ -176,6 +176,24 @@ def symmetric_toeplitz(n, seed):
     return scipy.linalg.toeplitz(col, col)
 
 
+class TestSymmetricToeplitz:
+    @pytest.mark.parametrize("n", (1, 2, 7))
+    def test_complex_column_gives_complex_symmetric_view(self, n):
+        # the row is the column itself, not its conjugate: never Hermitian
+        col = symmetric_toeplitz_column(n, seed=n)
+        T = linalg_mod.symmetric_toeplitz(col)
+        assert np.array_equal(T, scipy.linalg.toeplitz(col, col))
+        assert np.array_equal(T, T.T)
+        assert not T.flags.writeable
+
+    def test_operator_matrix_is_a_copy(self):
+        op = assemble_operator(wsgd_weights(1.5, 12), 12)
+        C = op.C
+        assert np.array_equal(C, scipy.linalg.toeplitz(op.column))
+        C[0, 0] = 0.0
+        assert op.C[0, 0] == op.column[0] != 0.0
+
+
 class TestGohbergSemencul:
     def test_fft_length_is_smallest_5_smooth(self):
         assert [fft_length(n) for n in (1, 7, 11, 637, 2557, 5117)] == [1, 8, 12, 640, 2560, 5120]

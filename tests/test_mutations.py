@@ -1,11 +1,11 @@
 """Mutation table for ``fgle verify``: each row swaps one wrong variant of the
 scheme into the package by monkeypatching, runs ``verify_suite`` with its
 defaults, and names the check families that must fail. No row edits the
-source, and the variants are ROADMAP item 3's.
+source, and the variants are ROADMAP item 4's.
 
 One row is missed today and is marked ``xfail(strict=True)``: a column
 scaled from ``c_2`` on (every symbol check reads the closed form, not the
-assembled column). It names the family item 3 plans to catch it.
+assembled column). It names the family item 4 plans to catch it.
 
 Two families catch no row, and no row of this kind can reach them:
 
@@ -24,10 +24,10 @@ Two families catch no row, and no row of this kind can reach them:
 import dataclasses
 import sys
 
+import numpy as np
 import pytest
-import scipy.linalg
 
-from fgle import stepper, wsgd
+from fgle import linalg, stepper, wsgd
 from fgle.experiments import verify_suite
 
 FAMILIES = {
@@ -80,13 +80,17 @@ def gain_sign_flipped(build_system_matrix):
     )
 
 
-def hermitian_dense_a(toeplitz):
-    # toeplitz(col) alone conjugates the row: a Hermitian A on the dense path
-    return lambda column, row=None: toeplitz(column)
+def hermitian_toeplitz(symmetric_toeplitz):
+    # the row conjugated above the diagonal: a Hermitian A on the dense path
+    def wrong(column):
+        a = symmetric_toeplitz(column)
+        return np.tril(a) + np.triu(a.conj(), 1)
+
+    return wrong
 
 
 def missed(reason):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 3: {reason}")
+    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 4: {reason}")
 
 
 # (owner, attribute, wrong variant of it, the families that must fail)
@@ -103,7 +107,7 @@ ROWS = [
                  id="column-scaled", marks=missed("no check compares the column with the symbol")),
     pytest.param(stepper, "build_system_matrix", gain_sign_flipped, {"step_energy_balance"},
                  id="gain-sign"),
-    pytest.param(scipy.linalg, "toeplitz", hermitian_dense_a,
+    pytest.param(linalg, "symmetric_toeplitz", hermitian_toeplitz,
                  {"step_energy_balance"}, id="hermitian-a"),
 ]
 

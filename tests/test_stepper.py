@@ -86,6 +86,22 @@ class TestGridTypes:
         with pytest.raises(ValueError, match=match):
             TimeGrid(T, N)
 
+    def test_time_grid_past_physical_memory_rejected(self, monkeypatch):
+        # a run keeps 16 (N + 1) bytes of norms and times
+        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 16 * 101)
+        assert TimeGrid(1.0, 100).N == 100
+        with pytest.raises(ValueError, match=r"^N = 101 needs a .* GiB series of norms and times, "
+                           r"more than the .* GiB of physical memory$"):
+            TimeGrid(1.0, 101)
+
+    def test_huge_step_count_rejected_before_sampling(self):
+        # 10^12 steps would need 14.9 TiB of norms and times
+        sampled = []
+        with pytest.raises(ValueError, match=r"^N = 1000000000000 needs a 1\.49e\+04 GiB series"):
+            run_simulation(EXAMPLE_PARAMS, GridSpec(-10.0, 10.0, 10), TimeGrid(1.0, 10**12),
+                           sampled.append)
+        assert sampled == []
+
     def test_numpy_integer_sizes_accepted(self):
         assert GridSpec(-1.0, 1.0, np.int64(8)).M == 8
         assert TimeGrid(1.0, np.int64(4)).tau == 0.25

@@ -15,6 +15,7 @@ from fgle.linalg import ComplexField
 from fgle.wsgd import (
     LEADING_PAIR_ALPHA_THRESHOLD,
     WsgdWeights,
+    _lambdas,
     assemble_operator,
     c_alpha,
     check_weight_properties,
@@ -76,31 +77,33 @@ class TestGrunwaldCoeffs:
 class TestWsgdWeights:
     def test_alpha2_reduces_to_three_point_stencil(self):
         w = wsgd_weights(2.0, 4)
-        assert (w.lambda1, w.lambda0, w.lambda_m1) == (1.0, 0.0, 0.0)
+        assert _lambdas(2.0) == (1.0, 0.0, 0.0)
         assert w.w.tolist() == [1.0, -2.0, 1.0, 0.0, 0.0]
 
     def test_lambdas_match_rational_arithmetic(self):
         # shift weights evaluated with exact fractions at alpha = 3/2
         a = Fraction(3, 2)
-        w = wsgd_weights(1.5, 2)
-        assert w.lambda1 == pytest.approx(float((a * a + 3 * a + 2) / 12), rel=1e-15)
-        assert w.lambda0 == pytest.approx(float((4 - a * a) / 6), rel=1e-15)
-        assert w.lambda_m1 == pytest.approx(float((a * a - 3 * a + 2) / 12), rel=1e-15)
-        assert w.lambda1 == pytest.approx(35 / 48)
-        assert w.lambda0 == pytest.approx(7 / 24)
-        assert w.lambda_m1 == pytest.approx(-1 / 48)
+        lambda1, lambda0, lambda_m1 = _lambdas(1.5)
+        assert lambda1 == pytest.approx(float((a * a + 3 * a + 2) / 12), rel=1e-15)
+        assert lambda0 == pytest.approx(float((4 - a * a) / 6), rel=1e-15)
+        assert lambda_m1 == pytest.approx(float((a * a - 3 * a + 2) / 12), rel=1e-15)
+        assert lambda1 == pytest.approx(35 / 48)
+        assert lambda0 == pytest.approx(7 / 24)
+        assert lambda_m1 == pytest.approx(-1 / 48)
 
     def test_w1_symbolic(self):
         w = wsgd_weights(1.5, 2)
-        assert w.w[1] == pytest.approx(w.lambda1 * (-1.5) + w.lambda0, rel=1e-15)
+        lambda1, lambda0, _ = _lambdas(1.5)
+        assert w.w[1] == pytest.approx(lambda1 * (-1.5) + lambda0, rel=1e-15)
 
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_w_combines_shifted_g(self, alpha):
         w = wsgd_weights(alpha, 16)
-        g = w.g
-        assert w.w[0] == pytest.approx(w.lambda1 * g[0], rel=1e-15)
+        g = grunwald_coeffs(alpha, 16)
+        lambda1, lambda0, lambda_m1 = _lambdas(alpha)
+        assert w.w[0] == pytest.approx(lambda1 * g[0], rel=1e-15)
         for l in range(2, 17):
-            expected = w.lambda1 * g[l] + w.lambda0 * g[l - 1] + w.lambda_m1 * g[l - 2]
+            expected = lambda1 * g[l] + lambda0 * g[l - 1] + lambda_m1 * g[l - 2]
             assert w.w[l] == pytest.approx(expected, rel=1e-14, abs=1e-300)
 
 
@@ -143,7 +146,8 @@ class TestWeightProperties:
         # alpha^3 + 4 alpha^2 - alpha - 10 < 0, i.e. alpha < sqrt(6) - 1
         w = wsgd_weights(alpha, 8)
         s1 = w.w[0] + w.w[1]
-        assert s1 == pytest.approx(w.lambda1 * (1 - alpha) + w.lambda0, rel=1e-14)
+        lambda1, lambda0, _ = _lambdas(alpha)
+        assert s1 == pytest.approx(lambda1 * (1 - alpha) + lambda0, rel=1e-14)
         assert s1 > 0
         assert alpha**3 + 4 * alpha**2 - alpha - 10 < 0
 
@@ -158,7 +162,7 @@ class TestWeightProperties:
 
     def test_tampered_weights_detected(self):
         w = wsgd_weights(1.5, 64)
-        bad = WsgdWeights(w.alpha, w.lambda1, w.lambda0, w.lambda_m1, w.g, w.w.copy())
+        bad = WsgdWeights(w.alpha, w.w.copy())
         bad.w[0] = -bad.w[0]
         report = check_weight_properties(bad)
         assert not report.passed
