@@ -374,10 +374,8 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
     write_csv(
         outdir / "diagnostics.csv",
         ["n", "iterations", "increment", "identity_residual"],
-        (
-            (n + 1, d.iterations, d.final_increment, d.energy_identity_residual)
-            for n, d in enumerate(traj.diagnostics)
-        ),
+        zip(range(1, traj.iterations.size + 1), traj.iterations, traj.final_increments,
+            traj.energy_residuals),
     )
     x = traj.grid.interior_nodes()
     for t, snap in sorted(traj.snapshots.items()):

@@ -10,14 +10,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ComplexField, _check_pair, _check_positive, cholesky, l2_h, linf_h
+from .linalg import ComplexField, _check_pair, _check_positive, _gauss_jacobi, l2_h, linf_h
 from .spectral import energy_equivalence_margins
 from .stepper import (
     GridSpec,
     ModelParams,
     SolverSettings,
     TimeGrid,
-    _check_fits,
     _check_run,
     _exact_division,
     run_simulation,
@@ -160,7 +159,7 @@ class FineGridReference:
     def grids(self, interval, t_final, finest_h, finest_tau) -> tuple[GridSpec, TimeGrid]:
         """The reference's grids; a ValueError unless the finest level nests in
         them, and then every coarser level, a multiple of it, nests too, and
-        unless the reference's norms and times fit (``stepper.TimeGrid``)."""
+        unless the reference's norms, times and diagnostics fit (``stepper.TimeGrid``)."""
         a, b = interval
         m = _exact_division(b - a, self.h_ref, "reference grid")
         n = _exact_division(t_final, self.tau_ref, "reference time grid")
@@ -244,8 +243,8 @@ def convergence_grids(
     A ValueError unless every level's h divides the interval and its tau
     divides t_final (``stepper._exact_division``), the finest level nests in
     a fine reference, and a run of ``params`` may start on every level and on
-    that reference (``stepper._check_run``), whose norms and times fit
-    (``stepper.TimeGrid``).
+    that reference (``stepper._check_run``), whose norms, times and diagnostics
+    fit (``stepper.TimeGrid``).
     """
     _check_count("levels", levels, 1)
     a, b = interval
@@ -468,15 +467,30 @@ class VerificationReport:
 def _balance_runs(settings: VerifySettings) -> list[tuple[ModelParams, GridSpec, TimeGrid]]:
     """``verify_suite``'s energy-balance run (model, grid, time grid) of each alpha, each
     one checked by ``stepper._check_run``. Its gamma != 0, so a wrong sign of tau gamma / 2
-    on A's diagonal breaks the balance. ``factor_identity`` forms dense matrices on the
-    same grid, which must fit in physical memory too: at its peak it holds the dense C
-    and two copies of its Cholesky factor, 8 (M-1)^2 bytes each."""
+    on A's diagonal breaks the balance."""
     grid, time_grid = GridSpec(-10.0, 10.0, settings.grid_points), TimeGrid(0.5, 10)
     models = (ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=-1.0, alpha=alpha)
               for alpha in settings.alphas)
-    runs = [(_check_run(model, grid, time_grid.tau), grid, time_grid) for model in models]
-    _check_fits(f"M = {grid.M}", 3 * 8 * (grid.M - 1) ** 2, "factor_identity check")
-    return runs
+    return [(_check_run(model, grid, time_grid.tau), grid, time_grid) for model in models]
+
+
+def _symbol_coefficients(alpha: float, count: int) -> np.ndarray:
+    """c_k = (1/pi) int_0^pi f(theta) cos(k theta) dtheta, k < count, of the symbol f, in O(count)
+    memory: Gauss rules on panels about 8 coefficients wide, Gauss-Jacobi for the weight theta^alpha
+    on the first (f / theta^alpha is smooth), and cos(k theta) by the Chebyshev recurrence."""
+    panels = -(-count // 8)
+    half = 0.5 * math.pi / panels  # half a panel's width
+    (x, w), (x_later, w_later) = _gauss_jacobi(24, alpha), _gauss_jacobi(24, 0.0)
+    later = 2.0 * np.arange(1, panels)[:, None] + 1.0 + x_later  # in units of half
+    theta = half * np.concatenate((1.0 + x, later.ravel()))
+    weights = np.concatenate((w / (1.0 + x) ** alpha, np.tile(w_later, panels - 1)))
+    terms = half / math.pi * weights * symbol_f(alpha, theta)
+    coefficients = np.empty(count)
+    two_cos, previous, current = 2.0 * np.cos(theta), np.cos(theta), np.ones_like(theta)
+    for k in range(count):
+        coefficients[k] = terms @ current
+        previous, current = current, two_cos * current - previous
+    return coefficients
 
 
 def verify_suite(
@@ -490,8 +504,8 @@ def verify_suite(
 
     The arguments are checked as ``VerifySettings``: an empty ``alphas``, whose
     suite would pass with no checks at all, is a ValueError, and so is an alpha listed
-    twice. So is a ``grid_points`` at which an energy-balance run may not start, or whose
-    dense matrices would not fit in memory (``_balance_runs``), before any work."""
+    twice. So is a ``grid_points`` at which an energy-balance run may not start
+    (``_balance_runs``), before any work."""
     runs = _balance_runs(VerifySettings(alphas, weight_length, grid_points, n_vectors, seed))
     rng = np.random.default_rng(seed)
     checks: list[SuiteCheck] = []
@@ -539,18 +553,14 @@ def verify_suite(
         lower, upper, sem = energy_equivalence_margins(fields, alpha, h, operator=op)
         tol = 1e-9 * sem
         ok = bool(np.all(lower >= -tol) and np.all(upper >= -tol))
-        checks.append(
-            SuiteCheck("energy_equivalence", alpha, ok, float(min(lower.min(), upper.min())))
-        )
+        checks.append(SuiteCheck("energy_equivalence", alpha, ok, float(min(lower.min(), upper.min()))))
 
-        # (Delta_h u, u)_h = ||Lambda u||^2_h is the property checked, so Lambda is formed here
-        qf = op.quadratic_form(fields, h)
-        lam = h ** (1.0 - alpha) * np.sum(np.abs(cholesky(op.C) @ fields) ** 2, axis=0)
-        rel = float(np.max(np.abs(qf - lam) / lam))
-        checks.append(SuiteCheck("factor_identity", alpha, rel <= 1e-10, 1e-10 - rel))
+        coefficients = _symbol_coefficients(alpha, m - 1)
+        gap = float(np.max(np.abs(op.column - coefficients)) / np.max(np.abs(coefficients)))
+        checks.append(SuiteCheck("operator_symbol", alpha, gap <= 1e-12, 1e-12 - gap))
 
         traj = run_simulation(params, grid, time_grid, _gaussian, operator=op)
-        res = max(abs(d.energy_identity_residual) for d in traj.diagnostics)
+        res = float(np.max(np.abs(traj.energy_residuals)))
         checks.append(SuiteCheck("step_energy_balance", alpha, res <= 1e-10, 1e-10 - res))
 
     return VerificationReport(checks)

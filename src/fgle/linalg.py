@@ -1,5 +1,5 @@
-"""Grid functions and their norms, dense factorizations, and the FFT products
-behind the Toeplitz operator and the Gohberg-Semencul solve. The one
+"""Grid functions and their norms, the LU factorization, Gauss-Jacobi rules, and the
+FFT products behind the Toeplitz operator and the Gohberg-Semencul solve. The one
 symmetric Toeplitz quadratic form, ``toeplitz_quadratic_form``, serves both
 the operator's energy (Delta_h u, u)_h and the H^sigma_h seminorm.
 
@@ -17,6 +17,7 @@ implicitly extended by zero outside. All norms carry the mesh weight h.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -75,23 +76,18 @@ def linf_h(u: ComplexField) -> float:
     return float(np.max(np.abs(u.values)))
 
 
-def cholesky(matrix) -> np.ndarray:
-    """Factor a symmetric positive definite matrix as C = L^T L, L lower.
-
-    A non-positive pivot is reported as ``SingularMatrixError`` ("not SPD"), and a
-    non-finite entry as a ValueError.
-
-    The lower factor with C = L^T L (rather than the usual L L^T) comes
-    from factoring the index-reversed matrix and flipping back.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
-        raise ValueError("cholesky expects a finite square matrix")
-    try:
-        m = np.linalg.cholesky(a[::-1, ::-1])
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
-    return np.ascontiguousarray(m.T[::-1, ::-1])
+@functools.lru_cache(maxsize=16)
+def _gauss_jacobi(q: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the q-point Gauss rule for (1 + x)^b on [-1, 1], by Golub-Welsch;
+    cached, so the arrays are read-only."""
+    n = np.arange(1.0, q)
+    s = 2.0 * n + b
+    diagonal = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
+    off = 2.0 * n * (n + b) / (s * np.sqrt(s * s - 1.0))
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, -1))  # reads the lower half
+    weights = 2.0 ** (b + 1.0) / (b + 1.0) * vectors[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def fft_length(n: int) -> int:

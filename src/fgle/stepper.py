@@ -114,8 +114,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """N steps over [0, T]. A run keeps 16 (N + 1) bytes of norms and times, which
-    must fit in physical memory (``_check_fits``)."""
+    """N steps over [0, T]. A run keeps 16 (N + 1) bytes of norms and times and 24 N
+    of step diagnostics (``Trajectory``), which must fit in physical memory (``_check_fits``)."""
 
     T: float
     N: int
@@ -123,7 +123,7 @@ class TimeGrid:
     def __post_init__(self):
         _check_positive("T", self.T)
         _check_count("N", self.N, 1)
-        _check_fits(f"N = {self.N}", 16 * (self.N + 1), "series of norms and times")
+        _check_fits(f"N = {self.N}", 40 * self.N + 16, "series of norms, times and diagnostics")
 
     @property
     def tau(self) -> float:
@@ -150,10 +150,14 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
+    """A run's ``times`` and ``norm_sq`` per level, and its steps' diagnostics, step n + 1 at n."""
+
     grid: GridSpec
     times: np.ndarray
     norm_sq: np.ndarray
-    diagnostics: list[StepDiagnostics]
+    iterations: np.ndarray
+    final_increments: np.ndarray
+    energy_residuals: np.ndarray
     snapshots: dict[float, ComplexField] = field(default_factory=dict)
     final: ComplexField | None = None
 
@@ -406,17 +410,16 @@ def run_simulation(
         operator = assemble_operator(wsgd_weights(params.alpha, grid.M), grid.M)
     system = build_system_matrix(params, grid, tau, operator)
 
-    h = grid.h
-    norms = np.empty(time_grid.N + 1)
-    norms[0] = h * float(np.sum(np.abs(u) ** 2))
-    diagnostics: list[StepDiagnostics] = []
-    snapshots: dict[float, ComplexField] = {}
+    h, steps = grid.h, time_grid.N
+    traj = Trajectory(grid, tau * np.arange(steps + 1), np.empty(steps + 1),
+                      np.empty(steps, dtype=np.int64), np.empty(steps), np.empty(steps))
+    traj.norm_sq[0] = h * float(np.sum(np.abs(u) ** 2))
     if 0 in snap_steps:
-        snapshots[snap_steps[0]] = ComplexField(u.copy(), h)
+        traj.snapshots[snap_steps[0]] = ComplexField(u.copy(), h)
 
     # earlier levels u^{n-1}, ..., u^{n-4}, newest first; the first n rows are filled
     levels = np.zeros((_START_ORDER, u.size), dtype=complex)
-    for n in range(time_grid.N):
+    for n in range(steps):
         try:
             u_next, diag = fixed_point_step(
                 u, levels[:n], system, params, grid, settings, operator
@@ -427,16 +430,9 @@ def run_simulation(
         levels[1:] = levels[:-1]
         levels[0] = u
         u = u_next
-        diagnostics.append(diag)
-        norms[n + 1] = diag.norm_sq
+        traj.iterations[n], traj.final_increments[n] = diag.iterations, diag.final_increment
+        traj.energy_residuals[n], traj.norm_sq[n + 1] = diag.energy_identity_residual, diag.norm_sq
         if n + 1 in snap_steps:
-            snapshots[snap_steps[n + 1]] = ComplexField(u.copy(), h)
-
-    return Trajectory(
-        grid=grid,
-        times=tau * np.arange(time_grid.N + 1),
-        norm_sq=norms,
-        diagnostics=diagnostics,
-        snapshots=snapshots,
-        final=ComplexField(u, h),
-    )
+            traj.snapshots[snap_steps[n + 1]] = ComplexField(u.copy(), h)
+    traj.final = ComplexField(u, h)
+    return traj

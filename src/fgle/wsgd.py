@@ -220,7 +220,7 @@ class OperatorMatrix:
 
     @property
     def C(self) -> np.ndarray:
-        """Dense C, O(M^2) memory: for oracles and certification only."""
+        """Dense C, O(M^2) memory, read by tests and ``bench/tracer.py``, never by the package."""
         return symmetric_toeplitz(self.column).copy()
 
     @cached_property
@@ -261,8 +261,8 @@ def assemble_operator(weights: WsgdWeights, M: int) -> OperatorMatrix:
     W is Toeplitz with first column (w_1, ..., w_{M-1}) and first row
     (w_1, w_0, 0, ..., 0), so C is symmetric Toeplitz with first column
     (2 w_1, w_0 + w_2, w_3, ..., w_{M-1}) / (2 cos(alpha pi / 2)), the only part
-    stored. C is positive definite for alpha in (1, 2], which ``fgle verify``
-    certifies.
+    stored. C is positive definite for alpha in (1, 2]: ``fgle verify`` matches this column
+    to the symbol, whose range holds C's eigenvalues, and samples that range as positive.
     """
     _check_count("M", M, 3)
     w = weights.w

@@ -5,9 +5,28 @@ import math
 import numpy as np
 import scipy.linalg
 
-from fgle.linalg import ComplexField
+from fgle.linalg import ComplexField, SingularMatrixError
 from fgle.stepper import SolverSettings
 from fgle.wsgd import WsgdWeights, assemble_operator, wsgd_weights
+
+
+def cholesky(matrix) -> np.ndarray:
+    """Factor a symmetric positive definite matrix as C = L^T L, L lower.
+
+    A non-positive pivot is reported as ``SingularMatrixError`` ("not SPD"), and a
+    non-finite entry as a ValueError.
+
+    The lower factor with C = L^T L (rather than the usual L L^T) comes
+    from factoring the index-reversed matrix and flipping back.
+    """
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+        raise ValueError("cholesky expects a finite square matrix")
+    try:
+        m = np.linalg.cholesky(a[::-1, ::-1])
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is not positive definite: {exc}") from exc
+    return np.ascontiguousarray(m.T[::-1, ::-1])
 
 
 def apply_fractional_laplacian(u: ComplexField, weights: WsgdWeights) -> ComplexField:

@@ -544,9 +544,10 @@ class TestCliDispatch:
         ids=["simulate", "decay", "inviscid", "convergence"],
     )
     def test_steps_past_physical_memory_exit_code(self, tmp_path, capsys, mode, text):
-        # 10^12 steps keep 14.9 TiB of norms and times: rejected before any output
+        # 10^12 steps keep 36.4 TiB of norms, times and diagnostics: rejected before any output
         text = re.sub(r"steps = \d+", "steps = 1000000000000", text.replace("m = 400", "m = 10"))
-        expected = "[time] N = 1000000000000 needs a 1.49e+04 GiB series of norms and times"
+        expected = ("[time] N = 1000000000000 needs a 3.73e+04 GiB series of norms, times and "
+                    "diagnostics")
         assert_config_error(tmp_path, capsys, mode, text, expected)
 
     def test_exact_reference_at_zero_upsilon_exit_code(self, tmp_path, capsys):
@@ -721,16 +722,6 @@ class TestVerifySuite:
                     "more than the 9.31e-05 GiB of physical memory")
         with pytest.raises(ConfigError, match=re.escape(expected)):
             parse_config(text)
-        assert_config_error(tmp_path, capsys, "verify", text, expected)
-
-    def test_verify_dense_check_past_physical_memory_exit_code(self, tmp_path, capsys,
-                                                                monkeypatch):
-        # at M = 1200 the 5.5 MiB midpoint factor fits in 16 MiB, and the
-        # 32.9 MiB of factor_identity's dense matrices do not
-        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 16 * 2**20)
-        text = VERIFY + "\n[verify]\nalphas = 1.5\ngrid_points = 1200\n"
-        expected = ("[verify] M = 1200 needs a 0.0321 GiB factor_identity check, "
-                    "more than the 0.0156 GiB of physical memory")
         assert_config_error(tmp_path, capsys, "verify", text, expected)
 
     @pytest.mark.parametrize("alphas, shown", [("1.5 1.5", "1.5"), ("2 1.5 2.0", "2.0")])

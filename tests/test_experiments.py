@@ -12,7 +12,7 @@ import pytest
 from fgle.experiments import (
     ExactReference,
     FineGridReference,
-    VerifySettings,
+    _symbol_coefficients,
     convergence_grids,
     convergence_study,
     error_norms,
@@ -27,7 +27,7 @@ from fgle.experiments import (
 )
 from fgle.linalg import ComplexField
 from fgle.stepper import GridSpec, ModelParams, TimeGrid
-from fgle.wsgd import WsgdWeights
+from fgle.wsgd import WsgdWeights, assemble_operator, wsgd_weights
 
 
 def gaussian(x):
@@ -239,7 +239,7 @@ class TestConvergenceStudy:
         assert [grid.M for _, _, grid, _ in runs] == [40, 80]
 
     def test_step_count_beyond_physical_memory_rejected_before_any_run(self, monkeypatch):
-        # 500,000 steps keep 7.6 MiB of norms and times; the M = 40 factor fits
+        # 500,000 steps keep 19.1 MiB of norms, times and diagnostics; the M = 40 factor fits
         import fgle.stepper as stepper
 
         monkeypatch.setattr(stepper, "_physical_memory", lambda: 2**20)
@@ -247,9 +247,9 @@ class TestConvergenceStudy:
             convergence_grids(sech_soliton_model_params(), (-16.0, 16.0), 0.5, 1e-6, 0.8, 2)
 
     def test_reference_step_count_beyond_physical_memory_names_the_reference(self):
-        # 10^12 reference steps keep 14.9 TiB of norms and times
+        # 10^12 reference steps keep 36.4 TiB of norms, times and diagnostics
         reference = FineGridReference(h_ref=0.1, tau_ref=1e-12)
-        message = r"^reference time grid: N = 1000000000000 needs a 1\.49e\+04 GiB"
+        message = r"^reference time grid: N = 1000000000000 needs a 3\.73e\+04 GiB"
         with pytest.raises(ValueError, match=message):
             convergence_grids(sech_soliton_model_params(alpha=1.6), (-16.0, 16.0), 1.0, 0.2, 0.8, 2,
                               reference)
@@ -437,32 +437,16 @@ class TestVerifySuite:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_dense_check_past_physical_memory_rejected_before_any_work(self, monkeypatch):
-        # at M = 1200 the midpoint factor is 5.5 MiB, while factor_identity holds
-        # three dense (M-1)^2 arrays, 32.9 MiB (the suite peaked at 33.1 MiB);
-        # 16 MiB admits the factor and not the check
-        import fgle.stepper as stepper
-
-        monkeypatch.setattr(stepper, "_physical_memory", lambda: 16 * 2**20)
+    def test_suite_forms_no_dense_matrix(self):
+        # the dense C alone is 8 (M-1)^2 bytes, 10.97 MiB at M = 1200
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"^M = 1200 needs a 0\.0321 GiB factor_identity"):
-                verify_suite(alphas=(1.5,), grid_points=1200, n_vectors=4)
+            report = verify_suite(alphas=(1.5,), grid_points=1200, n_vectors=4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
-
-    def test_dense_check_that_just_fits_accepted(self, monkeypatch):
-        import fgle.experiments as experiments
-        import fgle.stepper as stepper
-
-        settings = VerifySettings(alphas=(1.5, 2.0), grid_points=40)
-        monkeypatch.setattr(stepper, "_physical_memory", lambda: 24 * 39**2)
-        assert len(experiments._balance_runs(settings)) == 2
-        monkeypatch.setattr(stepper, "_physical_memory", lambda: 24 * 39**2 - 1)
-        with pytest.raises(ValueError, match="factor_identity check, more than"):
-            experiments._balance_runs(settings)
+        assert report.passed
+        assert peak < 11 * 2**20
 
     @pytest.mark.parametrize("alphas, shown", [((1.5, 1.5), "1.5"), ((2, 1.5, 2.0), "2.0")])
     def test_repeated_alpha_rejected(self, alphas, shown):
@@ -521,3 +505,24 @@ class TestVerifySuite:
         bad = [c for c in report.checks if c.name == "coefficient_properties"][0]
         assert not bad.passed
         assert "w0_positive" in bad.detail
+
+
+class TestOperatorSymbol:
+    @pytest.mark.parametrize("m", (3, 64, 1025))
+    @pytest.mark.parametrize("alpha", (1.1, 1.3, 1.6, 1.9, 1.999))
+    def test_column_matches_the_symbol(self, alpha, m):
+        column = assemble_operator(wsgd_weights(alpha, m), m).column
+        coefficients = _symbol_coefficients(alpha, m - 1)
+        assert np.max(np.abs(column - coefficients)) <= 1e-12 * np.max(np.abs(coefficients))
+
+    def test_column_scaled_by_1e_10_fails(self, monkeypatch):
+        import fgle.experiments as experiments_mod
+
+        def scaled(weights, M):
+            operator = assemble_operator(weights, M)
+            operator.column *= 1.0 + 1e-10
+            return operator
+
+        monkeypatch.setattr(experiments_mod, "assemble_operator", scaled)
+        report = verify_suite(alphas=(1.5,), grid_points=64, n_vectors=4)
+        assert [c.name for c in report.failures()] == ["operator_symbol"]

@@ -92,3 +92,18 @@ def test_scipy_is_used_only_by_the_lu():
     assert sites == {
         ("linalg.py", "import"), ("linalg.py", "_GETRS"), ("linalg.py", "_factor_in_place")
     }
+
+
+def test_no_library_code_forms_the_dense_operator():
+    # every run and every verify check reads the operator's column: no call of a
+    # Cholesky factorization and no read of the dense OperatorMatrix.C
+    sites = []
+    for path in Path(fgle.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = node.func if isinstance(node, ast.Call) else None
+            if getattr(called, "id", getattr(called, "attr", None)) == "cholesky" or (
+                isinstance(node, ast.Attribute) and node.attr == "C"
+                and isinstance(node.ctx, ast.Load)
+            ):
+                sites.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert sites == []

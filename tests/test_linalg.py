@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 import fgle.linalg as linalg_mod
 
@@ -12,7 +13,7 @@ from fgle.linalg import (
     ComplexField,
     SingularMatrixError,
     _check_pair,
-    cholesky,
+    _gauss_jacobi,
     fft_length,
     symmetric_toeplitz_spectrum,
     toeplitz_quadratic_form,
@@ -22,7 +23,7 @@ from fgle.linalg import (
     toeplitz_half_blocks,
 )
 from fgle.wsgd import assemble_operator, wsgd_weights
-from oracles import apply_fractional_laplacian
+from oracles import apply_fractional_laplacian, cholesky
 
 
 class TestComplexField:
@@ -94,6 +95,16 @@ class TestCholesky:
     def test_indefinite_reported(self):
         with pytest.raises(SingularMatrixError, match="positive definite"):
             cholesky(np.diag([1.0, -1.0]))
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("b", (0.0, 1.1, 1.5, 2.0))
+    def test_matches_scipy(self, b):
+        nodes, weights = _gauss_jacobi(24, b)
+        expected_nodes, expected_weights = scipy.special.roots_jacobi(24, 0.0, b)
+        assert np.max(np.abs(nodes - expected_nodes)) <= 1e-13
+        assert np.max(np.abs(weights - expected_weights)) <= 1e-13
+        assert not (nodes.flags.writeable or weights.flags.writeable)  # cached, so shared
 
 
 class TestLuFactorSolve:

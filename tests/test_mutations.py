@@ -1,24 +1,20 @@
 """Mutation table for ``fgle verify``: each row swaps one wrong variant of the
 scheme into the package by monkeypatching, runs ``verify_suite`` with its
 defaults, and names the check families that must fail. No row edits the
-source, and the variants are ROADMAP item 4's.
+source. Every row is caught.
 
-One row is missed today and is marked ``xfail(strict=True)``: a column
-scaled from ``c_2`` on (every symbol check reads the closed form, not the
-assembled column). It names the family item 4 plans to catch it.
+``operator_symbol`` compares the assembled column with the symbol's cosine
+coefficients, so it catches every row that changes the column alone: a
+scaled column, a scaled ``c_0`` and a scaled Grunwald tail. A wrong shift
+weight changes the column and the closed-form symbol alike, which the
+symbol checks catch instead.
 
-Two families catch no row, and no row of this kind can reach them:
-
-- ``energy_equivalence`` checks ``C_alpha |u|^2 <= (Delta_h u, u)_h <= |u|^2``
-  on random vectors. Their margins are far from zero (44 to 171 at the
-  defaults), so only a variant that moves an extreme eigenvalue of C across
-  a bound could fail it, and each row here perturbs C by at most a few
-  percent, or not at all.
-- ``factor_identity`` checks ``(Delta_h u, u)_h = ||Lambda u||^2_h`` with
-  Lambda the Cholesky factor of the same assembled C. That is an identity for
-  every symmetric positive definite C, so it fails only on a broken FFT form
-  or a C that is not positive definite, and every row keeps C positive
-  definite.
+One family catches no row, and no row of this kind can reach it:
+``energy_equivalence`` checks ``C_alpha |u|^2 <= (Delta_h u, u)_h <= |u|^2``
+on random vectors. Their margins are far from zero (44 to 171 at the
+defaults), so only a variant that moves an extreme eigenvalue of C across a
+bound could fail it, and each row here perturbs C by at most a few percent,
+or not at all.
 """
 
 import dataclasses
@@ -37,10 +33,10 @@ FAMILIES = {
     "symbol_constant",
     "symbol_bounds",
     "energy_equivalence",
-    "factor_identity",
+    "operator_symbol",
     "step_energy_balance",
 }
-UNCAUGHT = {"energy_equivalence", "factor_identity"}
+UNCAUGHT = {"energy_equivalence"}
 
 
 def lambda_m1_sign_flipped(lambdas):
@@ -64,13 +60,17 @@ def grunwald_tail_scaled(grunwald_coeffs):
     return wrong
 
 
-def column_scaled_from_c2(assemble_operator):
-    def wrong(weights, M):
-        operator = assemble_operator(weights, M)
-        operator.column[2:] *= 1.001
-        return operator
+def column_scaled(part, factor):
+    """The variant that scales the entries ``part`` of the assembled column by ``factor``."""
+    def variant(assemble_operator):
+        def wrong(weights, M):
+            operator = assemble_operator(weights, M)
+            operator.column[part] *= factor
+            return operator
 
-    return wrong
+        return wrong
+
+    return variant
 
 
 def gain_sign_flipped(build_system_matrix):
@@ -89,10 +89,6 @@ def hermitian_toeplitz(symmetric_toeplitz):
     return wrong
 
 
-def missed(reason):
-    return pytest.mark.xfail(strict=True, reason=f"ROADMAP item 4: {reason}")
-
-
 # (owner, attribute, wrong variant of it, the families that must fail)
 ROWS = [
     pytest.param(wsgd, "_lambdas", lambda_m1_sign_flipped,
@@ -102,9 +98,13 @@ ROWS = [
                  id="lambda_1-scaled"),
     pytest.param(wsgd, "c_alpha", c_alpha_scaled, {"symbol_bounds"}, id="c_alpha-scaled"),
     pytest.param(wsgd, "grunwald_coeffs", grunwald_tail_scaled,
-                 {"coefficient_properties"}, id="g_l-tail-scaled"),
-    pytest.param(wsgd, "assemble_operator", column_scaled_from_c2, {"operator_symbol"},
-                 id="column-scaled", marks=missed("no check compares the column with the symbol")),
+                 {"coefficient_properties", "operator_symbol"}, id="g_l-tail-scaled"),
+    pytest.param(wsgd, "assemble_operator", column_scaled(slice(2, None), 1.001),
+                 {"operator_symbol"}, id="column-scaled"),
+    pytest.param(wsgd, "assemble_operator", column_scaled(slice(None), 1.002),
+                 {"operator_symbol"}, id="whole-column-scaled"),
+    pytest.param(wsgd, "assemble_operator", column_scaled(0, 1.002),
+                 {"operator_symbol"}, id="c_0-scaled"),
     pytest.param(stepper, "build_system_matrix", gain_sign_flipped, {"step_energy_balance"},
                  id="gain-sign"),
     pytest.param(linalg, "symmetric_toeplitz", hermitian_toeplitz,
@@ -140,6 +140,6 @@ def test_verify_catches_the_variant(monkeypatch, owner, name, variant, families)
 
 
 def test_every_family_catches_a_row_or_is_excused():
-    caught = set().union(*(row.values[3] for row in ROWS if not row.marks))
+    caught = set().union(*(row.values[3] for row in ROWS))
     assert caught | UNCAUGHT == FAMILIES
     assert not caught & UNCAUGHT

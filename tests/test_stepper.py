@@ -87,20 +87,35 @@ class TestGridTypes:
             TimeGrid(T, N)
 
     def test_time_grid_past_physical_memory_rejected(self, monkeypatch):
-        # a run keeps 16 (N + 1) bytes of norms and times
-        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 16 * 101)
+        # a run keeps 16 (N + 1) bytes of norms and times and 24 N of diagnostics
+        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 16 * 101 + 24 * 100)
         assert TimeGrid(1.0, 100).N == 100
-        with pytest.raises(ValueError, match=r"^N = 101 needs a .* GiB series of norms and times, "
-                           r"more than the .* GiB of physical memory$"):
+        with pytest.raises(ValueError, match=r"^N = 101 needs a .* GiB series of norms, times and "
+                           r"diagnostics, more than the .* GiB of physical memory$"):
             TimeGrid(1.0, 101)
 
     def test_huge_step_count_rejected_before_sampling(self):
-        # 10^12 steps would need 14.9 TiB of norms and times
+        # 10^12 steps would need 36.4 TiB of norms, times and diagnostics
         sampled = []
-        with pytest.raises(ValueError, match=r"^N = 1000000000000 needs a 1\.49e\+04 GiB series"):
+        with pytest.raises(ValueError, match=r"^N = 1000000000000 needs a 3\.73e\+04 GiB series"):
             run_simulation(EXAMPLE_PARAMS, GridSpec(-10.0, 10.0, 10), TimeGrid(1.0, 10**12),
                            sampled.append)
         assert sampled == []
+
+    def test_run_keeps_no_more_per_step_than_the_rule_counts(self):
+        # TimeGrid counts 16 (N + 1) + 24 N bytes, 40 a step, so run_simulation
+        # makes its times before the other series; a list of StepDiagnostics kept
+        # about 216 bytes a step
+        def peak(n):
+            tracemalloc.start()
+            try:
+                run_simulation(EXAMPLE_PARAMS, GridSpec(-10.0, 10.0, 10), TimeGrid(1.0, n), gaussian)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(500)  # a first run makes the allocations no later run repeats
+        assert peak(1500) - peak(500) <= 40 * 1000 + 1024
 
     def test_numpy_integer_sizes_accepted(self):
         assert GridSpec(-1.0, 1.0, np.int64(8)).M == 8
@@ -377,8 +392,7 @@ class TestFixedPointStep:
         grid = GridSpec(-10.0, 10.0, 400)
         time = TimeGrid(1.0, 20)
         traj = run_simulation(EXAMPLE_PARAMS, grid, time, gaussian)
-        for d in traj.diagnostics:
-            assert abs(d.energy_identity_residual) < 1e-10
+        assert np.max(np.abs(traj.energy_residuals)) < 1e-10
 
     def test_nonconvergence_raises(self):
         grid = GridSpec(-10.0, 10.0, 50)
@@ -502,7 +516,7 @@ class TestRunSimulation:
         x = grid.interior_nodes()
         expected = grid.h * np.sum(gaussian(x) ** 2)
         assert traj.norm_sq[0] == pytest.approx(expected, rel=1e-14)
-        assert len(traj.diagnostics) == 1
+        assert traj.iterations.size == traj.final_increments.size == traj.energy_residuals.size == 1
 
     def test_norm_monotone_for_dissipative_run(self):
         # gamma <= 0, kappa >= 0: the discrete norm cannot grow
@@ -539,7 +553,7 @@ class TestRunSimulation:
     def test_iteration_count_small_at_benchmark_scale(self):
         grid = GridSpec(-10.0, 10.0, 400)
         traj = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 50), gaussian)
-        assert max(d.iterations for d in traj.diagnostics) <= 10
+        assert traj.iterations.max() <= 10
 
     def test_quadratic_start_keeps_the_fixed_point(self):
         # above _GS_MIN_SIZE: Gohberg-Semencul solves against a dense LU loop
@@ -550,7 +564,7 @@ class TestRunSimulation:
         traj = run_simulation(EXAMPLE_PARAMS, grid, time, gaussian)
         expected, oracle_iters = linear_predictor_run(EXAMPLE_PARAMS, grid, time, gaussian)
         assert np.max(np.abs(traj.final.values - expected)) <= 1e-12
-        assert sum(d.iterations for d in traj.diagnostics) < oracle_iters
+        assert traj.iterations.sum() < oracle_iters
 
     def test_extrapolated_start_keeps_the_fixed_point_on_the_lu_path(self):
         # the test above below _GS_MIN_SIZE, where the run's own solves are LU solves
@@ -560,7 +574,7 @@ class TestRunSimulation:
         traj = run_simulation(EXAMPLE_PARAMS, grid, time, gaussian)
         expected, oracle_iters = linear_predictor_run(EXAMPLE_PARAMS, grid, time, gaussian)
         assert np.max(np.abs(traj.final.values - expected)) <= 1e-12
-        assert sum(d.iterations for d in traj.diagnostics) < oracle_iters
+        assert traj.iterations.sum() < oracle_iters
 
     def test_soliton_inner_iterations_bounded(self):
         # 200 small steps of the sech soliton: from the fifth level on the
@@ -568,7 +582,7 @@ class TestRunSimulation:
         p = sech_soliton_model_params(alpha=1.6)
         grid = GridSpec(-16.0, 16.0, 320)
         traj = run_simulation(p, grid, TimeGrid(0.2, 200), lambda x: sech_soliton_solution(x, 0.0))
-        assert sum(d.iterations for d in traj.diagnostics) <= 400
+        assert traj.iterations.sum() <= 400
 
     def test_snapshots_recorded_at_grid_times(self):
         grid = GridSpec(-10.0, 10.0, 100)
@@ -630,8 +644,8 @@ class TestRunSimulation:
         # iteration contracts, and the energy balances to rounding
         grid = GridSpec(-10.0, 10.0, 400)
         traj = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 2), lambda x: 2.0 * gaussian(x))
-        assert len(traj.diagnostics) == 2
-        assert max(abs(d.energy_identity_residual) for d in traj.diagnostics) <= 1e-10
+        assert traj.energy_residuals.size == 2
+        assert np.max(np.abs(traj.energy_residuals)) <= 1e-10
 
     def test_initial_length_validated(self):
         grid = GridSpec(-10.0, 10.0, 100)
@@ -714,4 +728,4 @@ class TestEnergyBalance:
             TimeGrid(tau * steps, steps),
             lambda x: amplitude * np.exp(-x * x + 1j * wavenumber * x),
         )
-        assert max(abs(d.energy_identity_residual) for d in traj.diagnostics) <= 1e-10
+        assert np.max(np.abs(traj.energy_residuals)) <= 1e-10
