@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import ComplexField, _check_pair, _check_positive, _gauss_jacobi, l2_h, linf_h
+from .linalg import ComplexField, _check_pair, _check_positive, _cosine_moments, l2_h, linf_h
 from .spectral import energy_equivalence_margins
 from .stepper import (
     GridSpec,
@@ -474,25 +474,6 @@ def _balance_runs(settings: VerifySettings) -> list[tuple[ModelParams, GridSpec,
     return [(_check_run(model, grid, time_grid.tau), grid, time_grid) for model in models]
 
 
-def _symbol_coefficients(alpha: float, count: int) -> np.ndarray:
-    """c_k = (1/pi) int_0^pi f(theta) cos(k theta) dtheta, k < count, of the symbol f, in O(count)
-    memory: Gauss rules on panels about 8 coefficients wide, Gauss-Jacobi for the weight theta^alpha
-    on the first (f / theta^alpha is smooth), and cos(k theta) by the Chebyshev recurrence."""
-    panels = -(-count // 8)
-    half = 0.5 * math.pi / panels  # half a panel's width
-    (x, w), (x_later, w_later) = _gauss_jacobi(24, alpha), _gauss_jacobi(24, 0.0)
-    later = 2.0 * np.arange(1, panels)[:, None] + 1.0 + x_later  # in units of half
-    theta = half * np.concatenate((1.0 + x, later.ravel()))
-    weights = np.concatenate((w / (1.0 + x) ** alpha, np.tile(w_later, panels - 1)))
-    terms = half / math.pi * weights * symbol_f(alpha, theta)
-    coefficients = np.empty(count)
-    two_cos, previous, current = 2.0 * np.cos(theta), np.cos(theta), np.ones_like(theta)
-    for k in range(count):
-        coefficients[k] = terms @ current
-        previous, current = current, two_cos * current - previous
-    return coefficients
-
-
 def verify_suite(
     alphas: Sequence[float] = VerifySettings.alphas,
     weight_length: int = VerifySettings.weight_length,
@@ -551,11 +532,11 @@ def verify_suite(
             (m - 1, n_vectors)
         )
         lower, upper, sem = energy_equivalence_margins(fields, alpha, h, operator=op)
-        tol = 1e-9 * sem
+        tol = 1e-12 * sem
         ok = bool(np.all(lower >= -tol) and np.all(upper >= -tol))
         checks.append(SuiteCheck("energy_equivalence", alpha, ok, float(min(lower.min(), upper.min()))))
 
-        coefficients = _symbol_coefficients(alpha, m - 1)
+        coefficients = _cosine_moments(alpha, m - 1, lambda t: symbol_f(alpha, t) / t**alpha)
         gap = float(np.max(np.abs(op.column - coefficients)) / np.max(np.abs(coefficients)))
         checks.append(SuiteCheck("operator_symbol", alpha, gap <= 1e-12, 1e-12 - gap))
 

@@ -36,6 +36,14 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _field_values(values) -> np.ndarray:
+    """The package's one rule for the values of a grid function: a 1-D sequence, as complex."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 1:
+        raise ValueError("field values must be a 1-D sequence")
+    return values
+
+
 @dataclass
 class ComplexField:
     """Complex-valued grid function on the M-1 interior nodes, spacing h."""
@@ -44,9 +52,7 @@ class ComplexField:
     h: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim != 1:
-            raise ValueError("field values must be a 1-D sequence")
+        self.values = _field_values(self.values)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
         _check_positive("grid spacing h", self.h)
@@ -88,6 +94,31 @@ def _gauss_jacobi(q: int, b: float) -> tuple[np.ndarray, np.ndarray]:
     weights = 2.0 ** (b + 1.0) / (b + 1.0) * vectors[0] ** 2
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+def _cosine_moments(b: float, count: int, smooth=None) -> np.ndarray:
+    """c_k = (1/pi) int_0^pi t^b g(t) cos(k t) dt, k < count, for g = ``smooth`` (1 if None),
+    smooth on [0, pi] and called once on all nodes. 24-point Gauss rules on P = ceil(count / 8)
+    panels: Gauss-Jacobi for the weight t^b on the first, Gauss-Legendre on the rest. Later
+    panel p's node i is t = pi p / P + phi_i, with cos(k t) = Re(exp(i k phi_i) exp(i pi k p / P)),
+    so their sum over p is one length-2P FFT per local node, periodic in k."""
+    panels = max(-(-count // 8), 1)
+    half = 0.5 * math.pi / panels  # half a panel's width
+    (x, w), (x_later, w_later) = _gauss_jacobi(24, b), _gauss_jacobi(24, 0.0)
+    later = 2.0 * np.arange(1, panels)[:, None] + 1.0 + x_later  # in units of half
+    t = half * np.concatenate((1.0 + x, later.ravel()))
+    terms = np.concatenate((half**b * w, np.tile(w_later, panels - 1) * t[x.size :] ** b))
+    terms *= half / math.pi
+    if smooth is not None:
+        terms *= smooth(t)
+    k = np.arange(count)
+    moments = np.cos(np.outer(k, t[: x.size])) @ terms[: x.size]
+    padded = np.zeros((2 * panels, x_later.size))
+    padded[1:panels] = terms[x.size :].reshape(panels - 1, x_later.size)
+    sums = np.fft.fft(padded, axis=0)[k % (2 * panels)]
+    phase = np.outer(k, half * (1.0 + x_later))
+    moments += np.sum(np.cos(phase) * sums.real + np.sin(phase) * sums.imag, axis=1)
+    return moments
 
 
 def fft_length(n: int) -> int:

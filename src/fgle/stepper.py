@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    ComplexField, FactorizedSystem, _check_positive, _check_spacing, lu_factor, symmetric_toeplitz,
-    toeplitz_half_blocks,
+    ComplexField, FactorizedSystem, _check_positive, _check_spacing, _field_values, lu_factor,
+    symmetric_toeplitz, toeplitz_half_blocks,
 )
 from .wsgd import (
     OperatorMatrix, _check_alpha, _check_count, _check_operator, assemble_operator, wsgd_weights
@@ -268,10 +268,12 @@ def build_system_matrix(
 
 
 def _values(u, h: float) -> np.ndarray:
-    """The values of ``u``: a plain value array, or a ComplexField of spacing h."""
+    """The values of ``u``: a ComplexField of spacing h, or a plain 1-D value
+    array (``linalg._field_values``)."""
     if isinstance(u, ComplexField):
         _check_spacing(u.h, h)
-    return np.asarray(getattr(u, "values", u), dtype=complex)
+        return u.values
+    return _field_values(u)
 
 
 def _extrapolated_start(u: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -304,9 +306,12 @@ def fixed_point_step(
     sup-norm increment falls below iter_tol * max(1, |z|_inf). |z|^2 is formed
     once per iterate and serves the cubic term, that scale and the energy
     residual. An iterate whose increment or |z|^2 is not finite raises
-    NonConvergence, without numpy overflow warnings.
+    NonConvergence, without numpy overflow warnings. A ``system`` with no time
+    step, one not made by ``build_system_matrix``, is a ValueError.
     """
     tau = system.tau
+    if tau is None:
+        raise ValueError("system has no time step; build it with build_system_matrix")
     h = grid.h
     u = _values(u_n, h)
     cubic = params.kappa + 1j * params.zeta
@@ -390,10 +395,11 @@ def run_simulation(
     """Advance N implicit midpoint steps from the sampled initial data.
 
     u0 may be a callable evaluated on the interior nodes, a ComplexField of
-    the grid's spacing, or a plain value array, and must be finite. Snapshot
-    times must coincide with time-grid levels. ``_check_run`` comes first, before
-    the initial data is sampled. Raises NonConvergence (tagged with the failing
-    step) if an inner iteration stalls.
+    the grid's spacing, or a plain value array; its values must be a finite
+    1-D sequence of M - 1, checked before the operator and the factor are
+    built. Snapshot times must coincide with time-grid levels. ``_check_run``
+    comes first, before the initial data is sampled. Raises NonConvergence
+    (tagged with the failing step) if an inner iteration stalls.
     """
     _check_run(params, grid, time_grid.tau)
     settings = settings or SolverSettings()

@@ -12,7 +12,6 @@ import pytest
 from fgle.experiments import (
     ExactReference,
     FineGridReference,
-    _symbol_coefficients,
     convergence_grids,
     convergence_study,
     error_norms,
@@ -25,9 +24,9 @@ from fgle.experiments import (
     sech_soliton_solution,
     verify_suite,
 )
-from fgle.linalg import ComplexField
+from fgle.linalg import ComplexField, _cosine_moments
 from fgle.stepper import GridSpec, ModelParams, TimeGrid
-from fgle.wsgd import WsgdWeights, assemble_operator, wsgd_weights
+from fgle.wsgd import WsgdWeights, assemble_operator, symbol_f, wsgd_weights
 
 
 def gaussian(x):
@@ -512,7 +511,7 @@ class TestOperatorSymbol:
     @pytest.mark.parametrize("alpha", (1.1, 1.3, 1.6, 1.9, 1.999))
     def test_column_matches_the_symbol(self, alpha, m):
         column = assemble_operator(wsgd_weights(alpha, m), m).column
-        coefficients = _symbol_coefficients(alpha, m - 1)
+        coefficients = _cosine_moments(alpha, m - 1, lambda t: symbol_f(alpha, t) / t**alpha)
         assert np.max(np.abs(column - coefficients)) <= 1e-12 * np.max(np.abs(coefficients))
 
     def test_column_scaled_by_1e_10_fails(self, monkeypatch):

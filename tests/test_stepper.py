@@ -404,6 +404,15 @@ class TestFixedPointStep:
             fixed_point_step(u, None, F, p, grid, SolverSettings(max_iters=2), op)
         assert len(err.value.increments) == 2
 
+    def test_system_without_time_step_rejected(self):
+        grid = GridSpec(-10.0, 10.0, 50)
+        op = make_operator(1.8, 50)
+        system = linalg_mod.lu_factor(np.eye(49, dtype=complex))
+        assert system.tau is None
+        with pytest.raises(ValueError, match="build_system_matrix"):
+            fixed_point_step(gaussian(grid.interior_nodes()), None, system, EXAMPLE_PARAMS, grid,
+                             SolverSettings(), op)
+
     def test_non_finite_iterate_detected_from_increment(self):
         # the fifth iterate is the first non-finite one (its |z|^2 overflows);
         # the check must stop at that solve, as a separate isfinite pass would
@@ -677,6 +686,22 @@ class TestRunSimulation:
         grid = GridSpec(-10.0, 10.0, 100)
         with pytest.raises(ValueError, match="initial data must be finite"):
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
+
+    @pytest.mark.parametrize(
+        "u0",
+        [lambda x: gaussian(x)[:, None], gaussian(np.linspace(-10.0, 10.0, 1025)[1:-1])[None]],
+        ids=["column-callable", "row-array"],
+    )
+    def test_initial_data_not_1d_rejected_before_the_factor(self, u0, monkeypatch):
+        # both have M - 1 values; a column once ran 1023-column solves, a row
+        # failed inside the first solve, after the factor was built
+        builds = []
+        monkeypatch.setattr(stepper_mod, "build_system_matrix",
+                            lambda *args: builds.append(args))
+        grid = GridSpec(-10.0, 10.0, 1024)
+        with pytest.raises(ValueError, match="field values must be a 1-D sequence"):
+            run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
+        assert builds == []
 
     def test_oversized_grid_rejected_before_allocating(self):
         # M = 4e6 needs a 5.96e4 GiB factor: rejected before the initial data
