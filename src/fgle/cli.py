@@ -12,7 +12,7 @@ import configparser
 import csv
 import math
 import sys
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -52,7 +52,6 @@ __all__ = [
     "ConvergenceSettings",
     "VerifySettings",
     "parse_config",
-    "serialize_config",
     "write_csv",
     "main",
 ]
@@ -247,8 +246,8 @@ def parse_config(text: str) -> RunConfig:
     output = section("output")
     snapshot_times = output.get("snapshot_times", ())
     if mode == "simulate":
-        _checked("[output]", snapshot_steps, time_grid, snapshot_times)
         _checked("[output] snapshot_times:", _check_distinct_files, "snapshot_t", snapshot_times)
+        _checked("[output]", snapshot_steps, time_grid, snapshot_times)
 
     decay_gammas = None
     if mode == "decay":
@@ -307,43 +306,6 @@ def _check_distinct_files(stem: str, values) -> None:
         if name in seen:
             raise ValueError(f"{seen[name]!r} and {value!r} both write {name}")
         seen[name] = value
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form of the sections ``cfg.mode`` reads;
-    parse(serialize(parse(text))) == parse(text)."""
-    sections: dict[str, dict] = {"run": {"mode": cfg.mode}}
-    if cfg.model is not None:
-        sections["model"] = {**asdict(cfg.model), "initial": cfg.initial}
-        sections["grid"] = {"a": cfg.grid.a, "b": cfg.grid.b, "m": cfg.grid.M}
-        sections["time"] = {"t_final": cfg.time.T, "steps": cfg.time.N}
-    sections["solver"] = asdict(cfg.solver)
-    sections["output"] = {"dir": cfg.output_dir, "snapshot_times": cfg.snapshot_times}
-    if cfg.convergence is not None:
-        sections["convergence"] = asdict(cfg.convergence)
-    if cfg.decay_gammas is not None:
-        sections["decay"] = {"gammas": cfg.decay_gammas}
-    if cfg.inviscid_pairs is not None:
-        sections["inviscid"] = {"upsilon_kappa": tuple(v for v, _ in cfg.inviscid_pairs)}
-    sections["verify"] = asdict(cfg.verify)
-
-    unread = _unread_keys(cfg.mode, cfg.initial)
-    lines = []
-    for name in ("run", *_MODES[cfg.mode][0]):
-        entries = []
-        for key, kind in _KEYS[name].items():
-            if key in unread.get(name, ()):
-                continue
-            value = sections[name][key]
-            if kind is tuple:
-                value = " ".join(_f17(v) for v in value) or None
-            elif kind is float and value is not None:
-                value = _f17(value)
-            if value is not None:
-                entries.append(f"{key} = {value}")
-        if entries:
-            lines += [f"[{name}]", *entries, ""]
-    return "\n".join(lines)
 
 
 def write_csv(path: Path, header: Sequence[str], rows) -> None:

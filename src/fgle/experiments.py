@@ -46,7 +46,6 @@ __all__ = [
     "convergence_study",
     "norm_decay_study",
     "inviscid_limit_study",
-    "operator_refinement_orders",
     "VerifySettings",
     "SuiteCheck",
     "VerificationReport",
@@ -364,62 +363,6 @@ def inviscid_limit_study(
         deviation, _ = error_norms(traj.final, limit)
         out.append((model.upsilon, model.kappa, deviation))
     return out
-
-
-@dataclass
-class RefinementOrders:
-    alpha: float
-    h_values: tuple[float, ...]
-    richardson_order: float
-    analytic_orders: tuple[float, ...] | None = None
-
-
-def operator_refinement_orders(
-    alpha: float,
-    interval: tuple[float, float],
-    base_h: float,
-    func: Callable[[np.ndarray], np.ndarray],
-    exact: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> RefinementOrders:
-    """Observed spatial order of the discrete operator on a smooth function.
-
-    Applies the operator on grids h, h/2, h/4 and Richardson-compares
-    successive differences on shared nodes. When ``exact`` supplies the true
-    operator image (available for alpha = 2), per-level error orders against
-    it are reported as well.
-    """
-    a, b = interval
-    images = []
-    grids = []
-    for lvl in range(3):
-        h = base_h / 2**lvl
-        m = _exact_division(b - a, h, f"level {lvl} grid")
-        grid = GridSpec(a, b, m)
-        op = assemble_operator(wsgd_weights(alpha, m), m)
-        x = grid.interior_nodes()
-        images.append(op.apply(np.asarray(func(x), dtype=complex), grid.h))
-        grids.append(grid)
-
-    diffs = [
-        l2_h(ComplexField(images[lvl] - restrict_to_coarse(images[lvl + 1], 2), grids[lvl].h))
-        for lvl in range(2)
-    ]
-    richardson = math.log2(diffs[0] / diffs[1])
-
-    analytic = None
-    if exact is not None:
-        errs = [
-            l2_h(ComplexField(images[lvl] - exact(grids[lvl].interior_nodes()), grids[lvl].h))
-            for lvl in range(3)
-        ]
-        analytic = tuple(math.log2(errs[i] / errs[i + 1]) for i in range(2))
-
-    return RefinementOrders(
-        alpha=alpha,
-        h_values=tuple(g.h for g in grids),
-        richardson_order=richardson,
-        analytic_orders=analytic,
-    )
 
 
 @dataclass(frozen=True)

@@ -370,16 +370,20 @@ def fixed_point_step(
 
 def snapshot_steps(time_grid: TimeGrid, snapshot_times) -> dict[int, float]:
     """The time level of each snapshot time, keyed by step index. A time outside
-    [0, T], or not a whole number of steps (``_exact_division``), is a ValueError."""
+    [0, T], not a whole number of steps (``_exact_division``), or on the level of
+    another time is a ValueError."""
     tau = time_grid.tau
     steps: dict[int, float] = {}
     for t in snapshot_times:
         if not (0.0 <= t <= time_grid.T * (1 + 1e-12)):
             raise ValueError(f"snapshot time {t} outside [0, {time_grid.T}]")
         try:
-            steps[_exact_division(t, tau, "snapshot time", least=0)] = t
+            n = _exact_division(t, tau, "snapshot time", least=0)
         except ValueError:
             raise ValueError(f"snapshot time {t} does not lie on the time grid (tau={tau})") from None
+        if steps.get(n, t) != t:
+            raise ValueError(f"snapshot times {steps[n]!r} and {t!r} fall on one time level {n}")
+        steps[n] = t
     return steps
 
 

@@ -1,14 +1,17 @@
-"""Reference implementations the tests check the library against."""
+"""Reference implementations and measurements the tests check the library against."""
 
 import functools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from fgle.linalg import ComplexField, SingularMatrixError
-from fgle.stepper import SolverSettings
+from fgle.experiments import restrict_to_coarse
+from fgle.linalg import ComplexField, SingularMatrixError, l2_h
+from fgle.stepper import GridSpec, SolverSettings, _exact_division
 from fgle.wsgd import WsgdWeights, assemble_operator, wsgd_weights
 
 
@@ -96,6 +99,62 @@ def gaussian_packet_seminorm(a: float, c: float, d: float, sigma: float) -> floa
 
     return sum(scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                for lo, hi in ((-math.inf, 0.0), (0.0, math.inf)))
+
+
+@dataclass
+class RefinementOrders:
+    alpha: float
+    h_values: tuple[float, ...]
+    richardson_order: float
+    analytic_orders: tuple[float, ...] | None = None
+
+
+def operator_refinement_orders(
+    alpha: float,
+    interval: tuple[float, float],
+    base_h: float,
+    func: Callable[[np.ndarray], np.ndarray],
+    exact: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> RefinementOrders:
+    """Observed spatial order of the discrete operator on a smooth function.
+
+    Applies the operator on grids h, h/2, h/4 and Richardson-compares
+    successive differences on shared nodes. When ``exact`` supplies the true
+    operator image (available for alpha = 2), per-level error orders against
+    it are reported as well.
+    """
+    a, b = interval
+    images = []
+    grids = []
+    for lvl in range(3):
+        h = base_h / 2**lvl
+        m = _exact_division(b - a, h, f"level {lvl} grid")
+        grid = GridSpec(a, b, m)
+        op = assemble_operator(wsgd_weights(alpha, m), m)
+        x = grid.interior_nodes()
+        images.append(op.apply(np.asarray(func(x), dtype=complex), grid.h))
+        grids.append(grid)
+
+    diffs = [
+        l2_h(ComplexField(images[lvl] - restrict_to_coarse(images[lvl + 1], 2), grids[lvl].h))
+        for lvl in range(2)
+    ]
+    richardson = math.log2(diffs[0] / diffs[1])
+
+    analytic = None
+    if exact is not None:
+        errs = [
+            l2_h(ComplexField(images[lvl] - exact(grids[lvl].interior_nodes()), grids[lvl].h))
+            for lvl in range(3)
+        ]
+        analytic = tuple(math.log2(errs[i] / errs[i + 1]) for i in range(2))
+
+    return RefinementOrders(
+        alpha=alpha,
+        h_values=tuple(g.h for g in grids),
+        richardson_order=richardson,
+        analytic_orders=analytic,
+    )
 
 
 def linear_predictor_run(params, grid, time_grid, u0):

@@ -18,14 +18,13 @@ from fgle.experiments import (
     FineGridReference,
     convergence_study,
     inviscid_limit_study,
-    operator_refinement_orders,
     sech_soliton_model_params,
     sech_soliton_solution,
 )
 from fgle.spectral import energy_equivalence_margins
 from fgle.stepper import GridSpec, ModelParams, TimeGrid, run_simulation
 from fgle.wsgd import assemble_operator, check_weight_properties, h_function, wsgd_weights
-from oracles import cholesky
+from oracles import cholesky, operator_refinement_orders
 
 
 def gaussian(x):

@@ -19,7 +19,6 @@ from fgle.cli import (
     VerifySettings,
     main,
     parse_config,
-    serialize_config,
     write_csv,
 )
 
@@ -170,26 +169,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(text)
         assert str(info.value).count(prefix) == 1
-
-    def test_roundtrip_identity(self):
-        texts = (
-            MINIMAL_SIMULATE,
-            MINIMAL_SIMULATE + "\n[output]\ndir = results/run 1\nsnapshot_times = 0 0.35 1\n",
-            CONVERGENCE_EXACT,
-            CONVERGENCE_FINE,
-            CONVERGENCE_FINE.replace("initial = soliton", ""),
-            study_config("decay", "gammas = -2, -4 0.5"),
-            study_config("inviscid", "upsilon_kappa = 0.1 0 1e-3"),
-            study_config("inviscid", "upsilon_kappa = 0.1").replace(
-                "[model]", "[model]\nupsilon = 0.5\ninitial = soliton"
-            ),
-            "[run]\nmode = verify\n[verify]\nalphas = 1.25 2\nweight_length = 300\n"
-            "grid_points = 17\nvectors = 3\nseed = 0\n",
-        )
-        for text in texts:
-            cfg = parse_config(text)
-            again = parse_config(serialize_config(cfg))
-            assert again == cfg
 
     @pytest.mark.parametrize(
         "old, new",

@@ -17,7 +17,6 @@ from fgle.experiments import (
     error_norms,
     inviscid_limit_study,
     norm_decay_study,
-    operator_refinement_orders,
     restrict_to_coarse,
     sech_soliton_coefficients,
     sech_soliton_model_params,
@@ -27,6 +26,7 @@ from fgle.experiments import (
 from fgle.linalg import ComplexField, _cosine_moments
 from fgle.stepper import GridSpec, ModelParams, TimeGrid
 from fgle.wsgd import WsgdWeights, assemble_operator, symbol_f, wsgd_weights
+from oracles import operator_refinement_orders
 
 
 def gaussian(x):

@@ -1,5 +1,6 @@
-"""Every public export list names something that exists, README's Python
-examples run, and ``import fgle`` is the run API that README imports.
+"""Every public export list names something that exists and that library code
+uses, README's Python examples run, and ``import fgle`` is the run API that
+README imports.
 
 A deleted function left in an ``__all__`` list breaks ``from fgle.<module>
 import *`` only for the caller who tries it; here it fails in under a second.
@@ -28,6 +29,33 @@ def test_export_list_resolves(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
     exec(f"from {name} import *", {})
+
+
+def _exports(tree) -> list[str]:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "__all__":
+            return list(ast.literal_eval(stmt.value))
+    return []
+
+
+def _reads(tree, skip=None) -> set[str]:
+    """The names and attributes ``tree`` reads, outside its top-level definition of ``skip``."""
+    return {
+        getattr(node, "id", getattr(node, "attr", None))
+        for stmt in tree.body if getattr(stmt, "name", None) != skip
+        for node in ast.walk(stmt) if isinstance(getattr(node, "ctx", None), ast.Load)
+    }
+
+
+def test_every_export_has_a_library_caller():
+    # cli.main has one too: the module's ``__main__`` block
+    trees = {p.stem: ast.parse(p.read_text()) for p in Path(fgle.__file__).parent.glob("*.py")}
+    uncalled = [
+        f"{module}.{name}"
+        for module, tree in trees.items() for name in _exports(tree)
+        if not any(name in _reads(t, name if t is tree else None) for t in trees.values())
+    ]
+    assert uncalled == []
 
 
 README = Path(__file__).parents[1] / "README.md"

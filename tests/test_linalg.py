@@ -22,6 +22,7 @@ from fgle.linalg import (
     lu_factor,
     toeplitz_half_blocks,
 )
+from fgle.stepper import GridSpec, ModelParams, build_system_matrix
 from fgle.wsgd import assemble_operator, wsgd_weights
 from oracles import apply_fractional_laplacian, cholesky
 
@@ -305,6 +306,16 @@ class TestHalfBlockLu:
         expected = rf"order {n}: the probe solve fails the gate"
         with pytest.raises(SingularMatrixError, match=expected):
             system.with_gohberg_semencul(col)
+
+    def test_gate_pins_an_unrefined_generator(self, monkeypatch):
+        # left at its complex64 seed, the generator solves the probe to 5.95e-9:
+        # the default gate must refuse it, where a gate of 1e-6 would pass it
+        monkeypatch.setattr(linalg_mod, "_GS_ROUNDING", 1e-6)
+        params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=1.6)
+        grid = GridSpec(-16.0, 16.0, 400)
+        operator = assemble_operator(wsgd_weights(1.6, 400), 400)
+        with pytest.raises(SingularMatrixError, match="the probe solve fails the gate"):
+            build_system_matrix(params, grid, 0.01, operator)
 
     def test_single_precision_factor_refuses_to_solve(self):
         col = symmetric_toeplitz_column(351, seed=351)

@@ -1,4 +1,4 @@
-"""Sobolev norm quadrature and the spectral inequalities."""
+"""The exact Sobolev seminorm, its cosine moments and the energy equivalence."""
 
 import math
 
@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from oracles import cosine_moments_by_quad, gaussian_packet_seminorm
 
 from fgle.linalg import ComplexField, _cosine_moments
-from fgle.spectral import (
-    _seminorm_batch,
-    energy_equivalence_margins,
-    sobolev_norm,
-    sobolev_seminorm,
-    verify_interpolation,
-)
+from fgle.spectral import _seminorm_batch, energy_equivalence_margins
 from fgle.wsgd import assemble_operator, wsgd_weights
 
 
@@ -26,16 +20,21 @@ def random_field(rng, m, h, real=False):
     return ComplexField(vals, h)
 
 
+def seminorm(u, sigma):
+    """|u|^2_{H^sigma_h} of one field."""
+    return _seminorm_batch(u.values[:, None], u.h, sigma)[0]
+
+
 class TestSobolevSeminorm:
     def test_sigma0_equals_l2_norm_squared(self):
         rng = np.random.default_rng(12)
         u = random_field(rng, 32, 0.1)
         nsq = u.h * float(np.sum(np.abs(u.values) ** 2))
-        assert sobolev_seminorm(u, 0.0) == pytest.approx(nsq, rel=1e-8)
+        assert seminorm(u, 0.0) == pytest.approx(nsq, rel=1e-8)
 
     def test_zero_field(self):
         u = ComplexField(np.zeros(15), h=0.2)
-        assert sobolev_seminorm(u, 0.7) == 0.0
+        assert seminorm(u, 0.7) == 0.0
 
     def test_sigma1_impulse_closed_form(self):
         # int k^2 |u_hat|^2 dk = (h^2 / 2 pi) * (2/3) (pi/h)^3 = pi^2 / (3 h)
@@ -44,7 +43,7 @@ class TestSobolevSeminorm:
         vals[10] = 1.0
         u = ComplexField(vals, h)
         expected = math.pi**2 / (3 * h)
-        assert sobolev_seminorm(u, 1.0) == pytest.approx(expected, rel=1e-8)
+        assert seminorm(u, 1.0) == pytest.approx(expected, rel=1e-8)
 
     @pytest.mark.parametrize("sigma", (0.6, 0.9, 1.0))
     def test_doubling_quadrature_converges(self, sigma):
@@ -61,7 +60,7 @@ class TestSobolevSeminorm:
         h = 20.0 / M
         x = -10.0 + h * np.arange(1, M)
         exact = 2.0 ** (sigma - 0.5) * math.gamma(sigma + 0.5)
-        assert sobolev_seminorm(ComplexField(np.exp(-x * x), h), sigma) == pytest.approx(
+        assert seminorm(ComplexField(np.exp(-x * x), h), sigma) == pytest.approx(
             exact, rel=1e-10
         )
 
@@ -69,20 +68,9 @@ class TestSobolevSeminorm:
         rng = np.random.default_rng(14)
         u_real = random_field(rng, 24, 0.2, real=True)
         u_complex = ComplexField(u_real.values + 0j * u_real.values, u_real.h)
-        a = sobolev_seminorm(u_real, 0.8)
-        b = sobolev_seminorm(u_complex, 0.8)
+        a = seminorm(u_real, 0.8)
+        b = seminorm(u_complex, 0.8)
         assert a == pytest.approx(b, rel=1e-13)
-
-    def test_sigma_domain(self):
-        for sigma in (-0.1, 1.2, math.nan):
-            with pytest.raises(ValueError, match="sigma"):
-                sobolev_seminorm(ComplexField(np.ones(8), h=0.5), sigma)
-
-    def test_full_norm_adds_l2_part(self):
-        rng = np.random.default_rng(21)
-        u = random_field(rng, 24, 0.2)
-        nsq = u.h * float(np.sum(np.abs(u.values) ** 2))
-        assert sobolev_norm(u, 0.75) == pytest.approx(nsq + sobolev_seminorm(u, 0.75), rel=1e-14)
 
 
 class TestToeplitzSeminorm:
@@ -115,7 +103,7 @@ class TestToeplitzSeminorm:
         for a, c, d in ((1.0, 0.0, 0.0), (0.5, 0.0, 3.0), (4.0, 2.0, -5.0)):
             u = ComplexField(np.exp(-a * (x - c) ** 2 + 1j * d * x), h)
             ref = gaussian_packet_seminorm(a, c, d, sigma)
-            assert sobolev_seminorm(u, sigma) == pytest.approx(ref, rel=1e-10)
+            assert seminorm(u, sigma) == pytest.approx(ref, rel=1e-10)
 
 
 class TestCosineMoments:
@@ -188,36 +176,16 @@ class TestEnergyEquivalence:
         with pytest.raises(ValueError, match="fields must be finite"):
             energy_equivalence_margins(fields, 1.5, 0.5)
 
+    def test_fields_of_three_dimensions_rejected(self):
+        with pytest.raises(ValueError, match=r"fields must be 1-D or 2-D .*\(15, 3, 2\)"):
+            energy_equivalence_margins(np.ones((15, 3, 2)), 1.5, 0.5)
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 3), (0,), (0, 2)])
+    def test_fields_of_fewer_than_two_rows_rejected(self, shape):
+        with pytest.raises(ValueError, match="fields must be 1-D or 2-D with at least 2 rows"):
+            energy_equivalence_margins(np.ones(shape), 1.5, 0.5)
+
     def test_quadratic_form_real_positive(self):
         rng = np.random.default_rng(16)
         _, upper, sem = energy_equivalence_margins(random_field(rng, 32, 0.4).values, 1.7, 0.4)
         assert sem[0] - upper[0] > 0.0
-
-
-class TestInterpolationInequality:
-    def test_equal_orders_trivial(self):
-        rng = np.random.default_rng(17)
-        u = random_field(rng, 24, 0.25)
-        rep = verify_interpolation(u, 0.7, 0.7)
-        assert rep.passed
-        # reduces to ||u|| <= sqrt(2) ||u||, margin about (sqrt(2)-1) lhs
-        assert rep.margin == pytest.approx((math.sqrt(2) - 1) * rep.lhs, rel=1e-12)
-
-    def test_sigma0_zero_trivial(self):
-        rng = np.random.default_rng(18)
-        u = random_field(rng, 24, 0.25)
-        rep = verify_interpolation(u, 0.0, 0.9)
-        assert rep.passed
-
-    def test_random_intermediate_orders(self):
-        rng = np.random.default_rng(19)
-        for _ in range(10):
-            u = random_field(rng, 64, 0.15)
-            rep = verify_interpolation(u, 0.5, 0.9)
-            assert rep.passed, (rep.lhs, rep.rhs)
-
-    def test_order_violation_rejected(self):
-        u = ComplexField(np.ones(8), h=0.5)
-        with pytest.raises(ValueError, match="sigma"):
-            verify_interpolation(u, 0.9, 0.5)
-

@@ -620,6 +620,16 @@ class TestRunSimulation:
             with pytest.raises(ValueError, match="does not lie on the time grid"):
                 snapshot_steps(time_grid, (t,))
 
+    def test_two_snapshot_times_on_one_level_rejected(self):
+        # 1e-10 is 2e-10 of a step off level 1, so both times lie on it, and one
+        # snapshot would silently replace the other
+        grid = GridSpec(-10.0, 10.0, 100)
+        with pytest.raises(ValueError, match=r"0\.5 and 0\.5000000001 fall on one time level 1"):
+            run_simulation(
+                EXAMPLE_PARAMS, grid, TimeGrid(1.0, 2), gaussian, snapshot_times=(0.5, 0.5 + 1e-10)
+            )
+        assert snapshot_steps(TimeGrid(1.0, 2), (0.5, 1.0, 0.5)) == {1: 0.5, 2: 1.0}
+
     def test_nonconvergence_reports_step(self):
         p = ModelParams(1.0, 1.0, 8.0, 5.0, 0.0, alpha=1.8)
         grid = GridSpec(-10.0, 10.0, 50)
