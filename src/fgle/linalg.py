@@ -3,12 +3,10 @@ FFT products behind the Toeplitz operator and the Gohberg-Semencul solve. The on
 symmetric Toeplitz quadratic form, ``toeplitz_quadratic_form``, serves both
 the operator's energy (Delta_h u, u)_h and the H^sigma_h seminorm.
 
-A symmetric Toeplitz matrix is also centrosymmetric (J A J = A, J the
-exchange matrix), so an even/odd change of basis splits it into two blocks
-of half its order (Cantoni & Butler 1976); ``toeplitz_half_blocks`` builds
-them in single precision and ``lu_factor`` factors them in place. That
-factor only seeds ``FactorizedSystem.with_gohberg_semencul``, which refines
-the Gohberg-Semencul generator to double precision with the formula itself.
+The LU factor of a symmetric Toeplitz matrix's leading section also seeds
+``FactorizedSystem.with_gohberg_semencul`` for the whole matrix, which
+refines the Gohberg-Semencul generator to rounding level with the formula
+itself (Newton's iteration for a structured inverse).
 
 Grid functions live on the interior nodes of a uniform mesh and are
 implicitly extended by zero outside. All norms carry the mesh weight h.
@@ -122,16 +120,18 @@ def _cosine_moments(b: float, count: int, smooth=None) -> np.ndarray:
 
 
 def fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT runs without Bluestein's chirp."""
-    m = max(n, 1)
-    while True:
-        k = m
-        for p in (2, 3, 5):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return m
-        m += 1
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT runs without Bluestein's chirp:
+    for each 3^b 5^c below the power of two >= n, the least power-of-two multiple >= n."""
+    n = max(n, 1)
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def symmetric_toeplitz(column) -> np.ndarray:
@@ -188,39 +188,6 @@ def circulant_product(spectrum: np.ndarray, values: np.ndarray, sum_axis: int | 
     return np.fft.ifft(product)[..., : values.shape[-1]]
 
 
-def toeplitz_half_blocks(column: np.ndarray) -> np.ndarray:
-    """The two half-order blocks of the symmetric Toeplitz matrix with first
-    column ``column / max|column|``, in complex64.
-
-    For order n and k = ceil(n/2), returns a (2, k, k) stack of S = T + H
-    and D = T - H, with T_ij = c_|i-j| and H_ij = c_(n-1-i-j) for i, j < k.
-    For odd n the middle column of S is halved, and D, whose last row and
-    column are then zero, gets a unit diagonal entry there. A y = b is then
-    S v = ((b + Jb)/2)[:k] and D w = ((b - Jb)/2)[:k], with
-    y[:k] = v + w and y[k:] = (v - w)[:n-k] reversed. Both blocks are
-    filled from strided views of the column, with no other k x k array,
-    into one buffer whose blocks are F-contiguous, so ``lu_factor`` factors
-    them in place. The scaling keeps every entry within 2, so none
-    overflows single precision; the factor only seeds
-    ``FactorizedSystem.with_gohberg_semencul``, which undoes it.
-    """
-    c = np.asarray(column, dtype=complex)
-    scale = np.max(np.abs(c), initial=0.0)
-    c = (c / scale if scale > 0 else c).astype(np.complex64)
-    n = c.size
-    k = (n + 1) // 2
-    toeplitz = symmetric_toeplitz(c[:k])
-    hankel = np.lib.stride_tricks.sliding_window_view(c[::-1][: 2 * k - 1], k)
-    # T and H are symmetric, so each C-ordered buffer block holds S^T or D^T
-    blocks = np.empty((2, k, k), dtype=np.complex64)
-    np.add(toeplitz, hankel, out=blocks[0])
-    np.subtract(toeplitz, hankel, out=blocks[1])
-    if n % 2:
-        blocks[0, k - 1] *= 0.5
-        blocks[1, k - 1, k - 1] = 1.0
-    return blocks.transpose(0, 2, 1)
-
-
 def _gohberg_semencul_solve(spectra: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(L(x) L(x)^T b - L(s) L(s)^T b) / x_0 for b of shape (n,) or (n, k)."""
     upper, lower = spectra
@@ -246,21 +213,17 @@ def _gohberg_semencul_spectra(x: np.ndarray, length: int) -> np.ndarray:
 _GS_GATE_RTOL = 1e-12
 
 # The generator x is refined until |e_1 - A x|_inf <= _GS_ROUNDING |A|_inf |x|_inf,
-# rounding level for a residual formed by FFT, with at most _GS_MAX_CORRECTIONS
-# corrections: each about squares the error, so two take a single-precision seed there.
+# rounding level for a residual formed by FFT, for as long as each correction
+# reduces that residual.
 _GS_ROUNDING = 8 * np.finfo(float).eps
-_GS_MAX_CORRECTIONS = 3
 
 # LAPACK's solve with an LU factor, called directly: scipy.linalg.lu_solve
 # wraps the same call in checks that cost more than the solve on small grids
-_GETRS = {
-    np.dtype(dtype): scipy.linalg.get_lapack_funcs("getrs", dtype=dtype)
-    for dtype in (np.complex64, np.complex128)
-}
+_GETRS = scipy.linalg.get_lapack_funcs("getrs", dtype=complex)
 
 
 def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x, info = _GETRS[lu.dtype](lu, piv, b)
+    x, info = _GETRS(lu, piv, b)
     if info:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     return x
@@ -268,30 +231,27 @@ def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FactorizedSystem:
-    """LU factorization (with partial pivoting) of a complex matrix of order ``size``.
+    """A complex matrix of order ``size`` and how ``solve`` applies its inverse.
 
-    ``lu`` is the dense factor; for the midpoint matrix on small grids it is
-    the buffer A was built in, overwritten by the factorization. A (2, k, k)
-    ``lu`` with (2, k) ``piv`` is instead the factor of the two half blocks
-    of a symmetric Toeplitz matrix of order ``size`` (``toeplitz_half_blocks``):
-    the LU solve then solves with each block and recombines the halves.
-    A complex64 factor only seeds ``with_gohberg_semencul``; without
-    ``spectra`` it refuses to solve, so no solve answers in single precision.
+    ``lu`` and ``piv`` are its complex128 LU factor with partial pivoting;
+    for the midpoint matrix on small grids ``lu`` is the buffer A was built
+    in, overwritten by the factorization.
 
     ``spectra``, set by ``with_gohberg_semencul`` for a complex symmetric
     Toeplitz matrix, holds the FFT spectra of the Gohberg-Semencul
     generators, shape (2, 2, 1, L): the transposed and the plain triangular
-    factors, each for x and s. ``solve`` then applies A^{-1} with six FFTs
-    and leaves the LU factor alone. ``residuals`` holds the generator's
-    relative residual |e_1 - A x|_inf / (|A|_inf |x|_inf), of the seed and
-    after each correction.
+    factors, each for x and s. ``solve`` then applies A^{-1} with six FFTs;
+    such a system keeps no LU factor (``lu`` and ``piv`` are None), only
+    these O(size) spectra. ``residuals`` holds the generator's relative
+    residual |e_1 - A x|_inf / (|A|_inf |x|_inf), of the seed and after each
+    correction.
 
     ``tau`` is the time step a midpoint matrix was built for
     (``stepper.build_system_matrix`` sets it), None for any other matrix.
     """
 
-    lu: np.ndarray = field(repr=False)
-    piv: np.ndarray = field(repr=False)
+    lu: np.ndarray | None = field(repr=False)
+    piv: np.ndarray | None = field(repr=False)
     size: int
     spectra: np.ndarray | None = field(default=None, repr=False)
     residuals: tuple[float, ...] = ()
@@ -304,49 +264,41 @@ class FactorizedSystem:
             raise ValueError(f"right-hand side length {b.shape[0]} != system size {self.size}")
         if self.spectra is not None:
             return _gohberg_semencul_solve(self.spectra, b)
-        if self.lu.dtype != complex:
-            raise ValueError(
-                "a single-precision factor only seeds the Gohberg-Semencul inverse; "
-                "solve with with_gohberg_semencul(column)"
-            )
-        return self._lu_solve(b)
-
-    def _lu_solve(self, b: np.ndarray) -> np.ndarray:
-        if self.lu.ndim == 2:
-            return _getrs(self.lu, self.piv, b)
-        k = self.lu.shape[1]
-        head, tail = b[:k], b[::-1][:k]
-        v = _getrs(self.lu[0], self.piv[0], 0.5 * (head + tail))
-        w = _getrs(self.lu[1], self.piv[1], 0.5 * (head - tail))
-        return np.concatenate((v + w, (v - w)[: self.size - k][::-1]))
+        return _getrs(self.lu, self.piv, b)
 
     def with_gohberg_semencul(self, column: np.ndarray) -> "FactorizedSystem":
-        """This system solving by the Gohberg-Semencul formula, its generator refined to double.
+        """The complex symmetric Toeplitz matrix A with first column ``column``,
+        solving by the Gohberg-Semencul formula, seeded by this factor.
 
-        The factor is that of the complex symmetric Toeplitz matrix A with
-        first column ``column``, or of a nonzero multiple of A, in complex64
-        (``toeplitz_half_blocks``) or complex128. With x = A^{-1} e_1 and
-        s = Z J x = (0, x_{n-1}, ..., x_1),
+        This system's LU factor is that of A's leading section of order
+        m = ``size``, and A has order n = len(column) >= m. With
+        x = A^{-1} e_1 and s = Z J x = (0, x_{n-1}, ..., x_1),
         A^{-1} = G(x) = (L(x) L(x)^T - L(s) L(s)^T) / x_0, where L(v) is
         lower triangular Toeplitz with first column v (Gohberg & Semencul
         1972). Each triangular product is a circulant product of length
         L >= 2n - 1, and L(v)^T takes the spectrum of v at negated
         frequencies.
 
-        One LU solve seeds x, rescaled so that (A x)_0 = 1, which undoes the
-        factored multiple. Corrections x <- x + G(x)(e_1 - A x), with A x a
-        circulant product with A's own spectrum, each about square the error
-        of x (mixed-precision refinement, Carson & Higham 2018). They stop at
-        rounding level, _GS_ROUNDING. A probe p solved by the formula must
-        then leave a relative residual |p - A y|_inf <= _GS_GATE_RTOL |p|_inf.
-        A seed with x_0 = 0, corrections that stall short of rounding level
-        or a failed gate raise SingularMatrixError. The build makes no
-        ``solve`` call.
+        The seed is the section's A_m^{-1} e_1, one LU solve, padded with
+        zeros to order n. Corrections x <- x + G(x)(e_1 - A x), with A x a
+        circulant product with A's own spectrum, are Newton's iteration for
+        the structured inverse: each about squares the error of x once it
+        is small. They stop at rounding level, _GS_ROUNDING. A probe p
+        solved by the formula must then leave a relative residual
+        |p - A y|_inf <= _GS_GATE_RTOL |p|_inf. A generator with x_0 = 0, a
+        correction that does not reduce the residual, or a failed gate
+        raises SingularMatrixError. The build makes no ``solve`` call; the
+        system it returns keeps no LU, so it cannot seed another.
         """
-        n = self.size
+        if self.lu is None:
+            raise ValueError("this system keeps no LU factor to seed a generator from")
+        m = self.size
         c = np.asarray(column, dtype=complex)
-        if c.shape != (n,):
-            raise ValueError(f"column of shape {c.shape} does not match system size {n}")
+        if c.ndim != 1 or c.size < m:
+            raise ValueError(
+                f"column of shape {c.shape} does not extend the factored section of order {m}"
+            )
+        n = c.size
         spectrum = symmetric_toeplitz_spectrum(c)
         norm = 2.0 * float(np.sum(np.abs(c))) - abs(c[0])  # |A|_inf, the largest row sum
         residuals: list[float] = []
@@ -360,9 +312,9 @@ class FactorizedSystem:
 
         e1 = np.zeros(n, dtype=complex)
         e1[0] = 1.0
-        x = self._lu_solve(e1.astype(self.lu.dtype)).astype(complex)
+        x = np.zeros(n, dtype=complex)
+        x[:m] = _getrs(self.lu, self.piv, e1[:m])
         with np.errstate(divide="ignore", invalid="ignore"):
-            x /= circulant_product(spectrum, x)[0]
             while True:
                 r = e1 - circulant_product(spectrum, x)
                 residuals.append(float(np.max(np.abs(r)) / (norm * np.max(np.abs(x)))))
@@ -371,12 +323,10 @@ class FactorizedSystem:
                 spectra = _gohberg_semencul_spectra(x, spectrum.size)
                 if residuals[-1] <= _GS_ROUNDING:
                     break
-                if len(residuals) > _GS_MAX_CORRECTIONS:
-                    refuse(
-                        f"{_GS_MAX_CORRECTIONS} corrections stall short of rounding level",
-                        residuals[-1],
-                        _GS_ROUNDING,
-                    )
+                # a NaN residual compares false, so it stops here too
+                if len(residuals) > 1 and not residuals[-1] < residuals[-2]:
+                    refuse("a correction stops reducing the residual short of rounding level",
+                           residuals[-1], _GS_ROUNDING)
                 x = x + _gohberg_semencul_solve(spectra, r)
         probe = np.random.default_rng(0).standard_normal((2, n))
         probe = probe[0] + 1j * probe[1]
@@ -384,45 +334,28 @@ class FactorizedSystem:
         gate = np.max(np.abs(probe - circulant_product(spectrum, y))) / np.max(np.abs(probe))
         if not gate <= _GS_GATE_RTOL:
             refuse("the probe solve fails the gate", gate, _GS_GATE_RTOL)
-        return dataclasses.replace(self, spectra=spectra, residuals=tuple(residuals))
+        return dataclasses.replace(
+            self, lu=None, piv=None, size=n, spectra=spectra, residuals=tuple(residuals)
+        )
 
 
 _PIVOT_FLOOR = 1e-300
 
 
-def _factor_in_place(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LU factor and pivots of a square ``a``; an F-contiguous ``a`` becomes the factor."""
+def lu_factor(a: np.ndarray) -> FactorizedSystem:
+    """LU-factorize a square matrix in complex128.
+
+    An F-contiguous complex128 ``a`` becomes the factor itself, so no second
+    dense buffer is made, and must not be read after; any other input is
+    copied first and left intact.
+    """
+    a = np.asarray(a).astype(complex, copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("lu_factor expects a square matrix")
     with warnings.catch_warnings():
         # singularity is detected on the pivots below and raised as an error
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, overwrite_a=True, check_finite=True)
     if a.shape[0] and float(np.min(np.abs(np.diag(lu)))) < _PIVOT_FLOOR:
         raise SingularMatrixError("matrix is numerically singular (pivot below 1e-300)")
-    return lu, piv
-
-
-def lu_factor(a: np.ndarray, size: int | None = None) -> FactorizedSystem:
-    """LU-factorize a square matrix, or the half blocks of a symmetric Toeplitz matrix.
-
-    The factor is complex64 for a complex64 ``a`` and complex128 otherwise.
-    An F-contiguous ``a`` of that type becomes the factor itself, so no
-    second dense buffer is made, and must not be read after; any other input
-    is copied first and left intact. A (2, k, k) ``a`` is the stack
-    ``toeplitz_half_blocks`` makes for a matrix of order ``size``, 2k - 1 or
-    2k: both blocks are factored, in place if each is F-contiguous, and the
-    system solves with that matrix. A complex64 factor solves only through
-    ``FactorizedSystem.with_gohberg_semencul``.
-    """
-    a = np.asarray(a)
-    a = a if a.dtype == np.complex64 else a.astype(complex, copy=False)
-    if a.ndim == 3:
-        k = a.shape[1]
-        if a.shape != (2, k, k) or size not in (2 * k - 1, 2 * k):
-            raise ValueError(f"half blocks of shape {a.shape} do not split an order {size}")
-        a = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
-        piv = np.stack([_factor_in_place(block)[1] for block in a])
-        return FactorizedSystem(lu=a, piv=piv, size=size)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or size not in (None, a.shape[0]):
-        raise ValueError("lu_factor expects a square matrix")
-    lu, piv = _factor_in_place(a)
     return FactorizedSystem(lu=lu, piv=piv, size=a.shape[0])

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    ComplexField, FactorizedSystem, _check_positive, _check_spacing, _field_values, lu_factor,
-    symmetric_toeplitz, toeplitz_half_blocks,
+    ComplexField, FactorizedSystem, _check_positive, _check_spacing, _field_values, fft_length,
+    lu_factor, symmetric_toeplitz,
 )
 from .wsgd import (
     OperatorMatrix, _check_alpha, _check_count, _check_operator, assemble_operator, wsgd_weights
@@ -162,16 +162,18 @@ class Trajectory:
     final: ComplexField | None = None
 
 
-# Smallest system size solved by Gohberg-Semencul, seeded by the half-block
-# LU: below it the dense LU solve is faster than six FFTs.
+# Smallest system size solved by Gohberg-Semencul, seeded by the LU of A's
+# leading section of order _GS_MIN_SIZE - 1: below it the dense LU solve is
+# faster than six FFTs.
 _GS_MIN_SIZE = 350
 
 
 def factor_nbytes(M: int) -> int:
-    """Bytes of the LU that ``build_system_matrix`` keeps for M cells: the dense
-    complex128 A below _GS_MIN_SIZE unknowns, two complex64 half blocks from it on."""
+    """Bytes of the factor that ``build_system_matrix`` keeps for M cells: the dense
+    complex128 LU of A below _GS_MIN_SIZE unknowns, from it on the four complex128
+    Gohberg-Semencul spectra of length ``fft_length(2 (M-1) - 1)``."""
     n = M - 1
-    return 16 * (n if n < _GS_MIN_SIZE else (n + 1) // 2) ** 2
+    return 16 * n * n if n < _GS_MIN_SIZE else 64 * fft_length(2 * n - 1)
 
 
 def _physical_memory() -> int:
@@ -251,20 +253,22 @@ def build_system_matrix(
     < 2 makes Re A positive definite, so A is invertible and Re x_0 > 0 for
     x = A^{-1} e_1, and the factor fits in physical memory. Below
     _GS_MIN_SIZE unknowns A is built and LU-factorized in one buffer. From
-    _GS_MIN_SIZE on A is never formed: the complex64 LU of its two half blocks
-    (``linalg.toeplitz_half_blocks``) seeds the Gohberg-Semencul inverse,
-    refined to double precision against A's column, through which every solve
-    goes. An inverse that fails its gate raises ``linalg.SingularMatrixError``.
+    _GS_MIN_SIZE on A is never formed: the same LU of its leading section of
+    order _GS_MIN_SIZE - 1 seeds the Gohberg-Semencul inverse, refined against
+    A's column (``FactorizedSystem.with_gohberg_semencul``), through which
+    every solve goes; set-up and memory are then O(M log M) and O(M). An
+    inverse whose refinement stalls or that fails its gate raises
+    ``linalg.SingularMatrixError``.
     """
     _check_run(params, grid, tau)
     _check_operator(operator, params.alpha, grid.M)
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
+    # the transpose of the copy is the section again, an F-contiguous view getrf factors in place
+    system = lu_factor(symmetric_toeplitz(col[: _GS_MIN_SIZE - 1]).copy().T)
     if col.size >= _GS_MIN_SIZE:
-        system = lu_factor(toeplitz_half_blocks(col), size=col.size).with_gohberg_semencul(col)
-        return dataclasses.replace(system, tau=tau)
-    # the transpose of the copy is A again, an F-contiguous view getrf factors in place
-    return dataclasses.replace(lu_factor(symmetric_toeplitz(col).copy().T), tau=tau)
+        system = system.with_gohberg_semencul(col)
+    return dataclasses.replace(system, tau=tau)
 
 
 def _values(u, h: float) -> np.ndarray:

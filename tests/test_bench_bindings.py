@@ -60,21 +60,36 @@ def test_every_target_resolves():
 
 def test_traced_run_passes_wiring_check():
     steps = 5
-    grid = GridSpec(-10.0, 10.0, 400)
     params = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.8)
     run_simulation = stepper_mod.run_simulation
+    factor_mib = []
+    for m in (400, 2560):
+        with tracer.installed(tracer.Tracer("bindings")) as t:
+            stepper_mod.run_simulation(
+                params, GridSpec(-10.0, 10.0, m), TimeGrid(0.1, steps),
+                lambda x: np.exp(-2.0 * x * x),
+            )
+        # the wrappers must not outlive the block, or later tests would run traced
+        assert stepper_mod.run_simulation is run_simulation
+        expected = {"stepper.run": 1, "linalg.lu_factor": 1, "stepper.step": steps}
+        assert tracer.check_wiring(t.spans, expected) == []
+        (factor,) = [s for s in t.spans if s["name"] == "linalg.lu_factor"]
+        factor_mib.append(factor["mib"])
+    # above the crossover the one LU a run makes is that of a fixed leading
+    # section of A, whatever M: the seed of the Gohberg-Semencul generator
+    assert factor_mib[0] == factor_mib[1]
+
+
+def test_traced_sweep_workload_passes_wiring_check():
+    # the full-size sweep (M = 2560, four runs) as the benchmark's per-layer mode traces it
+    workload = workloads.InviscidSweep()
     with tracer.installed(tracer.Tracer("bindings")) as t:
-        stepper_mod.run_simulation(
-            params, grid, TimeGrid(0.1, steps), lambda x: np.exp(-2.0 * x * x)
-        )
-    # the wrappers must not outlive the block, or later tests would run traced
-    assert stepper_mod.run_simulation is run_simulation
-    expected = {"stepper.run": 1, "linalg.lu_factor": 1, "stepper.step": steps}
-    assert tracer.check_wiring(t.spans, expected) == []
-    # the factor the run holds is the two half blocks in single precision,
-    # about a quarter of a dense A
-    (factor,) = [s for s in t.spans if s["name"] == "linalg.lu_factor"]
-    assert factor["mib"] <= 0.3 * 16 * (grid.M - 1) ** 2 / 2**20
+        output = workload.run(seed=1)
+    assert workload.gate(output) == []
+    assert tracer.check_wiring(t.spans, workload.expected_counts()) == []
+    layers = tracer.layer_metrics(t.spans)
+    assert layers["linalg.lu_factor_calls"] == 4
+    assert layers["linalg.factor_mb"] < 2.0
 
 
 def test_traced_verify_suite_passes_wiring_check():

@@ -506,12 +506,13 @@ class TestCliDispatch:
         [("simulate", MINIMAL_SIMULATE), ("decay", DECAY), ("inviscid", INVISCID)],
         ids=["simulate", "decay", "inviscid"],
     )
-    def test_grid_past_physical_memory_exit_code(self, tmp_path, capsys, mode, text):
-        # m = 4e6 needs a half-block factor of 16 (2e6)^2 bytes, 5.96e4 GiB:
-        # rejected by the size rule before any output or allocation
+    def test_grid_past_physical_memory_exit_code(self, tmp_path, capsys, monkeypatch, mode, text):
+        # m = 4e6 needs 64 * 8e6 bytes of Gohberg-Semencul spectra, 0.477 GiB, more
+        # than a 0.25 GiB host: rejected by the size rule before any output or allocation
+        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 2**28)
         text = text.replace("m = 400", "m = 4000000")
         with pytest.raises(
-            ConfigError, match=r"^\[grid\] M = 4000000 needs a 5\.96e\+04 GiB midpoint factor"
+            ConfigError, match=r"^\[grid\] M = 4000000 needs a 0\.477 GiB midpoint factor"
         ):
             parse_config(text)
         assert_config_error(tmp_path, capsys, mode, text, "GiB of physical memory")
@@ -694,11 +695,11 @@ class TestVerifySuite:
         assert [a for a, d in details.items() if d == positive] == ["1.1000000000000001", "1.3"]
 
     def test_verify_grid_past_physical_memory_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the energy-balance run at M = 400 needs a 640 kB half-block factor
-        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 100_000)
+        # the energy-balance run at M = 400 keeps 51.2 kB of Gohberg-Semencul spectra
+        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 50_000)
         text = VERIFY + "\n[verify]\nalphas = 1.5\ngrid_points = 400\n"
-        expected = ("[verify] M = 400 needs a 0.000596 GiB midpoint factor, "
-                    "more than the 9.31e-05 GiB of physical memory")
+        expected = ("[verify] M = 400 needs a 4.77e-05 GiB midpoint factor, "
+                    "more than the 4.66e-05 GiB of physical memory")
         with pytest.raises(ConfigError, match=re.escape(expected)):
             parse_config(text)
         assert_config_error(tmp_path, capsys, "verify", text, expected)

@@ -388,13 +388,17 @@ class TestInviscidLimit:
     [(norm_decay_study, (-2.0,)), (inviscid_limit_study, ((0.1, 0.1),))],
     ids=["decay", "inviscid"],
 )
-def test_oversized_grid_rejected_before_allocating(study, values):
-    # M = 4e6 needs a 5.96e4 GiB factor: rejected before the operator or the
-    # initial data, about 120 MiB at this M, is built
+def test_oversized_grid_rejected_before_allocating(study, values, monkeypatch):
+    # M = 4e6 needs 0.477 GiB of Gohberg-Semencul spectra, more than a 0.25 GiB
+    # host: rejected before the operator or the initial data, about 120 MiB at
+    # this M, is built
+    import fgle.stepper as stepper
+
+    monkeypatch.setattr(stepper, "_physical_memory", lambda: 2**28)
     p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.8)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"M = 4000000 needs a 5\.96e\+04 GiB midpoint factor"):
+        with pytest.raises(ValueError, match=r"M = 4000000 needs a 0\.477 GiB midpoint factor"):
             study(p, values, GridSpec(-10.0, 10.0, 4_000_000), TimeGrid(1.0, 20), gaussian)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -422,14 +426,14 @@ class TestVerifySuite:
         assert report.passed, [c.line() for c in report.failures()]
 
     def test_oversized_grid_rejected_before_any_work(self, monkeypatch):
-        # the energy-balance run at M = 400 needs a 640 kB half-block factor;
-        # without the check first, the suite reached a 3.9 MiB peak before the run's
+        # the energy-balance run at M = 400 keeps 51.2 kB of Gohberg-Semencul
+        # spectra; without the check first, the suite reached a 3.9 MiB peak before the run's
         import fgle.stepper as stepper
 
-        monkeypatch.setattr(stepper, "_physical_memory", lambda: 100_000)
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 50_000)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"^M = 400 needs a 0\.000596 GiB midpoint factor"):
+            with pytest.raises(ValueError, match=r"^M = 400 needs a 4\.77e-05 GiB midpoint factor"):
                 verify_suite(alphas=(1.5,), grid_points=400)
             _, peak = tracemalloc.get_traced_memory()
         finally:

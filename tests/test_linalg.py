@@ -1,5 +1,6 @@
 """Grid norms, the Toeplitz quadratic form and dense factorization contracts."""
 
+import bisect
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from fgle.linalg import (
     l2_h,
     linf_h,
     lu_factor,
-    toeplitz_half_blocks,
 )
 from fgle.stepper import GridSpec, ModelParams, build_system_matrix
 from fgle.wsgd import assemble_operator, wsgd_weights
@@ -210,6 +210,32 @@ class TestGohbergSemencul:
     def test_fft_length_is_smallest_5_smooth(self):
         assert [fft_length(n) for n in (1, 7, 11, 637, 2557, 5117)] == [1, 8, 12, 640, 2560, 5120]
 
+    def test_fft_length_matches_the_counting_loop(self):
+        # the reference steps to the next 5-smooth number one at a time
+        def counted(n):
+            m = max(n, 1)
+            while True:
+                k = m
+                for p in (2, 3, 5):
+                    while k % p == 0:
+                        k //= p
+                if k == 1:
+                    return m
+                m += 1
+
+        assert [fft_length(n) for n in range(3000)] == [counted(n) for n in range(3000)]
+
+    def test_fft_length_of_a_huge_order(self):
+        # the size rule asks it of any grid: checked against every 5-smooth number up to 2^47
+        smooth = sorted(
+            2**a * 3**b * 5**c
+            for a in range(48) for b in range(30) for c in range(21)
+            if 2**a * 3**b * 5**c <= 2**47
+        )
+        rng = np.random.default_rng(12)
+        for n in [2 * 10**12 - 3, 4 * 10**13 + 1, *rng.integers(10**6, 2**44, 20).tolist()]:
+            assert fft_length(n) == smooth[bisect.bisect_left(smooth, n)]
+
     @pytest.mark.parametrize("n", (1, 2, 3, 17, 400))
     def test_matches_dense_solve(self, n):
         A = symmetric_toeplitz(n, seed=n)
@@ -235,14 +261,19 @@ class TestGohbergSemencul:
                 lu_factor(A).with_gohberg_semencul(A[:, 0])
 
     def test_seed_of_another_matrix_stalls(self):
-        # the LU only seeds x: from the identity's e_1 the corrections do not
-        # reach this well-conditioned A's generator within the cap, and must say so
+        # the LU only seeds x: from the identity's e_1 the first correction
+        # raises this well-conditioned A's residual, and the build must say so
         col = np.zeros(64, dtype=complex)
         col[:3] = (4.0, 1.0, 0.5)
-        system = lu_factor(np.eye(64, dtype=complex))
-        with pytest.raises(SingularMatrixError, match=r"order 64: 3 corrections stall short of "
-                           r"rounding level; .* generator residuals \[\S+, \S+, \S+, \S+\]$"):
-            system.with_gohberg_semencul(col)
+        expected = (r"order 64: a correction stops reducing the residual short of rounding "
+                    r"level; .* generator residuals \[\S+, \S+\]$")
+        with pytest.raises(SingularMatrixError, match=expected):
+            lu_factor(np.eye(8, dtype=complex)).with_gohberg_semencul(col)
+        # A's own leading section of the same order seeds it to the dense solve
+        A = scipy.linalg.toeplitz(col, col)
+        system = lu_factor(A[:8, :8]).with_gohberg_semencul(col)
+        b = np.random.default_rng(64).standard_normal(64) + 0j
+        assert np.max(np.abs(system.solve(b) - np.linalg.solve(A, b))) <= 1e-13
 
     def test_singular_generator_raises(self):
         # x_0 = 0: the formula divides by it
@@ -251,24 +282,43 @@ class TestGohbergSemencul:
             lu_factor(A).with_gohberg_semencul(A[:, 0])
 
     def test_column_must_match_the_system(self):
-        with pytest.raises(ValueError, match="column"):
-            lu_factor(np.eye(4, dtype=complex)).with_gohberg_semencul(np.ones(5))
+        # the factor is of a leading section: the column may be longer, not shorter
+        section = lu_factor(symmetric_toeplitz(4, seed=4))
+        for column in (np.ones(3), np.ones((4, 1))):
+            with pytest.raises(ValueError, match=r"column of shape .* does not extend the "
+                               r"factored section of order 4"):
+                section.with_gohberg_semencul(column)
+        col = symmetric_toeplitz_column(5, seed=4)
+        col[:4] = symmetric_toeplitz(4, seed=4)[:, 0]
+        b = np.arange(5) + 1j
+        refined = section.with_gohberg_semencul(col)
+        x = refined.solve(b)
+        assert np.max(np.abs(x - np.linalg.solve(scipy.linalg.toeplitz(col, col), b))) <= 1e-13
+        # the refined system keeps only the spectra: it cannot seed again
+        with pytest.raises(ValueError, match="keeps no LU factor"):
+            refined.with_gohberg_semencul(col)
 
 
 def symmetric_toeplitz_column(n, seed):
     return symmetric_toeplitz(n, seed)[:, 0].copy()
 
 
+def section_seeded(col, order=349):
+    """The Gohberg-Semencul system of ``col``, seeded by the LU of its leading section."""
+    return lu_factor(linalg_mod.symmetric_toeplitz(col[:order])).with_gohberg_semencul(col)
+
+
 class TestHalfBlockLu:
+    """The seed of large systems, named for the half-block LU it replaced: the LU
+    of a leading section, refined by Gohberg-Semencul corrections."""
+
     @pytest.mark.parametrize("n", (350, 351, 1023, 1024))
     def test_matches_dense_solve(self, n):
         col = symmetric_toeplitz_column(n, seed=n)
-        blocks = toeplitz_half_blocks(col)
-        system = lu_factor(blocks, size=n)
-        assert system.lu.shape == (2, (n + 1) // 2, (n + 1) // 2)
-        assert system.lu.dtype == np.complex64
-        assert np.shares_memory(system.lu, blocks)
-        refined = system.with_gohberg_semencul(col)
+        refined = section_seeded(col)
+        assert refined.size == n and refined.lu is None and refined.piv is None
+        assert refined.spectra.shape == (2, 2, 1, fft_length(2 * n - 1))
+        assert refined.residuals[-1] <= linalg_mod._GS_ROUNDING
         A = scipy.linalg.toeplitz(col, col)
         rng = np.random.default_rng(n)
         for shape in ((n,), (n, 3)):
@@ -281,35 +331,22 @@ class TestHalfBlockLu:
     @pytest.mark.parametrize("n", (350, 351))
     def test_generator_matches_dense_lu(self, n):
         col = symmetric_toeplitz_column(n, seed=n)
-        halves = lu_factor(toeplitz_half_blocks(col), size=n).with_gohberg_semencul(col)
+        section = section_seeded(col)
         dense = lu_factor(scipy.linalg.toeplitz(col, col)).with_gohberg_semencul(col)
-        assert halves.spectra is not None and dense.spectra is not None
+        assert section.spectra is not None and dense.spectra is not None
         scale = np.max(np.abs(dense.spectra))
-        assert np.max(np.abs(halves.spectra - dense.spectra)) <= 1e-13 * scale
-
-    def test_blocks_are_scaled_into_single_precision(self):
-        # entries of 1e39 overflow complex64; scaled by 1 / max|c| they cannot
-        col = 1e39 * symmetric_toeplitz_column(400, seed=5)
-        blocks = toeplitz_half_blocks(col)
-        assert blocks.dtype == np.complex64 and np.all(np.isfinite(blocks))
-        assert np.max(np.abs(blocks)) <= 2.0
-        b = np.random.default_rng(5).standard_normal(400) + 0j
-        x = lu_factor(blocks, size=400).with_gohberg_semencul(col).solve(b)
-        dense = np.linalg.solve(scipy.linalg.toeplitz(col, col), b)
-        assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert np.max(np.abs(section.spectra - dense.spectra)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", (350, 351))
     def test_gate_failure_raises_on_the_halves(self, monkeypatch, n):
         monkeypatch.setattr(linalg_mod, "_GS_GATE_RTOL", 0.0)
-        col = symmetric_toeplitz_column(n, seed=n)
-        system = lu_factor(toeplitz_half_blocks(col), size=n)
         expected = rf"order {n}: the probe solve fails the gate"
         with pytest.raises(SingularMatrixError, match=expected):
-            system.with_gohberg_semencul(col)
+            section_seeded(symmetric_toeplitz_column(n, seed=n))
 
     def test_gate_pins_an_unrefined_generator(self, monkeypatch):
-        # left at its complex64 seed, the generator solves the probe to 5.95e-9:
-        # the default gate must refuse it, where a gate of 1e-6 would pass it
+        # left at its seed from the 349-order section, the generator solves the
+        # probe to 7.1e-8: the default gate must refuse it, where a gate of 1e-6 would pass it
         monkeypatch.setattr(linalg_mod, "_GS_ROUNDING", 1e-6)
         params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=1.6)
         grid = GridSpec(-16.0, 16.0, 400)
@@ -317,33 +354,28 @@ class TestHalfBlockLu:
         with pytest.raises(SingularMatrixError, match="the probe solve fails the gate"):
             build_system_matrix(params, grid, 0.01, operator)
 
-    def test_single_precision_factor_refuses_to_solve(self):
-        col = symmetric_toeplitz_column(351, seed=351)
-        halves = lu_factor(toeplitz_half_blocks(col), size=351)
-        dense = lu_factor(np.eye(6, dtype=np.complex64))
-        for system in (halves, dense):
-            assert system.lu.dtype == np.complex64
-            with pytest.raises(ValueError, match="single-precision factor"):
-                system.solve(np.ones(system.size))
+    def test_seed_is_the_padded_section_solve(self, monkeypatch):
+        # with no correction and no gate, the generator is the section's
+        # A_m^{-1} e_1 padded with zeros, as the dense solve of the section gives it
+        monkeypatch.setattr(linalg_mod, "_GS_ROUNDING", 1.0)
+        monkeypatch.setattr(linalg_mod, "_GS_GATE_RTOL", math.inf)
+        col = symmetric_toeplitz_column(400, seed=400)
+        seeded = section_seeded(col, order=300)
+        assert len(seeded.residuals) == 1
+        x = np.zeros(400, dtype=complex)
+        x[:300] = np.linalg.solve(scipy.linalg.toeplitz(col[:300], col[:300]), np.eye(300)[:, 0])
+        expected = linalg_mod._gohberg_semencul_spectra(x, fft_length(799))
+        assert np.max(np.abs(seeded.spectra - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    def test_singular_half_block_rejected(self):
-        # c_0 = c_(n-1) = 1: rows 0 and n-1 of A are equal, and so D's first row is zero
-        col = np.zeros(400, dtype=complex)
-        col[0] = col[-1] = 1.0
-        with pytest.raises(SingularMatrixError):
-            lu_factor(toeplitz_half_blocks(col), size=400)
-
-    def test_c_ordered_stack_left_intact(self):
-        blocks = np.ascontiguousarray(toeplitz_half_blocks(symmetric_toeplitz_column(9, seed=9)))
-        before = blocks.copy()
-        system = lu_factor(blocks, size=9)
-        assert np.array_equal(blocks, before)
-        assert not np.shares_memory(system.lu, blocks)
-
-    @pytest.mark.parametrize("shape, size", [((2, 5, 5), 8), ((2, 5, 5), None), ((3, 5, 5), 10)])
-    def test_size_must_match_the_blocks(self, shape, size):
-        with pytest.raises(ValueError, match="half blocks"):
-            lu_factor(np.ones(shape, dtype=complex), size=size)
+    def test_complex64_input_factored_in_double(self):
+        # the factor is complex128 whatever the input: no solve answers in single precision
+        col = symmetric_toeplitz_column(40, seed=40)
+        A = scipy.linalg.toeplitz(col, col)
+        system = lu_factor(A.astype(np.complex64))
+        assert system.lu.dtype == complex
+        b = np.ones(40, dtype=complex)
+        expected = np.linalg.solve(A.astype(np.complex64).astype(complex), b)
+        assert np.max(np.abs(system.solve(b) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestQuadraticFormRoutes:

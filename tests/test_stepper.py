@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fgle.linalg as linalg_mod
 import fgle.stepper as stepper_mod
 from fgle.experiments import sech_soliton_model_params, sech_soliton_solution
-from fgle.linalg import ComplexField
+from fgle.linalg import ComplexField, SingularMatrixError, fft_length
 from fgle.stepper import (
     GridSpec,
     ModelParams,
@@ -35,6 +35,19 @@ def make_operator(alpha, m):
 
 def gaussian(x):
     return np.exp(-2.0 * x * x)
+
+
+def midpoint_column(p, grid, tau, op):
+    """First column of the midpoint matrix A that ``build_system_matrix`` factors."""
+    col = (tau / 2) * (p.upsilon + 1j * p.eta) * grid.h**-p.alpha * op.column
+    col[0] += 1 - tau * p.gamma / 2
+    return col
+
+
+def midpoint_matrix(p, grid, tau, op):
+    """The dense complex symmetric (not Hermitian) midpoint matrix A."""
+    col = midpoint_column(p, grid, tau, op)
+    return scipy.linalg.toeplitz(col, col)
 
 
 EXAMPLE_PARAMS = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=1.8)
@@ -233,11 +246,11 @@ class TestBuildSystemMatrix:
         with pytest.raises(ValueError, match=r"^tau must be positive and finite"):
             build_system_matrix(p, GridSpec(-1.0, 1.0, 8), tau, make_operator(1.5, 8))
 
-    def test_half_block_buffer(self):
-        # above the crossover A is never formed: its two half blocks are
-        # factored in single precision in the one buffer they were built in,
-        # about a quarter of an (M-1)^2 complex matrix, where the dense LU of A took one
-        m = 1024
+    def test_section_seed_buffer(self):
+        # above the crossover A is never formed: the one dense buffer is the
+        # fixed 349-order section the seed LU is made in, and the rest is O(M),
+        # about 610 bytes a cell (the half-block LU took 72 MiB at this M)
+        m = 4096
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
         grid, op = GridSpec(-16.0, 16.0, m), make_operator(1.6, m)
         tracemalloc.start()
@@ -247,34 +260,46 @@ class TestBuildSystemMatrix:
         finally:
             tracemalloc.stop()
         assert m - 1 >= stepper_mod._GS_MIN_SIZE
-        assert peak <= 0.32 * 16 * (m - 1) ** 2
+        assert peak <= 16 * (stepper_mod._GS_MIN_SIZE - 1) ** 2 + 1024 * m
 
     def test_solver_switches_at_crossover(self):
+        # 349 unknowns: the dense LU of A; 350: the LU of its 349-order section
+        # seeds the Gohberg-Semencul inverse, and only its spectra are kept
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
         sizes = (stepper_mod._GS_MIN_SIZE, stepper_mod._GS_MIN_SIZE + 1)
-        small, large = (
-            build_system_matrix(p, GridSpec(-16.0, 16.0, m), 0.01, make_operator(1.6, m))
-            for m in sizes
-        )
-        assert small.spectra is None and small.lu.ndim == 2 and small.lu.dtype == complex
-        assert large.spectra is not None and large.lu.ndim == 3
-        assert large.lu.dtype == np.complex64
+        for m in sizes:
+            grid, op = GridSpec(-16.0, 16.0, m), make_operator(1.6, m)
+            system = build_system_matrix(p, grid, 0.01, op)
+            n = m - 1
+            if n < stepper_mod._GS_MIN_SIZE:
+                assert system.spectra is None and system.lu.shape == (n, n)
+                assert system.lu.dtype == complex
+            else:
+                assert system.lu is None and system.piv is None
+                assert system.spectra.shape == (2, 2, 1, fft_length(2 * n - 1))
+            A = midpoint_matrix(p, grid, 0.01, op)
+            b = np.random.default_rng(m).standard_normal((n, 2)) @ np.array([1.0, 1j])
+            dense = np.linalg.solve(A, b)
+            assert np.max(np.abs(system.solve(b) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("m", [40, stepper_mod._GS_MIN_SIZE, 351, 352])
     def test_factor_nbytes_is_the_kept_factor(self, m):
+        # the dense LU below the crossover; from it on the spectra, and no LU
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
         system = build_system_matrix(p, GridSpec(-16.0, 16.0, m), 0.01, make_operator(1.6, m))
-        assert stepper_mod.factor_nbytes(m) == system.lu.nbytes
+        kept = system.lu if system.spectra is None else system.spectra
+        assert system.spectra is None or system.lu is None
+        assert stepper_mod.factor_nbytes(m) == kept.nbytes
 
     def test_factor_beyond_physical_memory_rejected_before_allocating(self, monkeypatch):
         # the size rule of every run: one byte short of M = 80's dense LU, and no
-        # buffer of A or of its half blocks is built
+        # buffer of A is built
         def never(*args, **kwargs):
             raise AssertionError("an oversized factor must not be allocated")
 
         monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 16 * 79**2 - 1)
         monkeypatch.setattr(stepper_mod, "lu_factor", never)
-        monkeypatch.setattr(stepper_mod, "toeplitz_half_blocks", never)
+        monkeypatch.setattr(stepper_mod, "symmetric_toeplitz", never)
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
         with pytest.raises(ValueError, match=r"^M = 80 needs a .* GiB midpoint factor, more than"):
             build_system_matrix(p, GridSpec(-16.0, 16.0, 80), 0.01, make_operator(1.6, 80))
@@ -296,27 +321,58 @@ class TestBuildSystemMatrix:
         ],
     )
     def test_single_precision_seed_refined_in_few_corrections(self, m, alpha, tau, upsilon, eta):
-        # each correction about squares the generator's error: from about
-        # 1e-7 to rounding level in at most three
+        # named for the complex64 seed the section seed replaced: from the
+        # 349-order section's generator (residual 1e-4 to 1e-8) every correction
+        # reduces the residual, and at most four reach rounding level
         p = ModelParams(upsilon, eta, 1.0, -2.0, 0.0, alpha=alpha)
-        F = build_system_matrix(p, GridSpec(-16.0, 16.0, m), tau, make_operator(alpha, m))
+        grid, op = GridSpec(-16.0, 16.0, m), make_operator(alpha, m)
+        F = build_system_matrix(p, grid, tau, op)
         seed, *corrected = F.residuals
-        assert 1e-10 < seed < 1e-6
-        assert 1 <= len(corrected) <= 3
+        assert 1e-10 < seed < 1e-3
+        assert 1 <= len(corrected) <= 4
+        assert all(later < earlier for earlier, later in zip(F.residuals, corrected))
         assert corrected[-1] <= linalg_mod._GS_ROUNDING
+        b = np.random.default_rng(m).standard_normal((m - 1, 2)) @ np.array([1.0, 1j])
+        x = F.solve(b)
+        if m <= 1280:
+            dense = np.linalg.solve(midpoint_matrix(p, grid, tau, op), b)
+            assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
+        # A x by direct summation, no FFT, at every size
+        col = midpoint_column(p, grid, tau, op)
+        product = np.convolve(np.concatenate((col[:0:-1], col)), x)[m - 2 : 2 * m - 3]
+        assert np.max(np.abs(product - b)) <= 1e-12 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize(
+        "alpha, m, tau, upsilon",
+        [(1.1, 4096, 1.0, 1.0), (2.0, 4096, 1.0, 1.0), (1.5, 8192, 1e3, 0.0),
+         (1.05, 8192, 1.0, 1.0), (1.6, 16384, 0.02, 1.0)],
+    )
+    def test_section_seed_stress_table(self, alpha, m, tau, upsilon):
+        # large M, large tau, alpha near 1 and the dispersive limit: each
+        # correction reduces the residual (up to ten at tau 1e3), the last
+        # reaches rounding level, and the probe passes the 1e-12 gate
+        p = ModelParams(upsilon, 1.0, 1.0, -2.0, 0.0, alpha=alpha)
+        F = build_system_matrix(p, GridSpec(-16.0, 16.0, m), tau, make_operator(alpha, m))
+        assert F.residuals[-1] <= linalg_mod._GS_ROUNDING
+        assert all(later < earlier for earlier, later in zip(F.residuals, F.residuals[1:]))
+
+    def test_stress_table_refusal_kept(self):
+        # alpha 2 at tau 10: the generator reaches rounding level, but A's
+        # conditioning leaves the probe at 1.4e-11, and the gate refuses it
+        p = ModelParams(1.0, 1.0, 1.0, -2.0, 0.0, alpha=2.0)
+        with pytest.raises(SingularMatrixError, match="the probe solve fails the gate"):
+            build_system_matrix(p, GridSpec(-16.0, 16.0, 4096), 10.0, make_operator(2.0, 4096))
 
     def test_refined_solve_matches_dense_at_large_tau(self):
         # M >= 2048 at alpha 2 and tau 1: A's entries reach about 1e4, and the
-        # single-precision seed still refines to the dense double solve
+        # 349-order section's seed still refines to the dense double solve
         m, tau = 2048, 1.0
         grid = GridSpec(-16.0, 16.0, m)
         p = ModelParams(1.0, 1.0, 1.0, -2.0, 0.0, alpha=2.0)
         op = make_operator(2.0, m)
         F = build_system_matrix(p, grid, tau, op)
-        col = (tau / 2) * (1 + 1j) * grid.h**-2.0 * op.column
-        col[0] += 1.0
         b = np.random.default_rng(2048).standard_normal((m - 1, 2)) @ np.array([1.0, 1j])
-        dense = np.linalg.solve(scipy.linalg.toeplitz(col, col), b)
+        dense = np.linalg.solve(midpoint_matrix(p, grid, tau, op), b)
         assert np.max(np.abs(F.solve(b) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     @settings(deadline=None, max_examples=12)
@@ -337,9 +393,7 @@ class TestBuildSystemMatrix:
         op = make_operator(alpha, M)
         F = build_system_matrix(p, grid, tau, op)
         assert F.spectra is not None
-        col = (tau / 2) * (upsilon + 1j * eta) * grid.h**-alpha * op.column
-        col[0] += 1 - tau_gamma / 2
-        A = scipy.linalg.toeplitz(col, col)
+        A = midpoint_matrix(p, grid, tau, op)
         rng = np.random.default_rng(seed)
         for shape in ((M - 1,), (M - 1, 3)):
             b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -713,12 +767,15 @@ class TestRunSimulation:
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
         assert builds == []
 
-    def test_oversized_grid_rejected_before_allocating(self):
-        # M = 4e6 needs a 5.96e4 GiB factor: rejected before the initial data
-        # or the operator, about 150 MiB at this M, is built
+    def test_oversized_grid_rejected_before_allocating(self, monkeypatch):
+        # M = 4e6 needs 0.477 GiB of Gohberg-Semencul spectra, more than a 0.25 GiB
+        # host: rejected before the initial data or the operator, about 150 MiB
+        # at this M, is built
+        monkeypatch.setattr(stepper_mod, "_physical_memory", lambda: 2**28)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"^M = 4000000 needs a 5\.96e\+04 GiB"):
+            expected = r"^M = 4000000 needs a 0\.477 GiB midpoint factor, more than the 0\.25 GiB"
+            with pytest.raises(ValueError, match=expected):
                 run_simulation(
                     EXAMPLE_PARAMS, GridSpec(-10.0, 10.0, 4_000_000), TimeGrid(1.0, 20), gaussian
                 )
