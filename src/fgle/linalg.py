@@ -5,8 +5,8 @@ the operator's energy (Delta_h u, u)_h and the H^sigma_h seminorm.
 
 The LU factor of a symmetric Toeplitz matrix's leading section also seeds
 ``FactorizedSystem.with_gohberg_semencul`` for the whole matrix, which
-refines the Gohberg-Semencul generator to rounding level with the formula
-itself (Newton's iteration for a structured inverse).
+refines the Gohberg-Semencul generator to one correction past rounding level
+with the formula itself (Newton's iteration for a structured inverse).
 
 Grid functions live on the interior nodes of a uniform mesh and are
 implicitly extended by zero outside. All norms carry the mesh weight h.
@@ -213,8 +213,8 @@ def _gohberg_semencul_spectra(x: np.ndarray, length: int) -> np.ndarray:
 _GS_GATE_RTOL = 1e-12
 
 # The generator x is refined until |e_1 - A x|_inf <= _GS_ROUNDING |A|_inf |x|_inf,
-# rounding level for a residual formed by FFT, for as long as each correction
-# reduces that residual.
+# rounding level for a residual formed by FFT, and then by one more correction;
+# above that level each correction must reduce the residual.
 _GS_ROUNDING = 8 * np.finfo(float).eps
 
 # LAPACK's solve with an LU factor, called directly: scipy.linalg.lu_solve
@@ -283,12 +283,16 @@ class FactorizedSystem:
         zeros to order n. Corrections x <- x + G(x)(e_1 - A x), with A x a
         circulant product with A's own spectrum, are Newton's iteration for
         the structured inverse: each about squares the error of x once it
-        is small. They stop at rounding level, _GS_ROUNDING. A probe p
-        solved by the formula must then leave a relative residual
-        |p - A y|_inf <= _GS_GATE_RTOL |p|_inf. A generator with x_0 = 0, a
-        correction that does not reduce the residual, or a failed gate
-        raises SingularMatrixError. The build makes no ``solve`` call; the
-        system it returns keeps no LU, so it cannot seed another.
+        is small. Once the residual first reaches rounding level,
+        _GS_ROUNDING, they make exactly one more correction and stop: on an
+        ill-conditioned A the first generator at rounding level still
+        carries its seed's error, and the solve and the gate's verdict
+        would depend on the seed. A probe p solved by the formula must then
+        leave a relative residual |p - A y|_inf <= _GS_GATE_RTOL |p|_inf. A
+        generator with x_0 = 0, a residual above rounding level that a
+        correction did not reduce, or a failed gate raises
+        SingularMatrixError. The build makes no ``solve`` call; the system
+        it returns keeps no LU, so it cannot seed another.
         """
         if self.lu is None:
             raise ValueError("this system keeps no LU factor to seed a generator from")
@@ -322,9 +326,11 @@ class FactorizedSystem:
                     refuse("x_0 = A^{-1}[0, 0] is zero", residuals[-1], _GS_ROUNDING)
                 spectra = _gohberg_semencul_spectra(x, spectrum.size)
                 if residuals[-1] <= _GS_ROUNDING:
-                    break
+                    # the one correction past the first residual at rounding level is made
+                    if len(residuals) > 1 and residuals[-2] <= _GS_ROUNDING:
+                        break
                 # a NaN residual compares false, so it stops here too
-                if len(residuals) > 1 and not residuals[-1] < residuals[-2]:
+                elif len(residuals) > 1 and not residuals[-1] < residuals[-2]:
                     refuse("a correction stops reducing the residual short of rounding level",
                            residuals[-1], _GS_ROUNDING)
                 x = x + _gohberg_semencul_solve(spectra, r)

@@ -162,10 +162,12 @@ class Trajectory:
     final: ComplexField | None = None
 
 
-# Smallest system size solved by Gohberg-Semencul, seeded by the LU of A's
-# leading section of order _GS_MIN_SIZE - 1: below it the dense LU solve is
-# faster than six FFTs.
+# Smallest system size solved by Gohberg-Semencul: below it the dense LU solve
+# is faster than six FFTs.
 _GS_MIN_SIZE = 350
+
+# Order of A's leading section whose LU seeds the Gohberg-Semencul generator.
+_GS_SEED_ORDER = 99
 
 
 def factor_nbytes(M: int) -> int:
@@ -253,19 +255,21 @@ def build_system_matrix(
     < 2 makes Re A positive definite, so A is invertible and Re x_0 > 0 for
     x = A^{-1} e_1, and the factor fits in physical memory. Below
     _GS_MIN_SIZE unknowns A is built and LU-factorized in one buffer. From
-    _GS_MIN_SIZE on A is never formed: the same LU of its leading section of
-    order _GS_MIN_SIZE - 1 seeds the Gohberg-Semencul inverse, refined against
-    A's column (``FactorizedSystem.with_gohberg_semencul``), through which
-    every solve goes; set-up and memory are then O(M log M) and O(M). An
-    inverse whose refinement stalls or that fails its gate raises
+    _GS_MIN_SIZE on A is never formed: the LU of its leading section of
+    order _GS_SEED_ORDER (99) seeds the Gohberg-Semencul inverse, refined
+    against A's column to one correction past rounding level
+    (``FactorizedSystem.with_gohberg_semencul``), through which every solve
+    goes; set-up and memory are then O(M log M) and O(M). An inverse whose
+    refinement stalls or that fails its gate raises
     ``linalg.SingularMatrixError``.
     """
     _check_run(params, grid, tau)
     _check_operator(operator, params.alpha, grid.M)
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
+    order = col.size if col.size < _GS_MIN_SIZE else _GS_SEED_ORDER
     # the transpose of the copy is the section again, an F-contiguous view getrf factors in place
-    system = lu_factor(symmetric_toeplitz(col[: _GS_MIN_SIZE - 1]).copy().T)
+    system = lu_factor(symmetric_toeplitz(col[:order]).copy().T)
     if col.size >= _GS_MIN_SIZE:
         system = system.with_gohberg_semencul(col)
     return dataclasses.replace(system, tau=tau)

@@ -22,7 +22,7 @@ from fgle.linalg import (
     linf_h,
     lu_factor,
 )
-from fgle.stepper import GridSpec, ModelParams, build_system_matrix
+from fgle.stepper import _GS_SEED_ORDER, GridSpec, ModelParams, build_system_matrix
 from fgle.wsgd import assemble_operator, wsgd_weights
 from oracles import apply_fractional_laplacian, cholesky
 
@@ -303,7 +303,7 @@ def symmetric_toeplitz_column(n, seed):
     return symmetric_toeplitz(n, seed)[:, 0].copy()
 
 
-def section_seeded(col, order=349):
+def section_seeded(col, order=_GS_SEED_ORDER):
     """The Gohberg-Semencul system of ``col``, seeded by the LU of its leading section."""
     return lu_factor(linalg_mod.symmetric_toeplitz(col[:order])).with_gohberg_semencul(col)
 
@@ -345,8 +345,9 @@ class TestHalfBlockLu:
             section_seeded(symmetric_toeplitz_column(n, seed=n))
 
     def test_gate_pins_an_unrefined_generator(self, monkeypatch):
-        # left at its seed from the 349-order section, the generator solves the
-        # probe to 7.1e-8: the default gate must refuse it, where a gate of 1e-6 would pass it
+        # stopped one correction past 1e-6 from the 99-order section's seed
+        # (residuals 5.2e-7, 7.4e-12), the generator solves the probe to 3.4e-11:
+        # the default gate must refuse it, where a gate of 1e-6 would pass it
         monkeypatch.setattr(linalg_mod, "_GS_ROUNDING", 1e-6)
         params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=1.6)
         grid = GridSpec(-16.0, 16.0, 400)
@@ -355,17 +356,21 @@ class TestHalfBlockLu:
             build_system_matrix(params, grid, 0.01, operator)
 
     def test_seed_is_the_padded_section_solve(self, monkeypatch):
-        # with no correction and no gate, the generator is the section's
-        # A_m^{-1} e_1 padded with zeros, as the dense solve of the section gives it
+        # with the seed already at (patched) rounding level and no gate, the build
+        # makes exactly one correction; the first generator it forms spectra of is
+        # the section's A_m^{-1} e_1 padded with zeros, as the dense solve gives it
         monkeypatch.setattr(linalg_mod, "_GS_ROUNDING", 1.0)
         monkeypatch.setattr(linalg_mod, "_GS_GATE_RTOL", math.inf)
+        generators = []
+        spectra_of = linalg_mod._gohberg_semencul_spectra
+        monkeypatch.setattr(linalg_mod, "_gohberg_semencul_spectra",
+                            lambda x, length: generators.append(x) or spectra_of(x, length))
         col = symmetric_toeplitz_column(400, seed=400)
         seeded = section_seeded(col, order=300)
-        assert len(seeded.residuals) == 1
+        assert len(seeded.residuals) == 2 and len(generators) == 2
         x = np.zeros(400, dtype=complex)
         x[:300] = np.linalg.solve(scipy.linalg.toeplitz(col[:300], col[:300]), np.eye(300)[:, 0])
-        expected = linalg_mod._gohberg_semencul_spectra(x, fft_length(799))
-        assert np.max(np.abs(seeded.spectra - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.max(np.abs(generators[0] - x)) <= 1e-13 * np.max(np.abs(x))
 
     def test_complex64_input_factored_in_double(self):
         # the factor is complex128 whatever the input: no solve answers in single precision

@@ -37,6 +37,15 @@ def gaussian(x):
     return np.exp(-2.0 * x * x)
 
 
+def assert_refined_one_past_rounding(residuals):
+    """A generator's residual history: each correction reduces the residual until it
+    first reaches rounding level, then exactly one more correction keeps it there."""
+    rounding = linalg_mod._GS_ROUNDING
+    *above, at_rounding, last = residuals
+    assert all(r > rounding for r in above) and at_rounding <= rounding and last <= rounding
+    assert all(later < earlier for earlier, later in zip(residuals, residuals[1:-1]))
+
+
 def midpoint_column(p, grid, tau, op):
     """First column of the midpoint matrix A that ``build_system_matrix`` factors."""
     col = (tau / 2) * (p.upsilon + 1j * p.eta) * grid.h**-p.alpha * op.column
@@ -248,7 +257,7 @@ class TestBuildSystemMatrix:
 
     def test_section_seed_buffer(self):
         # above the crossover A is never formed: the one dense buffer is the
-        # fixed 349-order section the seed LU is made in, and the rest is O(M),
+        # fixed 99-order section the seed LU is made in, and the rest is O(M),
         # about 610 bytes a cell (the half-block LU took 72 MiB at this M)
         m = 4096
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
@@ -260,10 +269,10 @@ class TestBuildSystemMatrix:
         finally:
             tracemalloc.stop()
         assert m - 1 >= stepper_mod._GS_MIN_SIZE
-        assert peak <= 16 * (stepper_mod._GS_MIN_SIZE - 1) ** 2 + 1024 * m
+        assert peak <= 16 * stepper_mod._GS_SEED_ORDER**2 + 1024 * m
 
     def test_solver_switches_at_crossover(self):
-        # 349 unknowns: the dense LU of A; 350: the LU of its 349-order section
+        # 349 unknowns: the dense LU of A; 350: the LU of its 99-order section
         # seeds the Gohberg-Semencul inverse, and only its spectra are kept
         p = ModelParams(0.3, 0.5, 0.1, -1.0, 0.0, alpha=1.6)
         sizes = (stepper_mod._GS_MIN_SIZE, stepper_mod._GS_MIN_SIZE + 1)
@@ -320,18 +329,17 @@ class TestBuildSystemMatrix:
             (4096, 1.1, 1.0, 1.0, 1.0),
         ],
     )
-    def test_single_precision_seed_refined_in_few_corrections(self, m, alpha, tau, upsilon, eta):
-        # named for the complex64 seed the section seed replaced: from the
-        # 349-order section's generator (residual 1e-4 to 1e-8) every correction
-        # reduces the residual, and at most four reach rounding level
+    def test_section_seed_refined_in_few_corrections(self, m, alpha, tau, upsilon, eta):
+        # from the 99-order section's generator (residual 2.3e-3 to 8.7e-8) every
+        # correction reduces the residual until it reaches rounding level, at most
+        # eight in all with the one correction made past that level
         p = ModelParams(upsilon, eta, 1.0, -2.0, 0.0, alpha=alpha)
         grid, op = GridSpec(-16.0, 16.0, m), make_operator(alpha, m)
         F = build_system_matrix(p, grid, tau, op)
         seed, *corrected = F.residuals
-        assert 1e-10 < seed < 1e-3
-        assert 1 <= len(corrected) <= 4
-        assert all(later < earlier for earlier, later in zip(F.residuals, corrected))
-        assert corrected[-1] <= linalg_mod._GS_ROUNDING
+        assert 1e-10 < seed < 5e-3
+        assert 2 <= len(corrected) <= 8
+        assert_refined_one_past_rounding(F.residuals)
         b = np.random.default_rng(m).standard_normal((m - 1, 2)) @ np.array([1.0, 1j])
         x = F.solve(b)
         if m <= 1280:
@@ -349,23 +357,42 @@ class TestBuildSystemMatrix:
     )
     def test_section_seed_stress_table(self, alpha, m, tau, upsilon):
         # large M, large tau, alpha near 1 and the dispersive limit: each
-        # correction reduces the residual (up to ten at tau 1e3), the last
-        # reaches rounding level, and the probe passes the 1e-12 gate
+        # correction above rounding level reduces the residual (up to twelve at
+        # tau 1e3), one more is made from that level, the last residual stays
+        # there, and the probe passes the 1e-12 gate
         p = ModelParams(upsilon, 1.0, 1.0, -2.0, 0.0, alpha=alpha)
         F = build_system_matrix(p, GridSpec(-16.0, 16.0, m), tau, make_operator(alpha, m))
-        assert F.residuals[-1] <= linalg_mod._GS_ROUNDING
-        assert all(later < earlier for earlier, later in zip(F.residuals, F.residuals[1:]))
+        assert_refined_one_past_rounding(F.residuals)
 
     def test_stress_table_refusal_kept(self):
         # alpha 2 at tau 10: the generator reaches rounding level, but A's
-        # conditioning leaves the probe at 1.4e-11, and the gate refuses it
+        # conditioning leaves the probe at 1.8e-12, and the gate refuses it
         p = ModelParams(1.0, 1.0, 1.0, -2.0, 0.0, alpha=2.0)
         with pytest.raises(SingularMatrixError, match="the probe solve fails the gate"):
             build_system_matrix(p, GridSpec(-16.0, 16.0, 4096), 10.0, make_operator(2.0, 4096))
 
+    def test_refinement_independent_of_the_seed_order(self):
+        # alpha 2, tau 1 (cond(A) about 1.2e4): refined one correction past rounding
+        # level, generators seeded from sections of order 64 to 400 all pass the gate
+        # and solve alike; stopped at the first residual at that level, the 400-order
+        # seed failed the gate and the solves differed by 4e-12
+        m, tau = 2048, 1.0
+        grid = GridSpec(-16.0, 16.0, m)
+        p = ModelParams(1.0, 1.0, 1.0, -2.0, 0.0, alpha=2.0)
+        col = midpoint_column(p, grid, tau, make_operator(2.0, m))
+        b = np.random.default_rng(64).standard_normal((m - 1, 2)) @ np.array([1.0, 1j])
+        solves = []
+        for order in (64, stepper_mod._GS_SEED_ORDER, stepper_mod._GS_MIN_SIZE - 1, 400):
+            seed = linalg_mod.lu_factor(linalg_mod.symmetric_toeplitz(col[:order]))
+            F = seed.with_gohberg_semencul(col)
+            assert_refined_one_past_rounding(F.residuals)
+            solves.append(F.solve(b))
+        scale = np.max(np.abs(solves[0]))
+        assert all(np.max(np.abs(x - solves[0])) <= 1e-13 * scale for x in solves[1:])
+
     def test_refined_solve_matches_dense_at_large_tau(self):
         # M >= 2048 at alpha 2 and tau 1: A's entries reach about 1e4, and the
-        # 349-order section's seed still refines to the dense double solve
+        # 99-order section's seed still refines to the dense double solve
         m, tau = 2048, 1.0
         grid = GridSpec(-16.0, 16.0, m)
         p = ModelParams(1.0, 1.0, 1.0, -2.0, 0.0, alpha=2.0)
