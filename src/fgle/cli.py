@@ -159,7 +159,7 @@ def _convert(section: str, key: str, raw: str, kind: type):
         except ValueError:
             raise ConfigError(f"[{section}] {key}: expected an integer, got '{raw}'") from None
     values = []
-    for part in raw.replace(",", " ").split() if kind is tuple else [raw]:
+    for part in raw.split() if kind is tuple else [raw]:
         try:
             value = float(part)
         except ValueError:

@@ -3,7 +3,9 @@ FFT products behind the Toeplitz operator and the Gohberg-Semencul solve. The on
 symmetric Toeplitz quadratic form, ``toeplitz_quadratic_form``, serves both
 the operator's energy (Delta_h u, u)_h and the H^sigma_h seminorm.
 
-The LU factor of a symmetric Toeplitz matrix's leading section also seeds
+``lu_factor`` factors a fresh copy of a dense matrix. Given a symmetric
+Toeplitz matrix's leading section (the stepper's is of order at most 99), its
+LU is the solve when the section is the whole matrix, and otherwise seeds
 ``FactorizedSystem.with_gohberg_semencul`` for the whole matrix, which
 refines the Gohberg-Semencul generator to one correction past rounding level
 with the formula itself (Newton's iteration for a structured inverse).
@@ -22,6 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+
+__all__ = [
+    "SingularMatrixError", "ComplexField", "FactorizedSystem", "l2_h", "linf_h", "fft_length",
+    "symmetric_toeplitz", "symmetric_toeplitz_spectrum", "toeplitz_quadratic_form",
+    "circulant_product", "lu_factor",
+]
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -189,15 +197,13 @@ def circulant_product(spectrum: np.ndarray, values: np.ndarray, sum_axis: int | 
 
 
 def _gohberg_semencul_solve(spectra: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(L(x) L(x)^T b - L(s) L(s)^T b) / x_0 for b of shape (n,) or (n, k)."""
+    """(L(x) L(x)^T b - L(s) L(s)^T b) / x_0 for one right-hand side b of shape (n,)."""
     upper, lower = spectra
-    rows = b.T
-    t = circulant_product(upper, rows)
-    return circulant_product(lower, t, sum_axis=0).reshape(rows.shape).T
+    return circulant_product(lower, circulant_product(upper, b), sum_axis=0)
 
 
 def _gohberg_semencul_spectra(x: np.ndarray, length: int) -> np.ndarray:
-    """The (2, 2, 1, length) spectra ``_gohberg_semencul_solve`` applies for the generator x."""
+    """The (2, 2, length) spectra ``_gohberg_semencul_solve`` applies for the generator x."""
     n = x.size
     generators = np.zeros((2, length), dtype=complex)
     generators[0, :n] = x
@@ -205,16 +211,16 @@ def _gohberg_semencul_spectra(x: np.ndarray, length: int) -> np.ndarray:
     spectrum = np.fft.fft(generators)
     lower = spectrum / x[0]
     lower[1] *= -1.0
-    return np.stack((spectrum[:, -np.arange(length)], lower))[:, :, None, :]
+    return np.stack((spectrum[:, -np.arange(length)], lower))
 
 
-# The Gohberg-Semencul inverse must solve a fixed probe p with a relative
-# max-norm residual p - A y of at most this before solves are routed through it.
-_GS_GATE_RTOL = 1e-12
+# The Gohberg-Semencul inverse must solve a fixed probe p with a backward error
+# (``_residual``) of at most this before solves are routed through it.
+_GS_GATE_RTOL = 1e-13
 
-# The generator x is refined until |e_1 - A x|_inf <= _GS_ROUNDING |A|_inf |x|_inf,
-# rounding level for a residual formed by FFT, and then by one more correction;
-# above that level each correction must reduce the residual.
+# The generator x is refined until its backward error for e_1 (``_residual``) is
+# at most this, rounding level for a residual formed by FFT, and then by one more
+# correction; above that level each correction must reduce the residual.
 _GS_ROUNDING = 8 * np.finfo(float).eps
 
 # LAPACK's solve with an LU factor, called directly: scipy.linalg.lu_solve
@@ -229,21 +235,27 @@ def _getrs(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _residual(spectrum: np.ndarray, norm: float, b: np.ndarray, y: np.ndarray):
+    """b - A y and its normwise backward error |b - A y|_inf / (|A|_inf |y|_inf), for the
+    Toeplitz A of circulant ``spectrum`` and largest row sum ``norm``: the one measure of
+    both the generator and the probe solve."""
+    r = b - circulant_product(spectrum, y)
+    return r, float(np.max(np.abs(r)) / (norm * np.max(np.abs(y))))
+
+
 @dataclass
 class FactorizedSystem:
     """A complex matrix of order ``size`` and how ``solve`` applies its inverse.
 
-    ``lu`` and ``piv`` are its complex128 LU factor with partial pivoting;
-    for the midpoint matrix on small grids ``lu`` is the buffer A was built
-    in, overwritten by the factorization.
+    ``lu`` and ``piv`` are its complex128 LU factor with partial pivoting.
 
     ``spectra``, set by ``with_gohberg_semencul`` for a complex symmetric
     Toeplitz matrix, holds the FFT spectra of the Gohberg-Semencul
-    generators, shape (2, 2, 1, L): the transposed and the plain triangular
+    generators, shape (2, 2, L): the transposed and the plain triangular
     factors, each for x and s. ``solve`` then applies A^{-1} with six FFTs;
     such a system keeps no LU factor (``lu`` and ``piv`` are None), only
-    these O(size) spectra. ``residuals`` holds the generator's relative
-    residual |e_1 - A x|_inf / (|A|_inf |x|_inf), of the seed and after each
+    these O(size) spectra. ``residuals`` holds the generator's backward
+    error |e_1 - A x|_inf / (|A|_inf |x|_inf), of the seed and after each
     correction.
 
     ``tau`` is the time step a midpoint matrix was built for
@@ -258,10 +270,11 @@ class FactorizedSystem:
     tau: float | None = None
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b for b of shape (size,) or (size, k)."""
+        """Solve A x = b for one right-hand side b of shape (size,)."""
         b = np.asarray(b, dtype=complex)
-        if b.shape[0] != self.size:
-            raise ValueError(f"right-hand side length {b.shape[0]} != system size {self.size}")
+        if b.shape != (self.size,):
+            raise ValueError(f"right-hand side of shape {b.shape} is not one vector "
+                             f"of the system size {self.size}")
         if self.spectra is not None:
             return _gohberg_semencul_solve(self.spectra, b)
         return _getrs(self.lu, self.piv, b)
@@ -288,11 +301,12 @@ class FactorizedSystem:
         ill-conditioned A the first generator at rounding level still
         carries its seed's error, and the solve and the gate's verdict
         would depend on the seed. A probe p solved by the formula must then
-        leave a relative residual |p - A y|_inf <= _GS_GATE_RTOL |p|_inf. A
-        generator with x_0 = 0, a residual above rounding level that a
-        correction did not reduce, or a failed gate raises
-        SingularMatrixError. The build makes no ``solve`` call; the system
-        it returns keeps no LU, so it cannot seed another.
+        have a backward error |p - A y|_inf / (|A|_inf |y|_inf), the measure
+        of the generator's residuals, of at most _GS_GATE_RTOL. A generator
+        with x_0 = 0, a residual above rounding level that a correction did
+        not reduce, or a failed gate raises SingularMatrixError. The build
+        makes no ``solve`` call; the system it returns keeps no LU, so it
+        cannot seed another.
         """
         if self.lu is None:
             raise ValueError("this system keeps no LU factor to seed a generator from")
@@ -320,8 +334,8 @@ class FactorizedSystem:
         x[:m] = _getrs(self.lu, self.piv, e1[:m])
         with np.errstate(divide="ignore", invalid="ignore"):
             while True:
-                r = e1 - circulant_product(spectrum, x)
-                residuals.append(float(np.max(np.abs(r)) / (norm * np.max(np.abs(x)))))
+                r, residual = _residual(spectrum, norm, e1, x)
+                residuals.append(residual)
                 if x[0] == 0.0:
                     refuse("x_0 = A^{-1}[0, 0] is zero", residuals[-1], _GS_ROUNDING)
                 spectra = _gohberg_semencul_spectra(x, spectrum.size)
@@ -336,8 +350,7 @@ class FactorizedSystem:
                 x = x + _gohberg_semencul_solve(spectra, r)
         probe = np.random.default_rng(0).standard_normal((2, n))
         probe = probe[0] + 1j * probe[1]
-        y = _gohberg_semencul_solve(spectra, probe)
-        gate = np.max(np.abs(probe - circulant_product(spectrum, y))) / np.max(np.abs(probe))
+        _, gate = _residual(spectrum, norm, probe, _gohberg_semencul_solve(spectra, probe))
         if not gate <= _GS_GATE_RTOL:
             refuse("the probe solve fails the gate", gate, _GS_GATE_RTOL)
         return dataclasses.replace(
@@ -349,13 +362,8 @@ _PIVOT_FLOOR = 1e-300
 
 
 def lu_factor(a: np.ndarray) -> FactorizedSystem:
-    """LU-factorize a square matrix in complex128.
-
-    An F-contiguous complex128 ``a`` becomes the factor itself, so no second
-    dense buffer is made, and must not be read after; any other input is
-    copied first and left intact.
-    """
-    a = np.asarray(a).astype(complex, copy=False)
+    """LU-factorize a square matrix in complex128, in a fresh copy: ``a`` is left intact."""
+    a = np.array(a, dtype=complex, order="F")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("lu_factor expects a square matrix")
     with warnings.catch_warnings():

@@ -162,20 +162,17 @@ class Trajectory:
     final: ComplexField | None = None
 
 
-# Smallest system size solved by Gohberg-Semencul: below it the dense LU solve
-# is faster than six FFTs.
-_GS_MIN_SIZE = 350
-
-# Order of A's leading section whose LU seeds the Gohberg-Semencul generator.
+# Largest order of A's leading section that a run LU-factors: the section is A
+# itself up to this many unknowns, and beyond it seeds the Gohberg-Semencul generator.
 _GS_SEED_ORDER = 99
 
 
 def factor_nbytes(M: int) -> int:
     """Bytes of the factor that ``build_system_matrix`` keeps for M cells: the dense
-    complex128 LU of A below _GS_MIN_SIZE unknowns, from it on the four complex128
+    complex128 LU of A up to _GS_SEED_ORDER unknowns, beyond it the four complex128
     Gohberg-Semencul spectra of length ``fft_length(2 (M-1) - 1)``."""
     n = M - 1
-    return 16 * n * n if n < _GS_MIN_SIZE else 64 * fft_length(2 * n - 1)
+    return 16 * n * n if n <= _GS_SEED_ORDER else 64 * fft_length(2 * n - 1)
 
 
 def _physical_memory() -> int:
@@ -253,11 +250,12 @@ def build_system_matrix(
 
     Checks that the run may start (``_check_run``) before it allocates: tau gamma
     < 2 makes Re A positive definite, so A is invertible and Re x_0 > 0 for
-    x = A^{-1} e_1, and the factor fits in physical memory. Below
-    _GS_MIN_SIZE unknowns A is built and LU-factorized in one buffer. From
-    _GS_MIN_SIZE on A is never formed: the LU of its leading section of
-    order _GS_SEED_ORDER (99) seeds the Gohberg-Semencul inverse, refined
-    against A's column to one correction past rounding level
+    x = A^{-1} e_1, and the factor fits in physical memory. Every run
+    LU-factors A's leading section of order min(M - 1, _GS_SEED_ORDER), a
+    dense buffer of at most 0.15 MiB. Up to _GS_SEED_ORDER (99) unknowns that
+    section is A, and its LU is the solve. Beyond it A is never formed: the
+    section's LU seeds the Gohberg-Semencul inverse, refined against A's
+    column to one correction past rounding level
     (``FactorizedSystem.with_gohberg_semencul``), through which every solve
     goes; set-up and memory are then O(M log M) and O(M). An inverse whose
     refinement stalls or that fails its gate raises
@@ -267,10 +265,8 @@ def build_system_matrix(
     _check_operator(operator, params.alpha, grid.M)
     col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
     col[0] += 1.0 - tau * params.gamma / 2.0
-    order = col.size if col.size < _GS_MIN_SIZE else _GS_SEED_ORDER
-    # the transpose of the copy is the section again, an F-contiguous view getrf factors in place
-    system = lu_factor(symmetric_toeplitz(col[:order]).copy().T)
-    if col.size >= _GS_MIN_SIZE:
+    system = lu_factor(symmetric_toeplitz(col[:_GS_SEED_ORDER]))
+    if col.size > _GS_SEED_ORDER:
         system = system.with_gohberg_semencul(col)
     return dataclasses.replace(system, tau=tau)
 

@@ -16,9 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (
-    circulant_product, symmetric_toeplitz, symmetric_toeplitz_spectrum, toeplitz_quadratic_form
-)
+from .linalg import symmetric_toeplitz, symmetric_toeplitz_spectrum, toeplitz_quadratic_form
 
 __all__ = [
     "WsgdWeights",
@@ -230,11 +228,6 @@ class OperatorMatrix:
         Computed once, so a sweep sharing the operator shares it.
         """
         return symmetric_toeplitz_spectrum(self.column)
-
-    def apply(self, values: np.ndarray, h: float) -> np.ndarray:
-        """h^(-alpha) C u per column, by one batched FFT product along axis 0."""
-        u = np.asarray(values, dtype=complex)
-        return h ** (-self.alpha) * circulant_product(self._spectrum, u.T).T
 
     def quadratic_form(self, values: np.ndarray, h: float) -> np.ndarray | float:
         """(Delta_h u, u)_h = h^(1-alpha) Re(u^H C u) per column; a float for 1-D u.

@@ -37,7 +37,7 @@ def cholesky(matrix) -> np.ndarray:
 def apply_fractional_laplacian(u: ComplexField, weights: WsgdWeights) -> ComplexField:
     """Apply the discrete fractional Laplacian by direct double summation.
 
-    Independent of ``OperatorMatrix.apply``: each node sums the left- and
+    Independent of the operator's column: each node sums the left- and
     right-shifted weight convolutions against the zero-extended field.
     Agrees with h^(-alpha) C u to machine precision.
     """
@@ -132,7 +132,7 @@ def operator_refinement_orders(
         grid = GridSpec(a, b, m)
         op = assemble_operator(wsgd_weights(alpha, m), m)
         x = grid.interior_nodes()
-        images.append(op.apply(np.asarray(func(x), dtype=complex), grid.h))
+        images.append(grid.h ** (-alpha) * (op.C @ np.asarray(func(x), dtype=complex)))
         grids.append(grid)
 
     diffs = [

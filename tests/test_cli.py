@@ -344,6 +344,11 @@ class TestCliDispatch:
         assert main([mode, "--config", str(cfg)]) == 2
         assert f"[{mode}] {section.split()[0]} must be finite" in capsys.readouterr().err
 
+    def test_comma_separated_list_exit_code(self, tmp_path, capsys):
+        # lists are space-separated: a comma leaves one entry that is not a number
+        assert_config_error(tmp_path, capsys, "verify", VERIFY + "\n[verify]\nalphas = 1.5,2\n",
+                            "[verify] alphas: expected a number, got '1.5,2'")
+
     def test_negative_inviscid_value_exit_code(self, tmp_path, capsys):
         # each value is upsilon, so it meets the model's own upsilon >= 0 check
         cfg = tmp_path / "inviscid.cfg"

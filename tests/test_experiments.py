@@ -200,15 +200,16 @@ class TestConvergenceStudy:
         "memory, message",
         [
             (16 * 79**2 - 1, "level 1 grid: M = 80 needs a"),
-            (16 * 319**2 - 1, "reference grid: M = 320 needs a"),
+            (64 * 3200 - 1, "reference grid: M = 1600 needs a"),
         ],
         ids=["level", "reference"],
     )
     def test_factor_beyond_physical_memory_rejected_before_any_run(
         self, monkeypatch, memory, message
     ):
-        # levels at M = 40 and 80, reference at M = 320: all dense LUs of
-        # 16 (M-1)^2 bytes; one byte short of a factor rejects that grid
+        # levels at M = 40 and 80, dense LUs of 16 (M-1)^2 bytes, and reference at
+        # M = 1600, Gohberg-Semencul spectra of 64 fft_length(2 (M-1) - 1) bytes;
+        # one byte short of a factor rejects that grid
         import fgle.experiments as experiments
         import fgle.stepper as stepper
 
@@ -223,7 +224,7 @@ class TestConvergenceStudy:
                 0.1,
                 0.8,
                 2,
-                FineGridReference(h_ref=0.1, tau_ref=0.025),
+                FineGridReference(h_ref=0.02, tau_ref=0.025),
                 u0=lambda x: sech_soliton_solution(x, 0.0, 0.3),
             )
         assert calls == []

@@ -136,7 +136,7 @@ class TestLuFactorSolve:
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 4 * np.eye(n)
         F = lu_factor(A)
         B = rng.standard_normal((n, 10_000)) + 1j * rng.standard_normal((n, 10_000))
-        X = F.solve(B)
+        X = np.column_stack([F.solve(b) for b in B.T])
         res = np.abs(A @ X - B).max(axis=0) / np.abs(B).max(axis=0)
         assert res.max() < 1e-12
 
@@ -144,15 +144,12 @@ class TestLuFactorSolve:
         with pytest.raises(SingularMatrixError):
             lu_factor(np.zeros((3, 3), dtype=complex))
 
-    def test_solve_batch_matches_columns(self):
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        F = lu_factor(A)
-        B = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        X = F.solve(B)
-        assert X.shape == (6, 3)
-        for j in range(3):
-            assert np.allclose(X[:, j], F.solve(B[:, j]), rtol=0, atol=1e-14)
+    def test_two_dimensional_right_hand_side_rejected(self):
+        # a solve takes one right-hand side, on either path
+        A = symmetric_toeplitz(8, seed=8)
+        for F in (lu_factor(A), lu_factor(A[:4, :4]).with_gohberg_semencul(A[:, 0])):
+            with pytest.raises(ValueError, match=rf"shape \({F.size}, 1\) is not one vector"):
+                F.solve(np.ones((F.size, 1)))
 
     def test_size_mismatch(self):
         F = lu_factor(np.eye(4, dtype=complex))
@@ -167,17 +164,15 @@ class TestLuFactorSolve:
         assert np.array_equal(A, before)
 
     @pytest.mark.parametrize("n", (5, 400))
-    def test_in_place_matches_copying_path(self, n):
-        # the transpose of a symmetric A is A as an F-contiguous view, which
-        # getrf factors in place; the result must equal the copying path's
-        A = symmetric_toeplitz(n, seed=n)
-        copied = lu_factor(A)
-        in_place = lu_factor(A.T)
-        assert np.shares_memory(in_place.lu, A)
-        assert np.array_equal(in_place.lu, copied.lu)
-        assert np.array_equal(in_place.piv, copied.piv)
-        b = np.random.default_rng(8).standard_normal((n, 2)) + 0j
-        assert np.array_equal(in_place.solve(b), copied.solve(b))
+    def test_f_ordered_input_left_intact(self, n):
+        # an F-contiguous complex128 A, the layout getrf works in, is copied too,
+        # and its factor is the C-ordered copy's, bit for bit
+        C_ordered = symmetric_toeplitz(n, seed=n)
+        A = np.asfortranarray(C_ordered)
+        before = A.copy()
+        factored = lu_factor(A)
+        assert not np.shares_memory(factored.lu, A) and np.array_equal(A, before)
+        assert np.array_equal(factored.lu, lu_factor(C_ordered).lu)
 
 
 def symmetric_toeplitz(n, seed):
@@ -243,11 +238,7 @@ class TestGohbergSemencul:
         assert F.spectra is not None
         rng = np.random.default_rng(11)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        B = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
         assert np.max(np.abs(F.solve(b) - np.linalg.solve(A, b))) <= 1e-13
-        X = F.solve(B)
-        assert X.shape == (n, 4)
-        assert np.max(np.abs(X - np.linalg.solve(A, B))) <= 1e-13
 
     def test_gate_failure_raises(self, monkeypatch):
         monkeypatch.setattr(linalg_mod, "_GS_GATE_RTOL", 0.0)
@@ -317,16 +308,15 @@ class TestHalfBlockLu:
         col = symmetric_toeplitz_column(n, seed=n)
         refined = section_seeded(col)
         assert refined.size == n and refined.lu is None and refined.piv is None
-        assert refined.spectra.shape == (2, 2, 1, fft_length(2 * n - 1))
+        assert refined.spectra.shape == (2, 2, fft_length(2 * n - 1))
         assert refined.residuals[-1] <= linalg_mod._GS_ROUNDING
         A = scipy.linalg.toeplitz(col, col)
         rng = np.random.default_rng(n)
-        for shape in ((n,), (n, 3)):
-            b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            x = refined.solve(b)
-            dense = np.linalg.solve(A, b)
-            assert x.shape == b.shape and x.dtype == complex
-            assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = refined.solve(b)
+        dense = np.linalg.solve(A, b)
+        assert x.shape == b.shape and x.dtype == complex
+        assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("n", (350, 351))
     def test_generator_matches_dense_lu(self, n):
@@ -346,13 +336,33 @@ class TestHalfBlockLu:
 
     def test_gate_pins_an_unrefined_generator(self, monkeypatch):
         # stopped one correction past 1e-6 from the 99-order section's seed
-        # (residuals 5.2e-7, 7.4e-12), the generator solves the probe to 3.4e-11:
-        # the default gate must refuse it, where a gate of 1e-6 would pass it
+        # (residuals 5.2e-7, 7.4e-12), the generator solves the probe with a
+        # backward error of 2.6e-11: the default gate must refuse it, where a
+        # gate of 1e-6 would pass it
         monkeypatch.setattr(linalg_mod, "_GS_ROUNDING", 1e-6)
         params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=1.6)
         grid = GridSpec(-16.0, 16.0, 400)
         operator = assemble_operator(wsgd_weights(1.6, 400), 400)
         with pytest.raises(SingularMatrixError, match="the probe solve fails the gate"):
+            build_system_matrix(params, grid, 0.01, operator)
+
+    def test_gate_refuses_perturbed_spectra(self, monkeypatch):
+        # spectra off by a relative 1e-9 leave the generator's own residuals at
+        # rounding level (they are measured on x) but the probe's backward error
+        # at 5.3e-10, far above the 1e-13 gate; unperturbed it is 4.9e-16
+        spectra_of = linalg_mod._gohberg_semencul_spectra
+        rng = np.random.default_rng(9)
+
+        def perturbed(x, length):
+            spectra = spectra_of(x, length)
+            return spectra * (1.0 + 1e-9 * rng.standard_normal(spectra.shape))
+
+        monkeypatch.setattr(linalg_mod, "_gohberg_semencul_spectra", perturbed)
+        params = ModelParams(upsilon=1.0, eta=1.0, kappa=1.0, zeta=2.0, gamma=0.0, alpha=1.6)
+        grid = GridSpec(-16.0, 16.0, 400)
+        operator = assemble_operator(wsgd_weights(1.6, 400), 400)
+        with pytest.raises(SingularMatrixError, match=r"the probe solve fails the gate; "
+                           r"residual \S+, tolerance 1\.0e-13"):
             build_system_matrix(params, grid, 0.01, operator)
 
     def test_seed_is_the_padded_section_solve(self, monkeypatch):
