@@ -426,6 +426,12 @@ class TestVerifySuite:
         report = verify_suite(grid_points=32, n_vectors=6)
         assert report.passed, [c.line() for c in report.failures()]
 
+    def test_alphas_near_one_pass(self):
+        # cos(alpha pi / 2) vanishes at alpha = 1: the column, the symbol and C_alpha
+        # stay accurate there, where dividing by it failed operator_symbol at 1.00001
+        report = verify_suite(alphas=(1 + 1e-9, 1.00001))
+        assert report.passed, [c.line() for c in report.failures()]
+
     def test_oversized_grid_rejected_before_any_work(self, monkeypatch):
         # the energy-balance run at M = 400 keeps 51.2 kB of Gohberg-Semencul
         # spectra; without the check first, the suite reached a 3.9 MiB peak before the run's

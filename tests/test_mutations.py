@@ -6,8 +6,13 @@ source. Every row is caught.
 ``operator_symbol`` compares the assembled column with the symbol's cosine
 coefficients, so it catches every row that changes the column alone: a
 scaled column, a scaled ``c_0`` and a scaled Grunwald tail. A wrong shift
-weight changes the column and the closed-form symbol alike, which the
-symbol checks catch instead.
+weight changes the column and the closed-form symbol, which the symbol
+checks catch, but not alike: the column's ``c_0`` and ``c_1`` and the sine
+sum of ``h_function`` are written in factored form, not through
+``_lambdas``, so ``operator_symbol`` catches it too.
+
+``coefficient_properties`` matches the truncated total of the weights with
+its closed form to rounding, so it catches one weight scaled far in the tail.
 
 One family catches no row, and no row of this kind can reach it:
 ``energy_equivalence`` checks ``C_alpha |u|^2 <= (Delta_h u, u)_h <= |u|^2``
@@ -51,6 +56,19 @@ def c_alpha_scaled(c_alpha):
     return lambda alpha: 1.05 * c_alpha(alpha)
 
 
+def weight_scaled(index, factor):
+    """The variant that scales w_index, where the sequence reaches it, by ``factor``."""
+    def variant(wsgd_weights):
+        def wrong(alpha, L):
+            weights = wsgd_weights(alpha, L)
+            weights.w[index:index + 1] *= factor
+            return weights
+
+        return wrong
+
+    return variant
+
+
 def grunwald_tail_scaled(grunwald_coeffs):
     def wrong(alpha, L):
         g = grunwald_coeffs(alpha, L)
@@ -92,13 +110,16 @@ def hermitian_toeplitz(symmetric_toeplitz):
 # (owner, attribute, wrong variant of it, the families that must fail)
 ROWS = [
     pytest.param(wsgd, "_lambdas", lambda_m1_sign_flipped,
-                 {"symbol_bounds", "symbol_endpoints"}, id="lambda_m1-sign"),
+                 {"symbol_bounds", "symbol_endpoints", "symbol_monotone", "operator_symbol"},
+                 id="lambda_m1-sign"),
     pytest.param(wsgd, "_lambdas", lambda_1_scaled,
-                 {"symbol_bounds", "symbol_constant", "symbol_endpoints", "symbol_monotone"},
+                 {"symbol_bounds", "symbol_constant", "symbol_endpoints", "operator_symbol"},
                  id="lambda_1-scaled"),
     pytest.param(wsgd, "c_alpha", c_alpha_scaled, {"symbol_bounds"}, id="c_alpha-scaled"),
     pytest.param(wsgd, "grunwald_coeffs", grunwald_tail_scaled,
                  {"coefficient_properties", "operator_symbol"}, id="g_l-tail-scaled"),
+    pytest.param(wsgd, "wsgd_weights", weight_scaled(2000, 1.001), {"coefficient_properties"},
+                 id="w_2000-scaled"),
     pytest.param(wsgd, "assemble_operator", column_scaled(slice(2, None), 1.001),
                  {"operator_symbol"}, id="column-scaled"),
     pytest.param(wsgd, "assemble_operator", column_scaled(slice(None), 1.002),

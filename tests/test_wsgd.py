@@ -1,6 +1,7 @@
 """Coefficient, operator and symbol-function checks for the fractional
 Laplacian discretization."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -27,6 +28,11 @@ from fgle.wsgd import (
 from oracles import apply_fractional_laplacian, symbol_series
 
 ALPHAS = (1.1, 1.5, 1.9, 2.0)
+EPS = np.finfo(float).eps
+# near alpha = 1, where 1 / cos(alpha pi / 2) blows up, and two ordinary orders
+NEAR_ONE = (1 + 1e-4, 1 + 1e-5, 1 + 1e-7, 1 + 1e-9, 1.5, 2.0)
+# the exact rational values of 61 float alphas spread over (1, 2] and of four near 1
+RATIONAL_ALPHAS = [Fraction(1 + k / 61) for k in range(1, 62)] + [Fraction(a) for a in NEAR_ONE[:4]]
 
 
 def binom_coeff(alpha, l):
@@ -35,6 +41,37 @@ def binom_coeff(alpha, l):
     for i in range(1, l + 1):
         out *= -(alpha - i + 1) / i
     return out
+
+
+def exact_lambdas(a):
+    """The shift weights in the paper's expanded form, for a Fraction or an mpmath number."""
+    return (a * a + 3 * a + 2) / 12, (4 - a * a) / 6, (a * a - 3 * a + 2) / 12
+
+
+def exact_weights(a, L):
+    """g_0..g_L and w_0..w_L by their defining recursions, in the arithmetic of ``a``."""
+    g = [a**0]
+    for l in range(1, L + 1):
+        g.append(g[-1] * (l - a - 1) / l)
+    l1, l0, lm1 = exact_lambdas(a)
+    w = [l1 * g[0], l1 * g[1] + l0 * g[0]]
+    w += [l1 * g[l] + l0 * g[l - 1] + lm1 * g[l - 2] for l in range(2, L + 1)]
+    return g, w
+
+
+def exact_partial_g(a, L):
+    """G_0..G_L, G_l = prod_{j<=l} (1 - a/j)."""
+    G = [a**0]
+    for j in range(1, L + 1):
+        G.append(G[-1] * (1 - a / j))
+    return G
+
+
+def bracket(a, l, shift):
+    """B_l (shift 0), with P_l = G_(l-2) B_l, or B'_l (shift 1), with w_l = g_(l-2) B'_l."""
+    l1, l0, lm1 = exact_lambdas(a)
+    b = a + shift
+    return l1 * (1 - b / (l - 1)) * (1 - b / l) + l0 * (1 - b / (l - 1)) + lm1
 
 
 class TestGrunwaldCoeffs:
@@ -157,8 +194,15 @@ class TestWeightProperties:
         assert a**3 + 4 * a**2 - a - 10 == pytest.approx(0.0, abs=1e-13)
 
     def test_total_sum_negative_within_tail_bound(self):
-        report = check_weight_properties(wsgd_weights(1.5, 2048))
+        # tail_bound is the tail |sum_{l>L} w_l| = |P_L| plus rounding; here P_L is
+        # exact, from the closed form lambda_1 G_L + lambda_0 G_(L-1) + lambda_-1 G_(L-2)
+        a, L = Fraction(3, 2), 2048
+        G = exact_partial_g(a, L)
+        l1, l0, lm1 = exact_lambdas(a)
+        tail = -(l1 * G[L] + l0 * G[L - 1] + lm1 * G[L - 2])
+        report = check_weight_properties(wsgd_weights(1.5, L))
         assert -report.tail_bound < report.total_sum <= 0.0
+        assert 0.0 < report.tail_bound - float(tail) <= 2e-15
 
     def test_tampered_weights_detected(self):
         w = wsgd_weights(1.5, 64)
@@ -167,6 +211,105 @@ class TestWeightProperties:
         report = check_weight_properties(bad)
         assert not report.passed
         assert "w0_positive" in report.failures()
+
+
+class TestClosedForms:
+    """Every factorization the weight lemmas and the column rest on, in exact
+    rational arithmetic, and the library's floats against them."""
+
+    def test_shift_weights_and_column_head(self):
+        for a in RATIONAL_ALPHAS:
+            _, w = exact_weights(a, 2)
+            l1, l0, lm1 = exact_lambdas(a)
+            assert lm1 == (a - 1) * (a - 2) / 12
+            assert 2 * w[1] == -(a - 1) * (a + 2) * (a + 4) / 6
+            assert w[0] + w[2] == (a - 1) * (a**3 + 7 * a**2 + 10 * a - 8) / 24
+            # each float shift weight within its few roundings of the exact value
+            for value, exact in zip(_lambdas(float(a)), (l1, l0, lm1)):
+                assert abs(Fraction(value) - exact) <= 2 * EPS * abs(exact)
+
+    def test_brackets(self):
+        for a in RATIONAL_ALPHAS:
+            assert bracket(a, 3, 0) == (2 - a) * (a + 4) * (9 - 2 * a - a * a) / 72
+            assert bracket(a, 4, 1) == (2 - a) ** 2 * (a + 5) ** 2 / 144
+
+    def test_partial_sums_and_weights_factor(self):
+        L = 40
+        for a in RATIONAL_ALPHAS:
+            g, w = exact_weights(a, L)
+            G = exact_partial_g(a, L)
+            assert list(itertools.accumulate(g)) == G
+            partial = list(itertools.accumulate(w))
+            assert all(partial[l] == G[l - 2] * bracket(a, l, 0) for l in range(3, L + 1))
+            assert all(w[l] == g[l - 2] * bracket(a, l, 1) for l in range(4, L + 1))
+
+    def test_brackets_nondecreasing(self):
+        for a in RATIONAL_ALPHAS:
+            lower = [bracket(a, l, 0) for l in range(3, 201)]
+            weight = [bracket(a, l, 1) for l in range(4, 201)]
+            assert all(x <= y for x, y in itertools.pairwise(lower))
+            assert all(x <= y for x, y in itertools.pairwise(weight))
+
+    def test_report_margins_are_the_closed_forms(self):
+        # partial_sums_negative is min(-P_2, B_3), later_weights_positive min(w_3, B'_4),
+        # to the rounding of sums of weights no larger than 1
+        for a in RATIONAL_ALPHAS:
+            _, w = exact_weights(a, 3)
+            margins = {c.name: c.margin for c in check_weight_properties(wsgd_weights(float(a), 64)).checks}
+            for name, exact in (("partial_sums_negative", min(-sum(w[:3]), bracket(a, 3, 0))),
+                                ("later_weights_positive", min(w[3], bracket(a, 4, 1)))):
+                assert abs(Fraction(margins[name]) - exact) <= 4 * EPS, (a, name)
+
+
+@pytest.fixture
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def mp_h(mp, alpha, omega):
+    """h(alpha, omega) in the paper's form, at the working precision of ``mp``."""
+    a, om = mp.mpf(alpha), mp.mpf(omega)
+    l1, l0, lm1 = exact_lambdas(a)
+    b = a * (om - mp.pi) / 2
+    return l1 * mp.cos(b - om) + l0 * mp.cos(b) + lm1 * mp.cos(b + om)
+
+
+class TestHighPrecisionOracle:
+    """The column, h, the symbol and C_alpha against 40-digit mpmath, each to a few
+    roundings, as alpha approaches 1, where cos(alpha pi / 2) vanishes."""
+
+    @pytest.mark.parametrize("alpha", NEAR_ONE)
+    def test_column(self, mp, alpha):
+        M = 64
+        _, w = exact_weights(mp.mpf(alpha), M)
+        scale = 2 * mp.cos(mp.mpf(alpha) * mp.pi / 2)
+        exact = np.array([float(x / scale) for x in [2 * w[1], w[0] + w[2], *w[3:M]]])
+        column = assemble_operator(wsgd_weights(alpha, M), M).column
+        assert np.max(np.abs(column - exact)) <= 4 * EPS * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("alpha", NEAR_ONE)
+    def test_h_function(self, mp, alpha):
+        omega = np.linspace(0.0, math.pi, 65)
+        exact = np.array([float(mp_h(mp, alpha, om)) for om in omega])
+        assert np.all(np.abs(h_function(alpha, omega) - exact) <= 4 * EPS * np.abs(exact))
+
+    @pytest.mark.parametrize("alpha", NEAR_ONE)
+    def test_symbol_f(self, mp, alpha):
+        theta = np.linspace(0.0, math.pi, 65)[1:]
+        a = mp.mpf(alpha)
+        exact = np.array([
+            float((2 * mp.sin(mp.mpf(t) / 2)) ** a * mp_h(mp, alpha, t) / mp.cos(a * mp.pi / 2))
+            for t in theta
+        ])
+        assert np.all(np.abs(symbol_f(alpha, theta) - exact) <= 4 * EPS * np.abs(exact))
+
+    @pytest.mark.parametrize("alpha", NEAR_ONE)
+    def test_c_alpha(self, mp, alpha):
+        a = mp.mpf(alpha)
+        exact = float(2**a * (1 - a * a) / (3 * mp.pi**a * mp.cos(a * mp.pi / 2)))
+        assert abs(c_alpha(alpha) - exact) <= 4 * EPS * exact
 
 
 class TestAssembleOperator:
@@ -215,13 +358,18 @@ class TestAssembleOperator:
     @pytest.mark.parametrize("alpha", (1.1, 1.6, 2.0))
     @pytest.mark.parametrize("M", (3, 4, 64, 1280))
     def test_dense_c_matches_toeplitz_assembly(self, alpha, M):
-        # The dense assembly through W: C = (W + W^T) / (2 cos(alpha pi / 2)), re-symmetrized
+        # The dense assembly through W: C = (W + W^T) / (2 cos(alpha pi / 2)), re-symmetrized.
+        # Its 2 w_1 and w_0 + w_2 cancel O(1) terms, and dividing by cos(alpha pi / 2)
+        # scales that rounding by 1 / |cos|: over 300 alphas in (1, 2] the gap to the
+        # factored column was at most 3.0 eps / |cos|
         w = wsgd_weights(alpha, M)
         row = np.zeros(M - 1)
         row[:2] = w.w[1], w.w[0]
         W = scipy.linalg.toeplitz(w.w[1:M], row)
-        C = (W + W.T) / (2.0 * math.cos(alpha * math.pi / 2.0))
-        assert np.array_equal(assemble_operator(w, M).C, (C + C.T) / 2.0)
+        cos_half = math.cos(alpha * math.pi / 2.0)
+        C = (W + W.T) / (2.0 * cos_half)
+        gap = np.max(np.abs(assemble_operator(w, M).C - (C + C.T) / 2.0))
+        assert gap <= 4.0 * EPS / abs(cos_half)
 
     @settings(deadline=None)
     @given(
