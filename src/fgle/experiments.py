@@ -156,14 +156,17 @@ class FineGridReference:
             _check_positive(name, getattr(self, name))
 
     def grids(self, interval, t_final, finest_h, finest_tau) -> tuple[GridSpec, TimeGrid]:
-        """The reference's grids; a ValueError unless the finest level nests in
-        them, and then every coarser level, a multiple of it, nests too, and
-        unless the reference's norms, times and diagnostics fit (``stepper.TimeGrid``)."""
+        """The reference's grids; a ValueError unless they refine the finest level at least
+        twice in h and in tau, so it and every coarser level, a multiple of it, nest in them,
+        and unless the reference's norms, times and diagnostics fit (``stepper.TimeGrid``)."""
         a, b = interval
         m = _exact_division(b - a, self.h_ref, "reference grid")
         n = _exact_division(t_final, self.tau_ref, "reference time grid")
-        _exact_division(finest_h, self.h_ref, "finest level grid")
-        _exact_division(finest_tau, self.tau_ref, "finest level time grid")
+        ratios = (_exact_division(finest_h, self.h_ref, "finest level grid"),
+                  _exact_division(finest_tau, self.tau_ref, "finest level time grid"))
+        for name, finest, ratio in zip(("h_ref", "tau_ref"), (finest_h, finest_tau), ratios):
+            if ratio < 2:
+                raise ValueError(f"{name} must be at most half the finest level's {finest}")
         try:
             return GridSpec(a, b, m), TimeGrid(t_final, n)
         except ValueError as exc:

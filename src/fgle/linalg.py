@@ -67,17 +67,12 @@ class ComplexField:
         return self.values.size
 
 
-def _check_spacing(h: float, other: float) -> None:
-    """The package's one rule that two grid functions share a spacing: h equal, exactly."""
-    if h != other:
-        raise ValueError(f"field spacings differ: {h} vs {other}")
-
-
 def _check_pair(u: ComplexField, v: ComplexField) -> None:
-    """The package's one check that two fields share a grid: same length and spacing."""
+    """The package's one check that two fields share a grid: same length, spacing equal exactly."""
     if len(u) != len(v):
         raise ValueError(f"field lengths differ: {len(u)} vs {len(v)}")
-    _check_spacing(u.h, v.h)
+    if u.h != v.h:
+        raise ValueError(f"field spacings differ: {u.h} vs {v.h}")
 
 
 def l2_h(u: ComplexField) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .linalg import (
     _check_positive, _cosine_moments, symmetric_toeplitz_spectrum, toeplitz_quadratic_form,
 )
-from .wsgd import _check_operator, assemble_operator, c_alpha, wsgd_weights
+from .wsgd import OperatorMatrix, _check_operator, c_alpha
 
 __all__ = ["energy_equivalence_margins"]
 
@@ -33,27 +33,22 @@ def _seminorm_batch(values: np.ndarray, h: float, sigma: float) -> np.ndarray:
 
 
 def energy_equivalence_margins(
-    fields: np.ndarray, alpha: float, h: float, operator=None
+    fields: np.ndarray, alpha: float, h: float, operator: OperatorMatrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-sided margins of the operator quadratic form for many vectors.
 
-    ``fields`` is one vector, or one vector per column, of at least 2 entries.
-    Returns (lower, upper, seminorm_sq) with lower = (Delta u, u)_h - C_alpha |u|^2
-    and upper = |u|^2 - (Delta u, u)_h, both nonnegative in exact arithmetic.
-    ``h`` must be positive and finite, and so must every entry of ``fields``.
+    ``fields`` is 2-D, one vector of at least 2 entries per column, and ``operator`` the one
+    for order alpha on their grid. Returns (lower, upper, seminorm_sq) with lower =
+    (Delta u, u)_h - C_alpha |u|^2 and upper = |u|^2 - (Delta u, u)_h, both nonnegative in
+    exact arithmetic. ``h`` must be positive and finite, and so must every entry of ``fields``.
     """
     _check_positive("grid spacing h", h)
     fields = np.asarray(fields, dtype=complex)
-    if fields.ndim not in (1, 2) or fields.shape[0] < 2:
-        raise ValueError(f"fields must be 1-D or 2-D with at least 2 rows, got {fields.shape}")
+    if fields.ndim != 2 or fields.shape[0] < 2:
+        raise ValueError(f"fields must be 2-D with at least 2 rows, got {fields.shape}")
     if not np.all(np.isfinite(fields)):
         raise ValueError("fields must be finite")
-    if fields.ndim == 1:
-        fields = fields[:, None]
-    M = fields.shape[0] + 1
-    if operator is None:
-        operator = assemble_operator(wsgd_weights(alpha, M), M)
-    _check_operator(operator, alpha, M)
+    _check_operator(operator, alpha, fields.shape[0] + 1)
     sem = _seminorm_batch(fields, h, alpha / 2.0)
     qf = operator.quadratic_form(fields, h)
     ca = c_alpha(alpha)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    ComplexField, FactorizedSystem, _check_positive, _check_spacing, _field_values, fft_length,
-    lu_factor, symmetric_toeplitz,
+    ComplexField, FactorizedSystem, _check_positive, _field_values, fft_length, lu_factor,
+    symmetric_toeplitz,
 )
 from .wsgd import (
     OperatorMatrix, _check_alpha, _check_count, _check_operator, assemble_operator, wsgd_weights
@@ -271,15 +271,6 @@ def build_system_matrix(
     return dataclasses.replace(system, tau=tau)
 
 
-def _values(u, h: float) -> np.ndarray:
-    """The values of ``u``: a ComplexField of spacing h, or a plain 1-D value
-    array (``linalg._field_values``)."""
-    if isinstance(u, ComplexField):
-        _check_spacing(u.h, h)
-        return u.values
-    return _field_values(u)
-
-
 def _extrapolated_start(u: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """Midpoint of u^n and the extrapolation of u^{n+1} from u^n and ``levels``
     (u^{n-1}, u^{n-2}, ..., newest first), of which the first _START_ORDER count."""
@@ -291,8 +282,8 @@ def _extrapolated_start(u: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 
 def fixed_point_step(
-    u_n,
-    history,
+    u_n: np.ndarray,
+    history: np.ndarray,
     system: FactorizedSystem,
     params: ModelParams,
     grid: GridSpec,
@@ -301,28 +292,26 @@ def fixed_point_step(
 ) -> tuple[np.ndarray, StepDiagnostics]:
     """Advance one level: returns (u^{n+1} values, diagnostics).
 
-    ``history`` holds the earlier levels u^{n-1}, u^{n-2}, ..., newest first,
-    as the rows of a 2-D array or a list of arrays; None means none. The
-    start iterate is the midpoint of u^n and the degree-k polynomial
-    extrapolation of u^{n+1} through u^n and the k newest earlier levels,
-    k = min(len(history), 4) (``_start_weights``). The step is ``system.tau``;
-    a ComplexField ``u_n`` must have ``grid``'s spacing. Iterates until the
-    sup-norm increment falls below iter_tol * max(1, |z|_inf). |z|^2 is formed
-    once per iterate and serves the cubic term, that scale and the energy
-    residual. An iterate whose increment or |z|^2 is not finite raises
-    NonConvergence, without numpy overflow warnings. A ``system`` with no time
-    step, one not made by ``build_system_matrix``, is a ValueError.
+    ``u_n`` is the values of u^n, and ``history`` a 2-D array of the earlier levels u^{n-1},
+    u^{n-2}, ..., newest first, one per row, with no rows on a run's first step; another form
+    or width is a ValueError. The start iterate is the midpoint of u^n and the degree-k
+    polynomial extrapolation of u^{n+1} through u^n and the k newest earlier levels,
+    k = min(len(history), 4) (``_start_weights``). The step is ``system.tau``. Iterates until
+    the sup-norm increment falls below iter_tol * max(1, |z|_inf). |z|^2 is formed once per
+    iterate and serves the cubic term, that scale and the energy residual. An iterate whose
+    increment or |z|^2 is not finite raises NonConvergence, without numpy overflow warnings.
+    A ``system`` with no time step, one not made by ``build_system_matrix``, is a ValueError.
     """
     tau = system.tau
     if tau is None:
         raise ValueError("system has no time step; build it with build_system_matrix")
     h = grid.h
-    u = _values(u_n, h)
+    u = _field_values(u_n)
     cubic = params.kappa + 1j * params.zeta
-    levels = np.asarray(() if history is None else history, dtype=complex)
-    if levels.size and (levels.ndim != 2 or levels.shape[1] != u.size):
-        raise ValueError(f"history levels must have {u.size} values, got {levels.shape}")
-    z = _extrapolated_start(u, levels.reshape(-1, u.size))
+    if not isinstance(history, np.ndarray) or history.ndim != 2 or history.shape[1] != u.size:
+        raise ValueError(f"history must be a 2-D array of levels of {u.size} values, "
+                         f"got a {type(history).__name__} of shape {np.shape(history)}")
+    z = _extrapolated_start(u, history)
 
     increments: list[float] = []
     # a diverging iterate overflows; that shows below as a non-finite
@@ -402,17 +391,16 @@ def run_simulation(
 ) -> Trajectory:
     """Advance N implicit midpoint steps from the sampled initial data.
 
-    u0 may be a callable evaluated on the interior nodes, a ComplexField of
-    the grid's spacing, or a plain value array; its values must be a finite
-    1-D sequence of M - 1, checked before the operator and the factor are
-    built. Snapshot times must coincide with time-grid levels. ``_check_run``
-    comes first, before the initial data is sampled. Raises NonConvergence
+    u0 is a callable evaluated on the interior nodes or their values (a restart passes
+    ``Trajectory.final.values``), a finite 1-D sequence of M - 1, checked before the operator
+    and the factor are built. Snapshot times must coincide with time-grid levels.
+    ``_check_run`` comes first, before the initial data is sampled. Raises NonConvergence
     (tagged with the failing step) if an inner iteration stalls.
     """
     _check_run(params, grid, time_grid.tau)
     settings = settings or SolverSettings()
     tau = time_grid.tau
-    u = _values(u0(grid.interior_nodes()) if callable(u0) else u0, grid.h)
+    u = _field_values(u0(grid.interior_nodes()) if callable(u0) else u0)
     if u.size != grid.M - 1:
         raise ValueError(f"initial data has {u.size} values, expected {grid.M - 1}")
     if not np.all(np.isfinite(u)):

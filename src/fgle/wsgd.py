@@ -48,11 +48,11 @@ def _check_count(name: str, value, least: int) -> None:
 
 
 def _check_angles(name: str, values) -> np.ndarray:
-    """The package's one check of angles: ``values`` as floats in [0, pi], to 1e-12."""
+    """The package's one check of angles: ``values`` as floats in [0, pi], to 1e-12, clipped."""
     angles = np.asarray(values, dtype=float)
     if not np.all((angles >= -1e-12) & (angles <= math.pi + 1e-12)):
         raise ValueError(f"{name} must lie in [0, pi]")
-    return angles
+    return np.clip(angles, 0.0, math.pi)
 
 
 # Sign threshold of the leading partial sum w_0 + w_1 = lambda_1 (1 - alpha)

@@ -237,3 +237,27 @@ def test_criterion_10_inviscid_limit():
         if not (devs[0] > devs[1] > devs[2] > 0.0):
             failures.append(f"alpha={alpha}: deviations {devs} not strictly decreasing")
     report(10, "deviations from the dispersive limit shrink with the coefficients", failures)
+
+
+def test_criterion_11_exact_solution_table_to_its_printed_digits():
+    # criterion 1 at the published precision: each error rounds to its printed
+    # four-decimal mantissa and each order to its printed four decimals
+    rows = convergence_study(
+        sech_soliton_model_params(),
+        (-16.0, 16.0),
+        1.0,
+        base_tau=0.02,
+        base_h=0.2,
+        levels=3,
+        reference=ExactReference(lambda x, t: sech_soliton_solution(x, t, 0.3)),
+    )
+    failures = []
+    for i, row in enumerate(rows):
+        for name, value, printed in zip(("l2", "linf"), (row.err_l2, row.err_linf), TABLE1[i]):
+            if f"{value:.4e}" != f"{printed:.4e}":
+                failures.append(f"row {i} {name} error {value:.6e}, printed {printed:.4e}")
+        for name, value, printed in zip(("order1", "order2"), (row.order1, row.order2),
+                                        TABLE1_ORDERS.get(i, ())):
+            if f"{value:.4f}" != f"{printed:.4f}":
+                failures.append(f"row {i} {name} {value:.6f}, printed {printed:.4f}")
+    report(11, "classical-limit table to its printed digits", failures)

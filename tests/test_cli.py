@@ -2,6 +2,8 @@
 
 import configparser
 import csv
+import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -480,9 +482,14 @@ class TestCliDispatch:
              "[convergence] finest level grid: 0.4 is not an integer multiple of 0.32"),
             ("tau_ref = 0.05", "tau_ref = 0.04",
              "[convergence] finest level time grid: 0.1 is not an integer multiple of 0.04"),
+            # a reference on the finest level's own grid was a ZeroDivisionError (exit 1)
+            ("h_ref = 0.1", "h_ref = 0.4",
+             "[convergence] h_ref must be at most half the finest level's 0.4"),
+            ("tau_ref = 0.05", "tau_ref = 0.1",
+             "[convergence] tau_ref must be at most half the finest level's 0.1"),
         ],
         ids=["h_ref-zero", "h_ref-negative", "h_ref-nan", "h_ref-off-interval",
-             "h_ref-off-finest", "tau_ref-off-finest"],
+             "h_ref-off-finest", "tau_ref-off-finest", "h_ref-not-finer", "tau_ref-not-finer"],
     )
     def test_bad_fine_reference_exit_code(self, tmp_path, capsys, old, new, expected):
         assert_config_error(
@@ -676,6 +683,13 @@ class TestCliDispatch:
 
 
 class TestVerifySuite:
+    def test_settings_follow_the_suite_parameters(self):
+        # run_verify passes astuple(cfg.verify) positionally: reordered settings would
+        # swap weight_length and grid_points without any error
+        names = [f.name for f in dataclasses.fields(VerifySettings)]
+        parameters = list(inspect.signature(cli.verify_suite).parameters)
+        assert [{"vectors": "n_vectors"}.get(name, name) for name in names] == parameters
+
     def test_verify_cli_exit_zero(self, tmp_path):
         cfg = tmp_path / "v.cfg"
         cfg.write_text("[run]\nmode = verify\n\n[verify]\ngrid_points = 32\nvectors = 4\n")

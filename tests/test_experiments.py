@@ -169,16 +169,23 @@ class TestConvergenceStudy:
             FineGridReference(h_ref, tau_ref)
 
     @pytest.mark.parametrize(
-        "base_h, h_ref, message",
+        "base_h, h_ref, tau_ref, message",
         [
-            (0.4, 0.32, "finest level grid: 0.2 is not an integer multiple of 0.32"),
-            (0.6, 0.1, "level 0 grid: 32.0 is not an integer multiple of 0.6"),
+            (0.4, 0.32, 0.025, "finest level grid: 0.2 is not an integer multiple of 0.32"),
+            (0.6, 0.1, 0.025, "level 0 grid: 32.0 is not an integer multiple of 0.6"),
+            (0.4, 0.2, 0.025, "h_ref must be at most half the finest level's 0.2"),
+            (0.4, 0.1, 0.05, "tau_ref must be at most half the finest level's 0.05"),
+            (0.4, 0.2, 0.02, "finest level time grid: 0.05 is not an integer multiple of 0.02"),
         ],
-        ids=["finest-level-off-reference", "level-off-interval"],
+        ids=["finest-level-off-reference", "level-off-interval", "h_ref-not-finer",
+             "tau_ref-not-finer", "divisibility-before-refinement"],
     )
-    def test_no_run_before_every_grid_is_checked(self, monkeypatch, base_h, h_ref, message):
-        # the reference grid itself nests in [-16, 16] both times: the old
-        # check ran the reference before it found the bad level grid
+    def test_no_run_before_every_grid_is_checked(self, monkeypatch, base_h, h_ref, tau_ref,
+                                                 message):
+        # the reference grid itself nests in [-16, 16] every time: the old
+        # check ran the reference before it found the bad level grid. A
+        # reference on the finest level's own grid left that level no error,
+        # and the study's order then divided by zero
         import fgle.experiments as experiments
 
         calls = []
@@ -191,7 +198,7 @@ class TestConvergenceStudy:
                 0.1,
                 base_h,
                 2,
-                FineGridReference(h_ref=h_ref, tau_ref=0.025),
+                FineGridReference(h_ref=h_ref, tau_ref=tau_ref),
                 u0=lambda x: sech_soliton_solution(x, 0.0, 0.3),
             )
         assert calls == []

@@ -136,9 +136,14 @@ class TestCosineMoments:
             assert np.max(np.abs(moments - expected)) <= 1e-14 * math.pi**2 / 3.0, b
 
 
+def make_operator(alpha, m):
+    return assemble_operator(wsgd_weights(alpha, m), m)
+
+
 def within_bounds(values, alpha, h):
     """C_alpha |u|^2 <= (Delta_h u, u)_h <= |u|^2 for each column, to 1e-12 |u|^2."""
-    lower, upper, sem = energy_equivalence_margins(values, alpha, h)
+    op = make_operator(alpha, values.shape[0] + 1)
+    lower, upper, sem = energy_equivalence_margins(values, alpha, h, op)
     return np.all(lower >= -1e-12 * sem) and np.all(upper >= -1e-12 * sem)
 
 
@@ -151,41 +156,52 @@ class TestEnergyEquivalence:
         assert within_bounds(fields, alpha, h)
 
     def test_impulse(self):
-        vals = np.zeros(63)
+        vals = np.zeros((63, 1))
         vals[31] = 1.0
         assert within_bounds(vals, 1.5, 0.3)
 
     @pytest.mark.parametrize("op_alpha, op_nodes", [(1.9, 63), (1.5, 15)])
     def test_operator_mismatch_rejected(self, op_alpha, op_nodes):
-        fields = random_field(np.random.default_rng(21), 64, 20.0 / 64).values
-        op = assemble_operator(wsgd_weights(op_alpha, op_nodes + 1), op_nodes + 1)
+        fields = random_field(np.random.default_rng(21), 64, 20.0 / 64).values[:, None]
+        op = make_operator(op_alpha, op_nodes + 1)
         with pytest.raises(ValueError, match="operator"):
             energy_equivalence_margins(fields, 1.5, 20.0 / 64, operator=op)
 
     @pytest.mark.parametrize("h", (math.nan, math.inf, 0.0, -0.5))
     def test_bad_spacing_rejected(self, h):
         with pytest.raises(ValueError, match="grid spacing h must be positive and finite"):
-            energy_equivalence_margins(np.ones((15, 2)), 1.5, h)
+            energy_equivalence_margins(np.ones((15, 2)), 1.5, h, make_operator(1.5, 16))
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, complex(0.0, -math.inf)))
     def test_non_finite_fields_rejected(self, bad):
         fields = np.ones((15, 2), dtype=complex)
-        lower, upper, sem = energy_equivalence_margins(fields, 1.5, 0.5)
+        op = make_operator(1.5, 16)
+        lower, upper, sem = energy_equivalence_margins(fields, 1.5, 0.5, op)
         assert np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)) and np.all(sem > 0)
         fields[3, 1] = bad
         with pytest.raises(ValueError, match="fields must be finite"):
-            energy_equivalence_margins(fields, 1.5, 0.5)
+            energy_equivalence_margins(fields, 1.5, 0.5, op)
 
     def test_fields_of_three_dimensions_rejected(self):
-        with pytest.raises(ValueError, match=r"fields must be 1-D or 2-D .*\(15, 3, 2\)"):
-            energy_equivalence_margins(np.ones((15, 3, 2)), 1.5, 0.5)
+        with pytest.raises(ValueError, match=r"fields must be 2-D .*\(15, 3, 2\)"):
+            energy_equivalence_margins(np.ones((15, 3, 2)), 1.5, 0.5, make_operator(1.5, 16))
 
     @pytest.mark.parametrize("shape", [(1,), (1, 3), (0,), (0, 2)])
     def test_fields_of_fewer_than_two_rows_rejected(self, shape):
-        with pytest.raises(ValueError, match="fields must be 1-D or 2-D with at least 2 rows"):
-            energy_equivalence_margins(np.ones(shape), 1.5, 0.5)
+        with pytest.raises(ValueError, match="fields must be 2-D with at least 2 rows"):
+            energy_equivalence_margins(np.ones(shape), 1.5, 0.5, make_operator(1.5, 3))
+
+    def test_one_vector_needs_its_column_axis(self):
+        # a 1-D vector is not read as one column: it fails before any work
+        with pytest.raises(ValueError, match=r"fields must be 2-D .*\(63,\)"):
+            energy_equivalence_margins(np.ones(63), 1.5, 0.3, make_operator(1.5, 64))
+
+    def test_operator_is_required(self):
+        with pytest.raises(TypeError, match="operator"):
+            energy_equivalence_margins(np.ones((63, 2)), 1.5, 0.3)
 
     def test_quadratic_form_real_positive(self):
         rng = np.random.default_rng(16)
-        _, upper, sem = energy_equivalence_margins(random_field(rng, 32, 0.4).values, 1.7, 0.4)
+        fields = random_field(rng, 32, 0.4).values[:, None]
+        _, upper, sem = energy_equivalence_margins(fields, 1.7, 0.4, make_operator(1.7, 32))
         assert sem[0] - upper[0] > 0.0

@@ -37,6 +37,11 @@ def gaussian(x):
     return np.exp(-2.0 * x * x)
 
 
+def no_levels(u):
+    """``fixed_point_step``'s history on a run's first step: a 2-D array with no rows."""
+    return np.zeros((0, u.size), dtype=complex)
+
+
 def assert_refined_one_past_rounding(residuals):
     """A generator's residual history: each correction reduces the residual until it
     first reaches rounding level, then exactly one more correction keeps it there."""
@@ -448,7 +453,7 @@ class TestFixedPointStep:
         F = build_system_matrix(p, grid, 0.1, op)
         rng = np.random.default_rng(22)
         u = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        u_next, diag = fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
+        u_next, diag = fixed_point_step(u, no_levels(u), F, p, grid, SolverSettings(), op)
         assert np.array_equal(u_next, u)
         assert diag.iterations == 1
 
@@ -468,7 +473,7 @@ class TestFixedPointStep:
         z = np.linalg.solve(A, u0)
         expected = 2 * z - u0
 
-        u_next, diag = fixed_point_step(u0, None, F, p, grid, SolverSettings(), op)
+        u_next, diag = fixed_point_step(u0, no_levels(u0), F, p, grid, SolverSettings(), op)
         assert np.max(np.abs(u_next - expected)) < 1e-12
         assert diag.iterations <= 3
 
@@ -485,7 +490,7 @@ class TestFixedPointStep:
         F = build_system_matrix(p, grid, 5.0, op)
         u = 5.0 * gaussian(grid.interior_nodes()).astype(complex)
         with pytest.raises(NonConvergence) as err:
-            fixed_point_step(u, None, F, p, grid, SolverSettings(max_iters=2), op)
+            fixed_point_step(u, no_levels(u), F, p, grid, SolverSettings(max_iters=2), op)
         assert len(err.value.increments) == 2
 
     def test_system_without_time_step_rejected(self):
@@ -493,9 +498,9 @@ class TestFixedPointStep:
         op = make_operator(1.8, 50)
         system = linalg_mod.lu_factor(np.eye(49, dtype=complex))
         assert system.tau is None
+        u = gaussian(grid.interior_nodes())
         with pytest.raises(ValueError, match="build_system_matrix"):
-            fixed_point_step(gaussian(grid.interior_nodes()), None, system, EXAMPLE_PARAMS, grid,
-                             SolverSettings(), op)
+            fixed_point_step(u, no_levels(u), system, EXAMPLE_PARAMS, grid, SolverSettings(), op)
 
     def test_non_finite_iterate_detected_from_increment(self):
         # the fifth iterate is the first non-finite one (its |z|^2 overflows);
@@ -506,7 +511,7 @@ class TestFixedPointStep:
         F = build_system_matrix(p, grid, 5.0, op)
         u = 5.0 * np.exp(-grid.interior_nodes() ** 2).astype(complex)
         with pytest.raises(NonConvergence, match="non-finite") as err:
-            fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
+            fixed_point_step(u, no_levels(u), F, p, grid, SolverSettings(), op)
         assert err.value.iterations == 5
 
     def test_divergence_raises_without_numpy_warnings(self):
@@ -520,7 +525,7 @@ class TestFixedPointStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonConvergence, match="non-finite") as err:
-                fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
+                fixed_point_step(u, no_levels(u), F, p, grid, SolverSettings(), op)
         assert err.value.iterations == 5
         increments = err.value.increments
         assert len(increments) == 5
@@ -530,10 +535,12 @@ class TestFixedPointStep:
         fifth = increments[4] - sum(increments[:4]) - np.max(np.abs(u))
         assert fifth > math.sqrt(np.finfo(float).max)
 
-    @pytest.mark.parametrize("history", [None, []], ids=["none", "empty"])
+    @pytest.mark.parametrize("history", ["none", "empty"], ids=["none", "empty"])
     def test_first_level_starts_from_u_n(self, history):
         # no earlier level: the start is u^n, so the first right-hand side is
-        # u - (tau/2)(kappa + i zeta)|u|^2 u, with no explicit operator product
+        # u - (tau/2)(kappa + i zeta)|u|^2 u, with no explicit operator product.
+        # "none" passes a fresh array of zero rows; "empty" the run's level buffer
+        # sliced to zero rows, its unread rows filled so that reading one would show
         grid = GridSpec(-10.0, 10.0, 60)
         op = make_operator(1.8, 60)
         tau = 0.05
@@ -542,6 +549,10 @@ class TestFixedPointStep:
         rhs = []
         solve = F.solve
         F.solve = lambda b: rhs.append(np.array(b)) or solve(b)
+        if history == "none":
+            history = no_levels(u)
+        else:
+            history = np.full((4, u.size), 1.0 + 1.0j)[:0]
         fixed_point_step(u, history, F, EXAMPLE_PARAMS, grid, SolverSettings(), op)
         cubic = EXAMPLE_PARAMS.kappa + 1j * EXAMPLE_PARAMS.zeta
         expected = u - (tau / 2.0) * cubic * np.abs(u) ** 2 * u
@@ -553,18 +564,32 @@ class TestFixedPointStep:
         p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.6)
         F = build_system_matrix(p, grid, 0.01, op)
         u = gaussian(grid.interior_nodes()).astype(complex)
-        with pytest.raises(ValueError, match="history"):
-            fixed_point_step(u, [u[:-1]], F, p, grid, SolverSettings(), op)
+        with pytest.raises(ValueError, match=r"^history must be a 2-D array of levels of 39 "):
+            fixed_point_step(u, u[None, :-1], F, p, grid, SolverSettings(), op)
+
+    @pytest.mark.parametrize(
+        "history", [None, [], "levels"], ids=["none", "empty-list", "list-of-levels"]
+    )
+    def test_history_not_a_2d_array_rejected(self, history):
+        # a list of correct levels is refused too: the run passes its own 2-D buffer
+        grid = GridSpec(-5.0, 5.0, 40)
+        op = make_operator(1.6, 40)
+        p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.6)
+        F = build_system_matrix(p, grid, 0.01, op)
+        u = gaussian(grid.interior_nodes()).astype(complex)
+        history = [u, u] if history == "levels" else history
+        with pytest.raises(ValueError, match=r"^history must be a 2-D array of levels of 39 "):
+            fixed_point_step(u, history, F, p, grid, SolverSettings(), op)
 
     def test_field_from_another_grid_rejected(self):
-        # same length, other spacing: the field belongs to another grid
+        # u_n is the values alone: a ComplexField, whatever its spacing, is a TypeError
         grid = GridSpec(-5.0, 5.0, 32)
         op = make_operator(1.6, 32)
         p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.6)
         F = build_system_matrix(p, grid, 0.01, op)
         u = ComplexField(gaussian(grid.interior_nodes()), h=0.9)
-        with pytest.raises(ValueError, match=r"^field spacings differ: 0\.9 vs 0\.3125$"):
-            fixed_point_step(u, None, F, p, grid, SolverSettings(), op)
+        with pytest.raises(TypeError, match="ComplexField"):
+            fixed_point_step(u, no_levels(u.values), F, p, grid, SolverSettings(), op)
 
 
 class TestExtrapolatedStart:
@@ -756,19 +781,23 @@ class TestRunSimulation:
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), np.zeros(50))
 
     def test_initial_field_from_another_grid_rejected(self):
+        # u0 is a callable or values: a ComplexField, whatever its spacing, is a TypeError
         grid = GridSpec(-5.0, 5.0, 32)
         u0 = ComplexField(gaussian(grid.interior_nodes()), h=0.9)
-        with pytest.raises(ValueError, match=r"^field spacings differ: 0\.9 vs 0\.3125$"):
+        with pytest.raises(TypeError, match="ComplexField"):
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
 
     def test_initial_field_on_the_grid_accepted(self):
+        # values sampled on the grid run as the callable does, and a restart
+        # passes the final values of a run on the same grid
         grid = GridSpec(-5.0, 5.0, 32)
         values = gaussian(grid.interior_nodes())
-        from_field = run_simulation(
-            EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), ComplexField(values, grid.h)
-        )
-        from_array = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), values)
-        assert np.array_equal(from_field.final.values, from_array.final.values)
+        from_callable = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), gaussian)
+        from_values = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), values)
+        assert np.array_equal(from_callable.final.values, from_values.final.values)
+        restart = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), from_values.final.values)
+        assert restart.norm_sq[0] == from_values.norm_sq[-1]
+        assert np.max(np.abs(restart.energy_residuals)) <= 1e-10
 
     @pytest.mark.parametrize(
         "u0",

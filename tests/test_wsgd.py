@@ -488,6 +488,15 @@ class TestSymbolFunctions:
         with pytest.raises(ValueError, match="theta"):
             symbol_f(1.5, theta)
 
+    @pytest.mark.parametrize("angle, end", [(-1e-13, 0.0), (math.pi + 1e-13, math.pi)],
+                             ids=["below-0", "above-pi"])
+    @pytest.mark.parametrize("function", [symbol_f, h_function], ids=["symbol_f", "h_function"])
+    def test_angles_within_the_tolerance_clipped(self, function, angle, end):
+        # under filterwarnings = error: (2 sin(theta/2))^alpha of a negative angle
+        # was nan, with a RuntimeWarning
+        assert function(1.5, angle) == function(1.5, end)
+        assert np.array_equal(function(1.5, [angle, 1.0]), function(1.5, [end, 1.0]))
+
     def test_series_converges_to_closed_form(self):
         gap = symbol_f(1.5, math.pi / 2) - symbol_series(1.5, math.pi / 2, 4096)
         assert abs(gap) < 1e-6
@@ -505,6 +514,29 @@ class TestSymbolFunctions:
             slack = 1e-12 * max(1.0, theta**alpha)
             assert closed >= ca * theta**alpha - slack
             assert closed <= theta**alpha + slack
+
+
+class TestExactFractionalLaplacian:
+    def test_second_order_against_the_gaussian_image(self):
+        # (-Delta)^(alpha/2) exp(-x^2) = 2^alpha Gamma((1+alpha)/2) / sqrt(pi)
+        # * 1F1((1+alpha)/2; 1/2; -x^2); exp(-x^2) is below 1e-43 outside [-10, 10]
+        mpmath = pytest.importorskip("mpmath")
+        x_fine = -10.0 + (20.0 / 256) * np.arange(1, 256)
+        for alpha in (1.1, 1.5, 1.9, 2.0):
+            with mpmath.workdps(30):
+                a = mpmath.mpf(alpha)
+                scale = 2**a * mpmath.gamma((1 + a) / 2) / mpmath.sqrt(mpmath.pi)
+                exact = np.array([float(scale * mpmath.hyp1f1((1 + a) / 2, 0.5, -mpmath.mpf(x)**2))
+                                  for x in x_fine])
+            errors = []
+            for m in (64, 128, 256):
+                h, step = 20.0 / m, 256 // m
+                x = -10.0 + h * np.arange(1, m)
+                op = assemble_operator(wsgd_weights(alpha, m), m)
+                image = h**-alpha * (op.C @ np.exp(-x * x))
+                errors.append(np.max(np.abs(image - exact[step - 1 :: step])))
+            orders = np.log2(np.array(errors[:-1]) / errors[1:])
+            assert np.all(orders >= 1.9), (alpha, errors)
 
 
 class TestCAlpha:
