@@ -344,7 +344,7 @@ def run_simulate(cfg: RunConfig, outdir: Path) -> int:
         write_csv(
             outdir / _csv_name("snapshot_t", t),
             ["x", "re", "im", "abs"],
-            zip(x, snap.values.real, snap.values.imag, np.abs(snap.values)),
+            zip(x, snap.real, snap.imag, np.abs(snap)),
         )
     return 0
 

@@ -1,7 +1,7 @@
-"""Grid functions and their norms, the LU factorization, Gauss-Jacobi rules, and the
-FFT products behind the Toeplitz operator and the Gohberg-Semencul solve. The one
-symmetric Toeplitz quadratic form, ``toeplitz_quadratic_form``, serves both
-the operator's energy (Delta_h u, u)_h and the H^sigma_h seminorm.
+"""The LU factorization, Gauss-Jacobi rules, and the FFT products behind the
+Toeplitz operator and the Gohberg-Semencul solve. The one symmetric Toeplitz
+quadratic form, ``toeplitz_quadratic_form``, serves both the operator's
+energy (Delta_h u, u)_h and the H^sigma_h seminorm.
 
 ``lu_factor`` factors a fresh copy of a dense matrix. Given a symmetric
 Toeplitz matrix's leading section (the stepper's is of order at most 99), its
@@ -10,8 +10,8 @@ LU is the solve when the section is the whole matrix, and otherwise seeds
 refines the Gohberg-Semencul generator to one correction past rounding level
 with the formula itself (Newton's iteration for a structured inverse).
 
-Grid functions live on the interior nodes of a uniform mesh and are
-implicitly extended by zero outside. All norms carry the mesh weight h.
+A grid function is its values on the interior nodes of a uniform mesh (``_field_values``),
+extended by zero outside; its spacing is the mesh's, ``stepper.GridSpec.h``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "SingularMatrixError", "ComplexField", "FactorizedSystem", "l2_h", "linf_h", "fft_length",
-    "symmetric_toeplitz", "symmetric_toeplitz_spectrum", "toeplitz_quadratic_form",
-    "circulant_product", "lu_factor",
+    "SingularMatrixError", "FactorizedSystem", "fft_length", "symmetric_toeplitz",
+    "symmetric_toeplitz_spectrum", "toeplitz_quadratic_form", "circulant_product", "lu_factor",
 ]
 
 
@@ -48,39 +47,6 @@ def _field_values(values) -> np.ndarray:
     if values.ndim != 1:
         raise ValueError("field values must be a 1-D sequence")
     return values
-
-
-@dataclass
-class ComplexField:
-    """Complex-valued grid function on the M-1 interior nodes, spacing h."""
-
-    values: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        self.values = _field_values(self.values)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
-        _check_positive("grid spacing h", self.h)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-def _check_pair(u: ComplexField, v: ComplexField) -> None:
-    """The package's one check that two fields share a grid: same length, spacing equal exactly."""
-    if len(u) != len(v):
-        raise ValueError(f"field lengths differ: {len(u)} vs {len(v)}")
-    if u.h != v.h:
-        raise ValueError(f"field spacings differ: {u.h} vs {v.h}")
-
-
-def l2_h(u: ComplexField) -> float:
-    return math.sqrt(u.h * float(np.sum(np.abs(u.values) ** 2)))
-
-
-def linf_h(u: ComplexField) -> float:
-    return float(np.max(np.abs(u.values)))
 
 
 @functools.lru_cache(maxsize=16)

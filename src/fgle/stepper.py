@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    ComplexField, FactorizedSystem, _check_positive, _field_values, fft_length, lu_factor,
-    symmetric_toeplitz,
+    FactorizedSystem, SingularMatrixError, _check_positive, _field_values, fft_length,
+    lu_factor, symmetric_toeplitz,
 )
 from .wsgd import (
     OperatorMatrix, _check_alpha, _check_count, _check_operator, assemble_operator, wsgd_weights
@@ -103,6 +103,7 @@ class GridSpec:
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError(f"need finite b > a, got [{self.a}, {self.b}]")
         _check_count("M", self.M, 3)
+        _check_positive("grid spacing h", self.h)
 
     @property
     def h(self) -> float:
@@ -150,7 +151,8 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """A run's ``times`` and ``norm_sq`` per level, and its steps' diagnostics, step n + 1 at n."""
+    """A run's ``times`` and ``norm_sq`` per level, and its steps' diagnostics, step n + 1 at n.
+    ``snapshots`` (by time) and ``final`` are values of levels on ``grid``, each its own copy."""
 
     grid: GridSpec
     times: np.ndarray
@@ -158,8 +160,8 @@ class Trajectory:
     iterations: np.ndarray
     final_increments: np.ndarray
     energy_residuals: np.ndarray
-    snapshots: dict[float, ComplexField] = field(default_factory=dict)
-    final: ComplexField | None = None
+    snapshots: dict[float, np.ndarray] = field(default_factory=dict)
+    final: np.ndarray | None = None
 
 
 # Largest order of A's leading section that a run LU-factors: the section is A
@@ -259,12 +261,18 @@ def build_system_matrix(
     (``FactorizedSystem.with_gohberg_semencul``), through which every solve
     goes; set-up and memory are then O(M log M) and O(M). An inverse whose
     refinement stalls or that fails its gate raises
-    ``linalg.SingularMatrixError``.
+    ``linalg.SingularMatrixError``, and so does an entry of A that overflows.
     """
     _check_run(params, grid, tau)
     _check_operator(operator, params.alpha, grid.M)
-    col = (tau / 2.0) * (params.upsilon + 1j * params.eta) * grid.h ** (-params.alpha) * operator.column
-    col[0] += 1.0 - tau * params.gamma / 2.0
+    # h^(-alpha) in numpy, which overflows to inf where Python's float power raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor = (tau / 2.0) * (params.upsilon + 1j * params.eta) * np.float64(grid.h) ** (-params.alpha)
+        col = factor * operator.column
+        col[0] += 1.0 - tau * params.gamma / 2.0
+    if not np.all(np.isfinite(col)):
+        raise SingularMatrixError(f"midpoint matrix has entries that are not finite: "
+                                  f"(tau/2)(upsilon + i eta) h^(-alpha) = {factor:.3g} overflows")
     system = lu_factor(symmetric_toeplitz(col[:_GS_SEED_ORDER]))
     if col.size > _GS_SEED_ORDER:
         system = system.with_gohberg_semencul(col)
@@ -392,7 +400,7 @@ def run_simulation(
     """Advance N implicit midpoint steps from the sampled initial data.
 
     u0 is a callable evaluated on the interior nodes or their values (a restart passes
-    ``Trajectory.final.values``), a finite 1-D sequence of M - 1, checked before the operator
+    ``Trajectory.final``), a finite 1-D sequence of M - 1, checked before the operator
     and the factor are built. Snapshot times must coincide with time-grid levels.
     ``_check_run`` comes first, before the initial data is sampled. Raises NonConvergence
     (tagged with the failing step) if an inner iteration stalls.
@@ -417,7 +425,7 @@ def run_simulation(
                       np.empty(steps, dtype=np.int64), np.empty(steps), np.empty(steps))
     traj.norm_sq[0] = h * float(np.sum(np.abs(u) ** 2))
     if 0 in snap_steps:
-        traj.snapshots[snap_steps[0]] = ComplexField(u.copy(), h)
+        traj.snapshots[snap_steps[0]] = u.copy()
 
     # earlier levels u^{n-1}, ..., u^{n-4}, newest first; the first n rows are filled
     levels = np.zeros((_START_ORDER, u.size), dtype=complex)
@@ -435,6 +443,6 @@ def run_simulation(
         traj.iterations[n], traj.final_increments[n] = diag.iterations, diag.final_increment
         traj.energy_residuals[n], traj.norm_sq[n + 1] = diag.energy_identity_residual, diag.norm_sq
         if n + 1 in snap_steps:
-            traj.snapshots[snap_steps[n + 1]] = ComplexField(u.copy(), h)
-    traj.final = ComplexField(u, h)
+            traj.snapshots[snap_steps[n + 1]] = u.copy()
+    traj.final = u
     return traj

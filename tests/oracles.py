@@ -9,8 +9,8 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from fgle.experiments import restrict_to_coarse
-from fgle.linalg import ComplexField, SingularMatrixError, l2_h
+from fgle.experiments import error_norms, restrict_to_coarse
+from fgle.linalg import SingularMatrixError
 from fgle.stepper import GridSpec, SolverSettings, _exact_division
 from fgle.wsgd import WsgdWeights, assemble_operator, wsgd_weights
 
@@ -34,27 +34,28 @@ def cholesky(matrix) -> np.ndarray:
     return np.ascontiguousarray(m.T[::-1, ::-1])
 
 
-def apply_fractional_laplacian(u: ComplexField, weights: WsgdWeights) -> ComplexField:
-    """Apply the discrete fractional Laplacian by direct double summation.
+def apply_fractional_laplacian(vals, h: float, weights: WsgdWeights) -> np.ndarray:
+    """Apply the discrete fractional Laplacian to the values of a grid function of
+    spacing h by direct double summation.
 
     Independent of the operator's column: each node sums the left- and
     right-shifted weight convolutions against the zero-extended field.
     Agrees with h^(-alpha) C u to machine precision.
     """
-    vals = u.values
+    vals = np.asarray(vals)
     M = vals.size + 1
     if weights.w.size < M + 1:
         raise ValueError(f"need weights w_0..w_{M}, got only {weights.w.size} entries")
     w = weights.w
     ext = np.zeros(M + 1, dtype=complex)
     ext[1:M] = vals
-    scale = u.h ** (-weights.alpha) / (2.0 * math.cos(weights.alpha * math.pi / 2.0))
+    scale = h ** (-weights.alpha) / (2.0 * math.cos(weights.alpha * math.pi / 2.0))
     out = np.empty(M - 1, dtype=complex)
     for j in range(1, M):
         left = np.dot(w[: j + 2], ext[j + 1 :: -1])
         right = np.dot(w[: M - j + 2], ext[j - 1 : M + 1])
         out[j - 1] = scale * (left + right)
-    return ComplexField(out, u.h)
+    return out
 
 
 def symbol_series(alpha: float, theta, L: int):
@@ -136,7 +137,7 @@ def operator_refinement_orders(
         grids.append(grid)
 
     diffs = [
-        l2_h(ComplexField(images[lvl] - restrict_to_coarse(images[lvl + 1], 2), grids[lvl].h))
+        error_norms(images[lvl], restrict_to_coarse(images[lvl + 1], 2), grids[lvl].h)[0]
         for lvl in range(2)
     ]
     richardson = math.log2(diffs[0] / diffs[1])
@@ -144,7 +145,7 @@ def operator_refinement_orders(
     analytic = None
     if exact is not None:
         errs = [
-            l2_h(ComplexField(images[lvl] - exact(grids[lvl].interior_nodes()), grids[lvl].h))
+            error_norms(images[lvl], exact(grids[lvl].interior_nodes()), grids[lvl].h)[0]
             for lvl in range(3)
         ]
         analytic = tuple(math.log2(errs[i] / errs[i + 1]) for i in range(2))

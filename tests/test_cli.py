@@ -406,6 +406,29 @@ class TestCliDispatch:
         assert err.startswith(expected)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("eta = 1.0", "eta = 1e308"), ("a = -10\nb = 10\nm = 400", "a = 0\nb = 1e-197\nm = 1000")],
+        ids=["eta", "spacing"],
+    )
+    def test_overflowing_midpoint_matrix_exit_code(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINIMAL_SIMULATE.replace(old, new))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: midpoint matrix has entries that are not finite: "
+                              "(tau/2)(upsilon + i eta) h^(-alpha) = ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "a, b, m, shown", [(-1e308, 1e308, 10, "inf"), (0.0, 1e-320, 100000, "0.0")],
+        ids=["overflows", "underflows"],
+    )
+    def test_grid_spacing_not_positive_and_finite_exit_code(self, tmp_path, capsys, a, b, m, shown):
+        text = MINIMAL_SIMULATE.replace("a = -10\nb = 10\nm = 400", f"a = {a}\nb = {b}\nm = {m}")
+        assert_config_error(tmp_path, capsys, "simulate", text,
+                            f"[grid] grid spacing h must be positive and finite, got {shown}")
+
     def test_off_grid_snapshot_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINIMAL_SIMULATE + "\n[output]\nsnapshot_times = 0.33\n")

@@ -23,7 +23,7 @@ from fgle.experiments import (
     sech_soliton_solution,
     verify_suite,
 )
-from fgle.linalg import ComplexField, _cosine_moments
+from fgle.linalg import _cosine_moments
 from fgle.stepper import GridSpec, ModelParams, TimeGrid
 from fgle.wsgd import WsgdWeights, assemble_operator, symbol_f, wsgd_weights
 from oracles import operator_refinement_orders
@@ -77,35 +77,54 @@ class TestSechSoliton:
 
 class TestErrorNorms:
     def test_identical_fields(self):
-        u = ComplexField(np.ones(8), h=0.5)
-        assert error_norms(u, u) == (0.0, 0.0)
+        u = np.ones(8)
+        assert error_norms(u, u, 0.5) == (0.0, 0.0)
 
     def test_single_node_offset(self):
         h = 0.25
-        u = ComplexField(np.zeros(8), h)
         vals = np.zeros(8, dtype=complex)
         vals[3] = 0.7j
-        v = ComplexField(vals, h)
-        l2, linf = error_norms(u, v)
+        l2, linf = error_norms(np.zeros(8), vals, h)
         assert linf == pytest.approx(0.7, rel=1e-15)
         assert l2 == pytest.approx(math.sqrt(h) * 0.7, rel=1e-15)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(30)
         h = 0.2
-        u = ComplexField(rng.standard_normal(16) + 1j * rng.standard_normal(16), h)
-        v = ComplexField(rng.standard_normal(16) + 1j * rng.standard_normal(16), h)
-        l2, linf = error_norms(u, v)
-        diffs = [abs(a - b) for a, b in zip(u.values, v.values)]
+        u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        l2, linf = error_norms(u, v, h)
+        diffs = [abs(a - b) for a, b in zip(u, v)]
         assert l2 == pytest.approx(math.sqrt(h * sum(d * d for d in diffs)), rel=1e-14)
         assert linf == pytest.approx(max(diffs), rel=1e-14)
 
     def test_grid_mismatch(self):
-        u = ComplexField(np.ones(8), 0.5)
+        # one spacing is passed for both, so only the lengths can differ
         with pytest.raises(ValueError, match="field lengths differ: 8 vs 9"):
-            error_norms(u, ComplexField(np.ones(9), 0.5))
-        with pytest.raises(ValueError, match="field spacings differ: 0.5 vs 0.25"):
-            error_norms(u, ComplexField(np.ones(8), 0.25))
+            error_norms(np.ones(8), np.ones(9), 0.5)
+
+    @pytest.mark.parametrize(
+        "u, v",
+        [([0.0, 0.0], [math.inf, 0.0]), ([math.inf, 0.0], [math.inf, 0.0]),
+         ([1e308, 0.0], [-1e308, 0.0])],
+        ids=["inf", "inf-minus-inf", "overflowing-difference"],
+    )
+    def test_non_finite_values_rejected(self, u, v):
+        # in either field, and without a numpy warning, though inf - inf is invalid and
+        # 1e308 + 1e308 overflows (a NaN in u: tests/test_linalg.py)
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            error_norms(np.array(u), np.array(v), 0.5)
+
+    def test_values_must_be_1d(self):
+        with pytest.raises(ValueError, match="field values must be a 1-D sequence"):
+            error_norms(np.ones((2, 4)), np.ones((2, 4)), 0.5)
+
+    def test_non_finite_exact_reference_rejected(self):
+        ref = ExactReference(lambda x, t: np.full(x.size, math.nan))
+        p = sech_soliton_model_params()
+        with pytest.raises(ValueError, match="^field values must be finite$"):
+            convergence_study(p, (-16.0, 16.0), 1.0, 0.1, 0.4, 1, ref,
+                              u0=lambda x: sech_soliton_solution(x, 0.0, 0.3))
 
 
 class TestRestriction:

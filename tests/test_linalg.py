@@ -10,16 +10,13 @@ import scipy.special
 
 import fgle.linalg as linalg_mod
 
+from fgle.experiments import error_norms
 from fgle.linalg import (
-    ComplexField,
     SingularMatrixError,
-    _check_pair,
     _gauss_jacobi,
     fft_length,
     symmetric_toeplitz_spectrum,
     toeplitz_quadratic_form,
-    l2_h,
-    linf_h,
     lu_factor,
 )
 from fgle.stepper import _GS_SEED_ORDER, GridSpec, ModelParams, build_system_matrix
@@ -28,46 +25,49 @@ from oracles import apply_fractional_laplacian, cholesky
 
 
 class TestComplexField:
+    """A grid function is its values; ``error_norms`` checks them and the spacing."""
+
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            ComplexField(np.array([1.0, np.nan]), h=0.5)
+        with pytest.raises(ValueError, match="field values must be finite"):
+            error_norms(np.array([1.0, np.nan]), np.zeros(2), 0.5)
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError, match="h"):
-            ComplexField(np.zeros(4), h=0.0)
+            error_norms(np.zeros(4), np.zeros(4), 0.0)
 
     @pytest.mark.parametrize("h", (math.inf, math.nan, -0.5))
     def test_spacing_must_be_positive_and_finite(self, h):
         with pytest.raises(ValueError, match="grid spacing h must be positive and finite"):
-            ComplexField(np.zeros(4), h=h)
+            error_norms(np.zeros(4), np.zeros(4), h)
 
 
 class TestInnerProductAndNorms:
+    """The l^2_h and max norms, as ``error_norms`` of a field against zero."""
+
     def test_impulse_inner_product(self):
         # (u, u)_h of a unit impulse is the mesh weight h
         vals = np.zeros(8)
         vals[3] = 1.0
-        assert l2_h(ComplexField(vals, h=0.5)) ** 2 == pytest.approx(0.5, rel=1e-15)
+        assert error_norms(vals, np.zeros(8), 0.5)[0] ** 2 == pytest.approx(0.5, rel=1e-15)
 
     def test_norm_squared_is_real_inner_product(self):
         rng = np.random.default_rng(0)
-        u = ComplexField(rng.standard_normal(16) + 1j * rng.standard_normal(16), h=0.1)
-        ip = u.h * np.vdot(u.values, u.values)
-        assert l2_h(u) ** 2 == pytest.approx(ip.real, rel=1e-14)
+        u, h = rng.standard_normal(16) + 1j * rng.standard_normal(16), 0.1
+        ip = h * np.vdot(u, u)
+        assert error_norms(u, np.zeros(16), h)[0] ** 2 == pytest.approx(ip.real, rel=1e-14)
 
     def test_inverse_inequality(self):
         # ||u||_inf^2 <= h^{-1} ||u||_h^2 for any grid function
         rng = np.random.default_rng(3)
+        h = 0.05
         for _ in range(20):
-            u = ComplexField(rng.standard_normal(10) + 1j * rng.standard_normal(10), h=0.05)
-            assert l2_h(u) >= math.sqrt(u.h) * linf_h(u) * (1 - 1e-14)
+            u = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+            l2, linf = error_norms(u, np.zeros(10), h)
+            assert l2 >= math.sqrt(h) * linf * (1 - 1e-14)
 
     def test_mismatch_rejected(self):
-        u = ComplexField(np.zeros(4), h=0.5)
         with pytest.raises(ValueError, match="length"):
-            _check_pair(u, ComplexField(np.zeros(5), h=0.5))
-        with pytest.raises(ValueError, match="spacing"):
-            _check_pair(u, ComplexField(np.zeros(4), h=0.25))
+            error_norms(np.zeros(4), np.zeros(5), 0.5)
 
 
 class TestCholesky:
@@ -403,14 +403,14 @@ class TestQuadraticFormRoutes:
         M, h = 32, 0.25
         w = wsgd_weights(alpha, M + 1)
         op = assemble_operator(w, M)
-        u = ComplexField(rng.standard_normal(M - 1) + 1j * rng.standard_normal(M - 1), h)
+        u = rng.standard_normal(M - 1) + 1j * rng.standard_normal(M - 1)
 
-        direct = h * np.vdot(u.values, apply_fractional_laplacian(u, w).values)
+        direct = h * np.vdot(u, apply_fractional_laplacian(u, h, w))
         assert direct.imag == pytest.approx(0.0, abs=1e-12 * abs(direct))
-        quad = h ** (1 - alpha) * float(np.real(np.conj(u.values) @ (op.C @ u.values)))
-        lam = cholesky(op.C) @ u.values
+        quad = h ** (1 - alpha) * float(np.real(np.conj(u) @ (op.C @ u)))
+        lam = cholesky(op.C) @ u
         factored = h ** (1 - alpha) * float(np.sum(np.abs(lam) ** 2))
-        method = op.quadratic_form(u.values, h)
+        method = op.quadratic_form(u, h)
 
         assert isinstance(method, float)
         assert direct.real == pytest.approx(quad, rel=1e-10)

@@ -164,3 +164,17 @@ def test_every_family_catches_a_row_or_is_excused():
     caught = set().union(*(row.values[3] for row in ROWS))
     assert caught | UNCAUGHT == FAMILIES
     assert not caught & UNCAUGHT
+
+
+@pytest.mark.parametrize(
+    "owner, name, variant, families", [pytest.param(None, None, None, set(), id="correct"), *ROWS]
+)
+def test_every_verdict_reads_its_margin(monkeypatch, owner, name, variant, families):
+    # every family's margin is its tolerance less its violation: a check passes exactly when
+    # its margin is nonnegative, for the correct scheme and for each wrong variant
+    if owner is not None:
+        swap_in(monkeypatch, owner, name, variant)
+    checks = verify_suite().checks
+    assert [(c.name, c.alpha, c.passed) for c in checks] == [
+        (c.name, c.alpha, c.margin >= 0.0) for c in checks
+    ]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fgle.linalg as linalg_mod
 import fgle.stepper as stepper_mod
 from fgle.experiments import sech_soliton_model_params, sech_soliton_solution
-from fgle.linalg import ComplexField, fft_length
+from fgle.linalg import SingularMatrixError, fft_length
 from fgle.stepper import (
     GridSpec,
     ModelParams,
@@ -94,6 +94,9 @@ class TestGridTypes:
             (-1.0, 1.0, True, "M must be an integer"),
             (-np.inf, 1.0, 8, "finite b > a"),
             (-1.0, np.nan, 8, "finite b > a"),
+            # (b - a) / M past the float range, or below it: no run may start on the grid
+            (-1e308, 1e308, 10, "^grid spacing h must be positive and finite, got inf$"),
+            (0.0, 1e-320, 100000, "^grid spacing h must be positive and finite, got 0.0$"),
         ],
     )
     def test_grid_rejects_invalid_input(self, a, b, m, match):
@@ -190,6 +193,20 @@ class TestModelParams:
 
 
 class TestBuildSystemMatrix:
+    @pytest.mark.parametrize(
+        "eta, grid",
+        [(1e308, GridSpec(-10.0, 10.0, 400)), (3e307, GridSpec(-10.0, 10.0, 400)),
+         (1.0, GridSpec(0.0, 1e-197, 1000))],
+        ids=["factor", "column", "spacing"],
+    )
+    def test_overflowing_entries_rejected(self, eta, grid):
+        # the factor, its product with the column, or h^(-alpha) alone leaves the float
+        # range: refused before the LU, without a numpy warning or Python's OverflowError
+        p = ModelParams(1.0, eta, 1.0, 2.0, 0.0, alpha=1.8)
+        match = r"^midpoint matrix has entries that are not finite: \(tau/2\)\(upsilon \+ i eta\) "
+        with pytest.raises(SingularMatrixError, match=match):
+            build_system_matrix(p, grid, 0.05, make_operator(1.8, grid.M))
+
     def test_tau_zero_gives_identity(self):
         grid = GridSpec(-1.0, 1.0, 8)
         op = make_operator(1.5, 8)
@@ -220,7 +237,7 @@ class TestBuildSystemMatrix:
         z = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         x = F.solve(np.asarray(z))
         # apply A to the solution and compare with z
-        lap = apply_fractional_laplacian(ComplexField(x, grid.h), w).values
+        lap = apply_fractional_laplacian(x, grid.h, w)
         az = x + (tau / 2) * (0.7 - 0.3j) * lap - (tau * 0.6 / 2) * x
         assert np.max(np.abs(az - z)) < 1e-12 * np.max(np.abs(z))
 
@@ -582,14 +599,14 @@ class TestFixedPointStep:
             fixed_point_step(u, history, F, p, grid, SolverSettings(), op)
 
     def test_field_from_another_grid_rejected(self):
-        # u_n is the values alone: a ComplexField, whatever its spacing, is a TypeError
+        # u_n is the values alone; those of another grid have another length
         grid = GridSpec(-5.0, 5.0, 32)
         op = make_operator(1.6, 32)
         p = ModelParams(1.0, 1.0, 1.0, 2.0, 0.0, alpha=1.6)
         F = build_system_matrix(p, grid, 0.01, op)
-        u = ComplexField(gaussian(grid.interior_nodes()), h=0.9)
-        with pytest.raises(TypeError, match="ComplexField"):
-            fixed_point_step(u, no_levels(u.values), F, p, grid, SolverSettings(), op)
+        u = gaussian(GridSpec(-5.0, 5.0, 40).interior_nodes()).astype(complex)
+        with pytest.raises(ValueError, match=r"shape \(39,\) is not one vector of the system size 31"):
+            fixed_point_step(u, no_levels(u), F, p, grid, SolverSettings(), op)
 
 
 class TestExtrapolatedStart:
@@ -665,7 +682,7 @@ class TestRunSimulation:
         grid = GridSpec(-10.0, 10.0, 120)
         t1 = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.5, 10), gaussian)
         t2 = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.5, 10), gaussian)
-        assert np.array_equal(t1.final.values, t2.final.values)
+        assert np.array_equal(t1.final, t2.final)
         assert np.array_equal(t1.norm_sq, t2.norm_sq)
 
     def test_iteration_count_small_at_benchmark_scale(self):
@@ -681,7 +698,7 @@ class TestRunSimulation:
         assert grid.M - 1 > stepper_mod._GS_SEED_ORDER
         traj = run_simulation(EXAMPLE_PARAMS, grid, time, gaussian)
         expected, oracle_iters = linear_predictor_run(EXAMPLE_PARAMS, grid, time, gaussian)
-        assert np.max(np.abs(traj.final.values - expected)) <= 1e-12
+        assert np.max(np.abs(traj.final - expected)) <= 1e-12
         assert traj.iterations.sum() < oracle_iters
 
     def test_extrapolated_start_keeps_the_fixed_point_on_the_lu_path(self):
@@ -691,7 +708,7 @@ class TestRunSimulation:
         assert grid.M - 1 <= stepper_mod._GS_SEED_ORDER
         traj = run_simulation(EXAMPLE_PARAMS, grid, time, gaussian)
         expected, oracle_iters = linear_predictor_run(EXAMPLE_PARAMS, grid, time, gaussian)
-        assert np.max(np.abs(traj.final.values - expected)) <= 1e-12
+        assert np.max(np.abs(traj.final - expected)) <= 1e-12
         assert traj.iterations.sum() < oracle_iters
 
     def test_soliton_inner_iterations_bounded(self):
@@ -708,7 +725,20 @@ class TestRunSimulation:
             EXAMPLE_PARAMS, grid, TimeGrid(1.0, 20), gaussian, snapshot_times=(0.0, 0.5, 1.0)
         )
         assert set(traj.snapshots) == {0.0, 0.5, 1.0}
-        assert np.array_equal(traj.snapshots[1.0].values, traj.final.values)
+        assert np.array_equal(traj.snapshots[1.0], traj.final)
+
+    def test_final_shares_no_memory(self):
+        # final, the snapshots and the caller's u0 are each their own array, so a
+        # restart that works on traj.final in place leaves the others as they were
+        grid = GridSpec(-10.0, 10.0, 100)
+        u0 = gaussian(grid.interior_nodes()).astype(complex)
+        kept = u0.copy()
+        traj = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 20), u0, snapshot_times=(0.0, 1.0))
+        last = traj.snapshots[1.0].copy()
+        traj.final *= 2.0
+        assert np.array_equal(traj.snapshots[1.0], last)
+        assert np.array_equal(traj.snapshots[0.0], kept)
+        assert np.array_equal(u0, kept)
 
     def test_off_grid_snapshot_rejected(self):
         grid = GridSpec(-10.0, 10.0, 100)
@@ -781,10 +811,10 @@ class TestRunSimulation:
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), np.zeros(50))
 
     def test_initial_field_from_another_grid_rejected(self):
-        # u0 is a callable or values: a ComplexField, whatever its spacing, is a TypeError
+        # u0 is a callable or values; those of another grid have another length
         grid = GridSpec(-5.0, 5.0, 32)
-        u0 = ComplexField(gaussian(grid.interior_nodes()), h=0.9)
-        with pytest.raises(TypeError, match="ComplexField"):
+        u0 = gaussian(GridSpec(-5.0, 5.0, 40).interior_nodes())
+        with pytest.raises(ValueError, match="initial data has 39 values, expected 31"):
             run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(1.0, 10), u0)
 
     def test_initial_field_on_the_grid_accepted(self):
@@ -794,8 +824,8 @@ class TestRunSimulation:
         values = gaussian(grid.interior_nodes())
         from_callable = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), gaussian)
         from_values = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), values)
-        assert np.array_equal(from_callable.final.values, from_values.final.values)
-        restart = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), from_values.final.values)
+        assert np.array_equal(from_callable.final, from_values.final)
+        restart = run_simulation(EXAMPLE_PARAMS, grid, TimeGrid(0.2, 4), from_values.final)
         assert restart.norm_sq[0] == from_values.norm_sq[-1]
         assert np.max(np.abs(restart.energy_residuals)) <= 1e-10
 
